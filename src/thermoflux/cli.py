@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,7 +40,7 @@ STATE_PRESETS = ("ground", "plus", "thermal", "maximally-mixed")
 _CONFIG_KEYS = {
     "mode", "state", "levels", "beta", "n_grid", "seeds", "params", "output",
 }
-_PARAM_KEYS = {"k", "m", "l", "c", "margin_factor", "M", "eta"}
+_PARAM_KEYS = {"k", "l", "c", "margin_factor", "M", "eta"}
 
 
 @dataclass(frozen=True)
@@ -146,11 +147,13 @@ def resolve_state(spec, ctx: ThermalContext) -> DensityMatrix:
 
 SWEEP_COLUMNS = (
     "mode", "n", "k", "m", "l", "rate_nats", "target_nats",
-    "xi", "fidelity", "success_prob", "seed",
+    "xi", "fidelity", "seed",
 )
 
 
-def _run_row(config: ExperimentConfig, ctx: ThermalContext, rho, n: int, seed: int):
+def _run_row(config: ExperimentConfig, ctx: ThermalContext, rho, n: int, seed: int,
+             exact: bool = False):
+    """One CSV row; exact runs the universal protocol without its measurement stage."""
     from thermoflux import extraction as ex
 
     mode = config.mode
@@ -160,9 +163,8 @@ def _run_row(config: ExperimentConfig, ctx: ThermalContext, rho, n: int, seed: i
         p = p / p.sum()
         alph = ex.WorkAlphabet.from_context(ctx)
         l = int(params.get("l", math.ceil(params.get("c", 1.0) * n ** 1.5)))
-        h = ex.choose_shift(p, alph, n, margin_nats=0.0, l=l)
-        plan = ex.build_classical_plan(p, alph, n, l, h, mode="auto", seed=seed)
-        out = ex.run_classical_plan(plan)
+        target = classical_relative_entropy(p, alph.thermal)
+        out = ex.run_pipeline(alph, p, n, l, n, target, {"system": n, "bath": l}, {}, seed=seed)
         k, m = 1, 0
     elif mode == "aware":
         k = int(params.get("k", 1))
@@ -174,8 +176,7 @@ def _run_row(config: ExperimentConfig, ctx: ThermalContext, rho, n: int, seed: i
             c=float(params.get("c", 1.0)),
             margin_factor=float(params.get("margin_factor", 2.0)),
         )
-        run_mode = params.get("run_mode", "sampled")
-        out = ex.universal_protocol(rho, ctx, up, seed=seed, mode=run_mode)
+        out = ex.universal_protocol(rho, ctx, up, seed=seed, mode="exact" if exact else "sampled")
         k, m = up.k, out.details["m"]
     elif mode == "mnp":
         M = int(params.get("M", max(2, math.ceil(math.sqrt(n)))))
@@ -202,7 +203,6 @@ def _run_row(config: ExperimentConfig, ctx: ThermalContext, rho, n: int, seed: i
         "target_nats": f"{out.target_rate:.12g}",
         "xi": f"{out.xi:.12g}",
         "fidelity": f"{out.fidelity:.12g}",
-        "success_prob": f"{out.fidelity:.12g}",
         "seed": seed,
     }
 
@@ -356,11 +356,6 @@ def _cmd_pinch(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    params = {}
-    if args.k is not None:
-        params["k"] = args.k
-    if args.exact:
-        params["run_mode"] = "exact"
     config = ExperimentConfig.from_dict({
         "mode": args.mode,
         "state": args.state,
@@ -368,36 +363,20 @@ def _cmd_extract(args) -> int:
         "beta": args.beta,
         "n_grid": [args.n],
         "seeds": [args.seed],
-        "params": {k: v for k, v in params.items() if k in _PARAM_KEYS},
+        "params": {} if args.k is None else {"k": args.k},
     })
-    ctx = ThermalContext(levels=tuple(Fraction(x) for x in config.levels), beta=config.beta)
+    ctx = _ctx_from_args(args)
     rho = resolve_state(config.state, ctx)
-    row_params = dict(config.params)
-    if args.exact:
-        row_params["run_mode"] = "exact"
-    cfg = ExperimentConfig(
-        mode=config.mode, state=config.state, levels=config.levels,
-        beta=config.beta, n_grid=config.n_grid, seeds=config.seeds,
-        params=row_params, output=config.output,
-    )
-    row = _run_row(cfg, ctx, rho, args.n, args.seed)
+    row = _run_row(config, ctx, rho, args.n, args.seed, exact=args.exact)
     _emit(args, row)
     if args.csv:
-        new = not _file_exists(args.csv)
+        new = not os.path.exists(args.csv)
         with open(args.csv, "a", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
             if new:
                 writer.writeheader()
             writer.writerow(row)
     return 0
-
-
-def _file_exists(path: str) -> bool:
-    try:
-        with open(path):
-            return True
-    except OSError:
-        return False
 
 
 def _cmd_sweep(args) -> int:
@@ -502,9 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=int, default=None)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--exact", action="store_true")
-    group.add_argument("--sampled", action="store_true")
+    p.add_argument("--exact", action="store_true",
+                   help="universal mode: skip the measurement stage")
     p.add_argument("--csv", default=None, help="append the result row here")
     common(p)
     p.set_defaults(func=_cmd_extract)
@@ -517,12 +495,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", default="power-law",
                    help='"power-law" or a JSON coefficient file')
     p.add_argument("--epsilon", type=float, default=2.0)
-    p.add_argument("--schedule", default="default")
     p.add_argument("--n-grid", default="10,100,1000,10000,100000,1000000")
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--protocol-n-cap", type=int, default=1000)
-    p.add_argument("--candidates", default=None)
     p.set_defaults(func=_cmd_infdim)
 
     p = sub.add_parser("haar", help="Haar mean-energy experiment")

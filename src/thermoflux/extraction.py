@@ -12,12 +12,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import minimize_scalar
-from scipy.special import gammaln
 
 from thermoflux.core import (
     DensityMatrix,
@@ -39,11 +38,11 @@ from thermoflux.pinching import apply as pinch_apply
 from thermoflux.pinching import energy_pinching, schur_pinched_distribution
 from thermoflux.schur import build_schur_basis
 from thermoflux.typeclass import (
-    FreqVector,
     ShiftFunction,
+    enumerate_freqs,
     exact_freq_count,
     injection_feasible,
-    log_freq_count,
+    log_multinomial_rows,
 )
 
 PROTOCOL_VERSION = "1"
@@ -250,18 +249,13 @@ def choose_shift(
     return ShiftFunction(tuple(h))
 
 
-def _log_multinomial(counts: np.ndarray) -> np.ndarray:
-    n = counts.sum(axis=-1)
-    return gammaln(n + 1) - gammaln(counts + 1).sum(axis=-1)
-
-
 def _log_type_prob(counts: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Row-wise ln P[type = counts] under i.i.d. p; -inf outside support."""
     counts = np.atleast_2d(counts)
     logp = np.full(len(p), -np.inf)
     pos = p > 0
     logp[pos] = np.log(p[pos])
-    out = _log_multinomial(counts).astype(float)
+    out = log_multinomial_rows(counts).astype(float)
     bad = (counts[:, ~pos] > 0).any(axis=1)
     contrib = counts[:, pos] @ logp[pos]
     out = out + contrib
@@ -354,8 +348,8 @@ def _xi_exact(p, t, n, l, h, support) -> float:
     g_rows = _enumerate_count_rows(l, d)
     log_pf = _log_type_prob(f_rows, p)
     log_pg = _log_type_prob(g_rows, t)
-    log_mf = _log_multinomial(f_rows)
-    log_mg = _log_multinomial(g_rows)
+    log_mf = log_multinomial_rows(f_rows)
+    log_mg = log_multinomial_rows(g_rows)
     success = 0.0
     for fi in range(len(f_rows)):
         if log_pf[fi] == -np.inf:
@@ -364,7 +358,7 @@ def _xi_exact(p, t, n, l, h, support) -> float:
         ok = (target >= 0).all(axis=1)
         lhs = log_mf[fi] + log_mg
         rhs = np.full(len(g_rows), -np.inf)
-        rhs[ok] = _log_multinomial(target[ok])
+        rhs[ok] = log_multinomial_rows(target[ok])
         scale = 1.0 + np.abs(lhs) + np.abs(np.where(np.isfinite(rhs), rhs, 0.0))
         feas = ok & (lhs <= rhs + 1e-9 * scale)
         # exact recheck on borderline blocks so rounding never flips the predicate
@@ -391,11 +385,19 @@ def _xi_sampled(p, t, n, l, h, seed, samples):
     return xi, stderr
 
 
-def run_classical_plan(plan: ExtractionPlan, enforce_converse: bool = True) -> ProtocolOutcome:
-    """Distribution-level outcome: fidelity = 1 - xi, rate = beta W / n."""
+def _plan_outcome(
+    plan: ExtractionPlan,
+    n: int,
+    target: float,
+    copies: dict,
+    details: dict,
+    success: float = 1.0,
+    enforce_converse: bool = True,
+) -> ProtocolOutcome:
+    """Outcome of a plan run on n input copies: rate = beta W / n, fidelity =
+    success (1 - xi), converse_slack = target - rate."""
     w = float(plan.work)
-    rate = plan.alphabet.beta * w / plan.n
-    target = classical_relative_entropy(np.asarray(plan.p), plan.alphabet.thermal)
+    rate = plan.alphabet.beta * w / n
     if enforce_converse and rate > target + CONVERSE_TOL:
         raise ConverseViolationError(
             f"rate {rate:.6g} exceeds target D = {target:.6g}"
@@ -403,11 +405,62 @@ def run_classical_plan(plan: ExtractionPlan, enforce_converse: bool = True) -> P
     return ProtocolOutcome(
         extracted_work=w,
         rate_nats=rate,
-        fidelity=1.0 - plan.xi,
+        fidelity=success * (1.0 - plan.xi),
         target_rate=target,
         xi=plan.xi,
-        copies_consumed={"system": plan.n, "bath": plan.l},
-        details={"h": plan.h.shifts, "xi_mode": plan.xi_mode, "xi_stderr": plan.xi_stderr},
+        copies_consumed=copies,
+        details={
+            **details,
+            "bath": plan.l,
+            "h": plan.h.shifts,
+            "xi_mode": plan.xi_mode,
+            "xi_stderr": plan.xi_stderr,
+            "converse_slack": target - rate,
+        },
+    )
+
+
+def run_classical_plan(plan: ExtractionPlan, enforce_converse: bool = True) -> ProtocolOutcome:
+    """Distribution-level outcome: fidelity = 1 - xi, rate = beta W / n."""
+    target = classical_relative_entropy(np.asarray(plan.p), plan.alphabet.thermal)
+    return _plan_outcome(
+        plan, plan.n, target, {"system": plan.n, "bath": plan.l}, {},
+        enforce_converse=enforce_converse,
+    )
+
+
+def run_pipeline(
+    alphabet: WorkAlphabet,
+    p_true,
+    n_eff: int,
+    l: int,
+    n: int,
+    target: float,
+    copies: dict,
+    details: dict,
+    p_est=None,
+    margin: float = 0.0,
+    plan_mode: str = "auto",
+    seed: int = 0,
+    samples: int = DEFAULT_SAMPLES,
+    success: float = 1.0,
+) -> ProtocolOutcome:
+    """The step every protocol shares: choose the shift on p_est (on p_true
+    when p_est is None) under the budget D(p_est || t) - margin, build the plan
+    for n_eff letters and l bath letters on the true statistics p_true, and
+    report it per input copy (rate = beta W / n, fidelity = success (1 - xi)).
+
+    The converse rate <= target binds only as the fidelity tends to 1.  It is
+    enforced (ConverseViolationError) only when the shift was chosen from the
+    true statistics; a shift chosen from an estimate that overdraws shows up
+    as low fidelity and a negative details["converse_slack"].
+    """
+    h = choose_shift(p_true if p_est is None else p_est, alphabet, n_eff, margin_nats=margin, l=l)
+    plan = build_classical_plan(
+        p_true, alphabet, n_eff, l, h, mode=plan_mode, seed=seed, samples=samples
+    )
+    return _plan_outcome(
+        plan, n, target, copies, details, success, enforce_converse=p_est is None
     )
 
 
@@ -443,45 +496,15 @@ def state_aware_protocol(
     k: int = 1,
     seed: int = 0,
     plan_mode: str = "auto",
-    l_coeff: float = 1.0,
 ) -> ProtocolOutcome:
     """Energy-pinch k-copy blocks, diagonalize in the known eigenbasis, then run
-    the classical plan on q = n // k super-letters (remainder discarded)."""
-    channel = energy_pinching(ctx, k)
-    rk = _entries(tensor_power(rho, k))
-    sigma = pinch_apply(channel, rk)
-    probs, energies, _ = _incoherent_spectrum(sigma, ctx, k)
-    alphabet = WorkAlphabet(energies=energies, beta=ctx.beta)
-    q = n // k
-    if q < 1:
-        raise ValueError("need n >= k")
-    l = math.ceil(l_coeff * q ** 1.5)
-    h = choose_shift(probs, alphabet, q, margin_nats=0.0, l=l)
-    plan = build_classical_plan(probs, alphabet, q, l, h, mode=plan_mode, seed=seed)
-    outcome = run_classical_plan(plan, enforce_converse=False)
-    w = outcome.extracted_work
-    rate = ctx.beta * w / n
-    tau_k = _entries(tensor_power(thermal_state(ctx), k))
-    pinned_target = relative_entropy(sigma, tau_k) / k
-    target = relative_entropy(rho, thermal_state(ctx))
-    if rate > target + CONVERSE_TOL:
-        raise ConverseViolationError(f"rate {rate:.6g} > D(rho||tau) = {target:.6g}")
-    return ProtocolOutcome(
-        extracted_work=w,
-        rate_nats=rate,
-        fidelity=outcome.fidelity,
-        target_rate=target,
-        xi=plan.xi,
-        copies_consumed={"pinched": k * q, "measured": 0, "discarded": n - k * q, "bath": l},
-        details={
-            "k": k,
-            "q": q,
-            "l": l,
-            "h": h.shifts,
-            "pinned_target": pinned_target,
-            "xi_mode": plan.xi_mode,
-        },
-    )
+    the classical plan on q = n // k super-letters (remainder discarded): the
+    tomographic protocol with a perfect estimate (eta = 0)."""
+    out = tomographic_universal_protocol(rho, ctx, n, k=k, seed=seed, plan_mode=plan_mode)
+    cc = out.copies_consumed
+    return replace(out, copies_consumed={
+        "pinched": cc["pinched"], "measured": 0, "discarded": cc["discarded"], "bath": cc["bath"],
+    })
 
 
 @dataclass(frozen=True)
@@ -598,34 +621,17 @@ def universal_protocol(
         np.where(p_hat > 0, p_hat, 0.0), alphabet.thermal
     )
     l = math.ceil(params.c * n_eff ** 1.5)
-    h = choose_shift(p_hat, alphabet, n_eff, margin_nats=max(margin, 0.0), l=l)
-    plan_mode = "auto" if mode == "exact" else "sampled"
-    plan = build_classical_plan(
-        p_k, alphabet, n_eff, l, h,
-        mode="sampled" if _grid_size(n_eff, int((np.asarray(p_k) > 0).sum())) * _grid_size(l, alphabet.d) > DEFAULT_GRID_CAP else plan_mode,
-        seed=seed,
-        samples=samples,
-    )
-    w = float(plan.work)
-    rate = ctx.beta * w / params.n
-    fidelity = (1.0 - eps_meas) * (1.0 - plan.xi)
-    target = relative_entropy(source, thermal_state(ctx))
-    if rate > target + CONVERSE_TOL:
-        raise ConverseViolationError(f"rate {rate:.6g} > D(rho||tau) = {target:.6g}")
-    return ProtocolOutcome(
-        extracted_work=w,
-        rate_nats=rate,
-        fidelity=fidelity,
-        target_rate=target,
-        xi=plan.xi,
-        copies_consumed={
+    return run_pipeline(
+        alphabet, p_k, n_eff, l, params.n,
+        relative_entropy(source, thermal_state(ctx)),
+        {
             "pinched": k * q,
             "measured": k * m_used,
             "executed": k * n_eff,
             "discarded": params.n - k * q,
             "bath": l,
         },
-        details={
+        {
             "k": k,
             "m": m_used,
             "l": l,
@@ -633,14 +639,17 @@ def universal_protocol(
             "eps": params.eps,
             "margin": margin,
             "d_hat": d_hat,
-            "h": h.shifts,
             "eps_meas": eps_meas,
             "protocol_hash": proto_hash,
             "mode": mode,
             "seed": seed,
-            "xi_mode": plan.xi_mode,
-            "xi_stderr": plan.xi_stderr,
         },
+        p_est=None if mode == "exact" else p_hat,
+        margin=max(margin, 0.0),
+        plan_mode="auto" if mode == "exact" else "sampled",
+        seed=seed,
+        samples=samples,
+        success=1.0 - eps_meas,
     )
 
 
@@ -659,7 +668,7 @@ class BlockPartition:
 
     @property
     def grid(self) -> list:
-        return [f.counts for f in _freq_list(self.M, self.d)]
+        return [f.counts for f in enumerate_freqs(self.M, self.d)]
 
     def assign(self, p) -> tuple:
         vec, _ = self._assign_with_flag(p)
@@ -684,12 +693,6 @@ class BlockPartition:
         return tuple(best), second is not None
 
 
-def _freq_list(n, d):
-    from thermoflux.typeclass import enumerate_freqs
-
-    return list(enumerate_freqs(n, d))
-
-
 @dataclass(frozen=True)
 class BatterySpec:
     levels: dict  # block grid point -> W_l (float, energy units)
@@ -710,7 +713,7 @@ def measure_and_prepare_protocol(M: int, ctx: ThermalContext, n: int, p):
 
     mass_p: dict = {}
     mass_t: dict = {}
-    for f in _freq_list(n, d):
+    for f in enumerate_freqs(n, d):
         block = partition.assign(np.array(f.counts) / n)
         lp = _log_type_prob(np.array([f.counts]), p)[0]
         lt = _log_type_prob(np.array([f.counts]), t)[0]
@@ -785,13 +788,17 @@ def tomographic_universal_protocol(
     seed: int = 0,
     plan_mode: str = "auto",
 ) -> ProtocolOutcome:
-    """Energy-pinch k copies, simulate per-energy-subspace tomography with
-    error magnitude eta, dephase the pinched state in the estimated eigenbasis,
-    and run the budgeted classical plan.  eta = 0 reproduces the state-aware
+    """Energy-pinch k copies and run the budgeted classical plan on
+    q = n // k super-letters (remainder discarded).  With eta > 0 the shift is
+    chosen from a simulated per-energy-subspace tomography estimate with error
+    magnitude eta, and the plan runs on the true pinched state dephased in the
+    estimate's eigenbasis.  eta = 0 skips that step and is the state-aware
     protocol exactly."""
-    channel = energy_pinching(ctx, k)
-    sigma = pinch_apply(channel, _entries(tensor_power(rho, k)))
-    estimate = sigma
+    q = n // k
+    if q < 1:
+        raise ValueError("need n >= k")
+    sigma = pinch_apply(energy_pinching(ctx, k), _entries(tensor_power(rho, k)))
+    est_probs = None
     if eta > 0:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 41]))
         ham = HamiltonianOperator(ctx, k)
@@ -806,37 +813,34 @@ def tomographic_universal_protocol(
         vals = np.clip(vals, 0.0, None)
         estimate = (vecs * vals) @ vecs.conj().T
         estimate = estimate / estimate.trace().real
-    # eigenbasis of the estimate, refined within each energy subspace
-    est_probs, energies, vecs = _incoherent_spectrum(estimate, ctx, k)
-    # dephasing the true pinched state in that basis
-    true_probs = np.clip(
-        np.einsum("ij,jk,ki->i", vecs.conj().T, sigma, vecs).real, 0.0, None
-    )
-    true_probs = true_probs / true_probs.sum()
+        # eigenbasis of the estimate, refined within each energy subspace
+        est_probs, energies, vecs = _incoherent_spectrum(estimate, ctx, k)
+        # dephasing the true pinched state in that basis
+        probs = np.clip(
+            np.einsum("ij,jk,ki->i", vecs.conj().T, sigma, vecs).real, 0.0, None
+        )
+        probs = probs / probs.sum()
+    else:
+        probs, energies, _ = _incoherent_spectrum(sigma, ctx, k)
     alphabet = WorkAlphabet(energies=energies, beta=ctx.beta)
-    q = n // k
     l = math.ceil(q ** 1.5)
-    margin = 0.0
-    h = choose_shift(est_probs, alphabet, q, margin_nats=margin, l=l)
-    plan = build_classical_plan(true_probs, alphabet, q, l, h, mode=plan_mode, seed=seed)
-    w = float(plan.work)
-    rate = ctx.beta * w / n
-    target = relative_entropy(rho, thermal_state(ctx))
-    budget = classical_relative_entropy(np.asarray(est_probs), alphabet.thermal)
-    return ProtocolOutcome(
-        extracted_work=w,
-        rate_nats=rate,
-        fidelity=1.0 - plan.xi,
-        target_rate=target,
-        xi=plan.xi,
-        copies_consumed={"pinched": k * q, "discarded": n - k * q, "bath": l},
-        details={
+    tau_k = _entries(tensor_power(thermal_state(ctx), k))
+    budget = classical_relative_entropy(probs if est_probs is None else est_probs, alphabet.thermal)
+    return run_pipeline(
+        alphabet, probs, q, l, n,
+        relative_entropy(rho, thermal_state(ctx)),
+        {"pinched": k * q, "discarded": n - k * q, "bath": l},
+        {
             "k": k,
+            "q": q,
+            "l": l,
             "eta": eta,
-            "h": h.shifts,
+            "pinned_target": relative_entropy(sigma, tau_k) / k,
             "budget_nats": budget,
-            "xi_mode": plan.xi_mode,
         },
+        p_est=est_probs,
+        plan_mode=plan_mode,
+        seed=seed,
     )
 
 

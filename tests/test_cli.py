@@ -189,6 +189,17 @@ class TestCommandLine:
         rc = main(["sweep", "--config", str(config)])
         assert rc == 2
 
+    @pytest.mark.parametrize("params", [{"m": 3}, {"run_mode": "exact"}])
+    def test_unread_param_rejected(self, tmp_path, capsys, params):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(base_config(mode="universal", params=params)))
+        assert main(["sweep", "--config", str(config)]) == 2
+
+    def test_removed_sampled_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["extract", "--mode", "classical", "--state", "ground", "--n", "10", "--sampled"])
+        assert exc.value.code == 2
+
     def test_haar_subcommand(self, capsys):
         rc = main(["haar", "--qubits", "3", "--samples", "50", "--seed", "1"])
         assert rc == 0

@@ -169,6 +169,18 @@ class TestStateAwareProtocol:
         out = state_aware_protocol(rho, QUBIT, 50, k=1)
         assert out.rate_nats <= out.target_rate + 1e-8
 
+    def test_overdrawing_plan_raises(self, monkeypatch):
+        """The shift comes from the true statistics, so a plan that overdraws
+        is a converse violation, not an estimation failure."""
+        from thermoflux import extraction
+
+        monkeypatch.setattr(
+            extraction, "choose_shift", lambda *a, **kw: ShiftFunction((-20, 20))
+        )
+        rho = DensityMatrix.from_diagonal([0.9, 0.1])
+        with pytest.raises(ConverseViolationError):
+            state_aware_protocol(rho, QUBIT, 30, k=1)
+
 
 class TestUniversalParams:
     def test_schedule_at_ten_thousand(self):
@@ -229,6 +241,22 @@ class TestUniversalProtocol:
         assert out.details["margin"] == 0.0
 
 
+@pytest.mark.parametrize("run", [
+    lambda: state_aware_protocol(DensityMatrix.from_diagonal([0.9, 0.1]), QUBIT, 30),
+    lambda: tomographic_universal_protocol(
+        DensityMatrix.pure(np.array([1.0, 1.0]) / math.sqrt(2)), QUBIT, 20, k=2, eta=0.1, seed=1
+    ),
+    lambda: universal_protocol(
+        DensityMatrix.pure(np.array([1.0, 0.0])), QUBIT,
+        UniversalParams.from_schedule(1000, QUBIT), mode="exact",
+    ),
+], ids=["aware", "tomo", "universal"])
+def test_outcome_reports_converse_slack_and_bath(run):
+    out = run()
+    assert out.details["converse_slack"] == out.target_rate - out.rate_nats
+    assert out.details["bath"] == out.copies_consumed["bath"]
+
+
 class TestMeasureAndPrepare:
     def test_block_assignment_example(self):
         summary, out = measure_and_prepare_protocol(4, QUBIT, 30, np.array([0.9, 0.1]))
@@ -257,7 +285,11 @@ class TestTomographicProtocol:
         plus = DensityMatrix.pure(np.array([1.0, 1.0]) / math.sqrt(2))
         a = state_aware_protocol(plus, QUBIT, 40, k=2)
         b = tomographic_universal_protocol(plus, QUBIT, 40, k=2, eta=0.0)
-        assert b.extracted_work == pytest.approx(a.extracted_work)
+        assert b.extracted_work == a.extracted_work
+        assert b.rate_nats == a.rate_nats
+        assert b.xi == a.xi
+        assert b.fidelity == a.fidelity
+        assert b.details["h"] == a.details["h"]
 
     def test_diagonal_state_immune_to_dephasing(self):
         rho = DensityMatrix.from_diagonal([1.0, 0.0])

@@ -196,6 +196,18 @@ class TestSemiuniversalProtocol:
         rate = empirical_misidentification_rate(cands, 0, 1, 100, 500, seed=2)
         assert rate <= 1e-3
 
+    def test_misidentified_overdraw_is_reported_not_raised(self):
+        """Identification picks the colder candidate, whose shift overdraws the
+        true state: an estimation failure, seen as low fidelity and negative
+        converse slack, not a converse violation."""
+        warm = TailState(coefficients=tuple(0.7 * 0.3 ** (i - 1) for i in range(1, 400)))
+        cands = CandidateSet(states=(TailState(epsilon=2.0), warm))
+        out = semiuniversal_protocol(cands, 1, LADDER, 150, seed=15, id_samples=15)
+        assert out.details["misidentified"]
+        assert out.rate_nats > out.target_rate
+        assert out.fidelity < 0.05
+        assert out.details["converse_slack"] < 0
+
     def test_budget_cap_enforced(self):
         ground = TailState(coefficients=(1.0,))
         tau_like = geometric_state(1.0)
