@@ -356,6 +356,8 @@ def _cmd_pinch(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    if args.exact and args.mode != "universal":
+        raise ConfigError(f"--exact applies only to --mode universal, not {args.mode!r}")
     config = ExperimentConfig.from_dict({
         "mode": args.mode,
         "state": args.state,

@@ -41,7 +41,8 @@ from thermoflux.typeclass import (
     ShiftFunction,
     enumerate_freqs,
     exact_freq_count,
-    injection_feasible,
+    feasible_rows,
+    injection_feasible,  # noqa: F401  (kept importable here: perfbench traces every binding)
     log_multinomial_rows,
 )
 
@@ -93,15 +94,12 @@ class ExtractionPlan:
     h: ShiftFunction
     p: tuple  # source distribution the plan is evaluated against
     xi: float
-    xi_mode: str  # exact | shell | sampled
+    xi_mode: str  # exact | sampled
     xi_stderr: float = 0.0
 
     @property
     def work(self) -> Fraction:
         return self.h.work(self.alphabet.energies)
-
-    def feasible(self, f, g) -> bool:
-        return injection_feasible(f, g, self.h)
 
 
 @dataclass(frozen=True)
@@ -204,10 +202,11 @@ def choose_shift(
     if budget_w <= 0:
         return zero
 
-    checkpoints = _checkpoint_blocks(n_eff, p_est, l, t)
+    F, G = (np.array(rows) for rows in zip(*_checkpoint_blocks(n_eff, p_est, l, t)))
+    lhs = log_multinomial_rows(F) + log_multinomial_rows(G)  # shift-independent
 
     def feasible(shift_counts) -> bool:
-        return all(injection_feasible(f, g, shift_counts) for f, g in checkpoints)
+        return bool(feasible_rows(F, G, shift_counts, lhs=lhs).all())
 
     energies = [float(e) for e in alphabet.energies]
     pairs = []
@@ -340,7 +339,6 @@ def build_classical_plan(
 
 def _xi_exact(p, t, n, l, h, support) -> float:
     d = len(t)
-    hc = np.array(h.shifts)
     # f rows restricted to the support of p, embedded into d coordinates
     f_sub = _enumerate_count_rows(n, len(support))
     f_rows = np.zeros((len(f_sub), d), dtype=np.int64)
@@ -354,19 +352,8 @@ def _xi_exact(p, t, n, l, h, support) -> float:
     for fi in range(len(f_rows)):
         if log_pf[fi] == -np.inf:
             continue
-        target = f_rows[fi][None, :] + g_rows - hc[None, :]
-        ok = (target >= 0).all(axis=1)
-        lhs = log_mf[fi] + log_mg
-        rhs = np.full(len(g_rows), -np.inf)
-        rhs[ok] = log_multinomial_rows(target[ok])
-        scale = 1.0 + np.abs(lhs) + np.abs(np.where(np.isfinite(rhs), rhs, 0.0))
-        feas = ok & (lhs <= rhs + 1e-9 * scale)
-        # exact recheck on borderline blocks so rounding never flips the predicate
-        border = ok & (np.abs(lhs - rhs) <= 1e-9 * scale)
-        for gi in np.flatnonzero(border):
-            feas[gi] = injection_feasible(
-                tuple(f_rows[fi]), tuple(g_rows[gi]), h
-            )
+        f_block = np.broadcast_to(f_rows[fi], g_rows.shape)
+        feas = feasible_rows(f_block, g_rows, h.shifts, lhs=log_mf[fi] + log_mg)
         mass = np.exp(log_pf[fi] + log_pg[feas]).sum()
         success += mass
     return float(min(max(1.0 - success, 0.0), 1.0))
@@ -376,11 +363,7 @@ def _xi_sampled(p, t, n, l, h, seed, samples):
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 977]))
     fs = rng.multinomial(n, p, size=samples)
     gs = rng.multinomial(l, t, size=samples)
-    bad = 0
-    for f, g in zip(fs, gs):
-        if not injection_feasible(tuple(int(x) for x in f), tuple(int(x) for x in g), h):
-            bad += 1
-    xi = bad / samples
+    xi = int((~feasible_rows(fs, gs, h.shifts)).sum()) / samples
     stderr = math.sqrt(max(xi * (1 - xi), 1.0 / samples) / samples)
     return xi, stderr
 

@@ -157,6 +157,8 @@ class InfiniteContext:
         return (i - 1) * self.delta_e
 
     def energies(self, d: int) -> np.ndarray:
+        if self.level_rule is None:
+            return np.arange(d) * self.delta_e
         return np.array([self.energy(i) for i in range(1, d + 1)])
 
     def partition_function(self, tol: float = 1e-14, max_terms: int = 10 ** 6) -> float:

@@ -64,9 +64,7 @@ def _counts(f) -> tuple:
 
 def log_freq_count(f) -> float:
     """ln |Freq(n, f)| = ln( n! / prod f(i)! ) via log-gamma."""
-    counts = _counts(f)
-    n = sum(counts)
-    return float(gammaln(n + 1) - sum(gammaln(c + 1) for c in counts))
+    return float(log_multinomial_rows(np.array(_counts(f))))
 
 
 def exact_freq_count(f) -> int:
@@ -95,21 +93,35 @@ def enumerate_freqs(n: int, d: int):
         yield FreqVector(counts)
 
 
+def feasible_rows(F, G, h, lhs=None) -> np.ndarray:
+    """Row-wise |Freq(n,f)| |Freq(l,g)| <= |Freq(n+l, f+g-h)| for (N, d) rows F, G
+    and one shift h; False where f+g-h has a negative entry.
+
+    lhs, when given, is the precomputed ln|Freq(F)| + ln|Freq(G)| per row.  Rows
+    within FEASIBILITY_SLACK (1 + |lhs| + |rhs|) of a tie are re-decided in
+    exact big-integer arithmetic, so rounding never flips the predicate.
+    """
+    F, G = np.atleast_2d(F), np.atleast_2d(G)
+    target = F + G - np.asarray(h)
+    if lhs is None:
+        lhs = log_multinomial_rows(F) + log_multinomial_rows(G)
+    ok = (target >= 0).all(axis=1)
+    rhs = np.full(len(target), -np.inf)
+    rhs[ok] = log_multinomial_rows(target[ok])
+    scale = 1.0 + np.abs(lhs) + np.abs(np.where(ok, rhs, 0.0))
+    feas = ok & (lhs <= rhs)
+    for i in np.flatnonzero(ok & (np.abs(lhs - rhs) <= FEASIBILITY_SLACK * scale)):
+        feas[i] = exact_freq_count(F[i]) * exact_freq_count(G[i]) <= exact_freq_count(target[i])
+    return feas
+
+
 def injection_feasible(f, g, h) -> bool:
     """Whether |Freq(n,f)| |Freq(l,g)| <= |Freq(n+l, f+g-h)| with f+g-h well-defined."""
     fc, gc = _counts(f), _counts(g)
     hc = h.shifts if isinstance(h, ShiftFunction) else tuple(int(x) for x in h)
     if not (len(fc) == len(gc) == len(hc)):
         raise ValueError("dimension mismatch between f, g, h")
-    target = tuple(a + b - c for a, b, c in zip(fc, gc, hc))
-    if any(t < 0 for t in target):
-        return False
-    lhs = log_freq_count(fc) + log_freq_count(gc)
-    rhs = log_freq_count(target)
-    scale = 1.0 + abs(lhs) + abs(rhs)
-    if abs(lhs - rhs) <= FEASIBILITY_SLACK * scale:
-        return exact_freq_count(fc) * exact_freq_count(gc) <= exact_freq_count(target)
-    return lhs <= rhs
+    return bool(feasible_rows([fc], [gc], hc)[0])
 
 
 def log_multinomial_rows(counts: np.ndarray) -> np.ndarray:

@@ -165,7 +165,7 @@ class TestCommandLine:
         csv_path = tmp_path / "rows.csv"
         rc = main([
             "extract", "--mode", "classical", "--state", "ground",
-            "--n", "30", "--exact", "--csv", str(csv_path),
+            "--n", "30", "--csv", str(csv_path),
         ])
         assert rc == 0
         row = json.loads(capsys.readouterr().out)
@@ -194,6 +194,12 @@ class TestCommandLine:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(base_config(mode="universal", params=params)))
         assert main(["sweep", "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize("mode", ["classical", "aware", "mnp", "tomo"])
+    def test_exact_flag_outside_universal_rejected(self, capsys, mode):
+        rc = main(["extract", "--mode", mode, "--state", "ground", "--n", "10", "--exact"])
+        assert rc == 2
+        assert "--exact applies only to --mode universal" in capsys.readouterr().err
 
     def test_removed_sampled_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -28,7 +28,9 @@ from thermoflux.extraction import (
     universal_protocol,
     verify_conditioned_protocol,
 )
-from thermoflux.pinching import energy_pinching
+from thermoflux.infdim import InfiniteContext, TailState
+from thermoflux.pinching import energy_pinching, schur_pinched_distribution
+from thermoflux.schur import build_schur_basis
 from thermoflux.typeclass import ShiftFunction
 
 QUBIT = ThermalContext(levels=(0, 1), beta=1.0)
@@ -72,6 +74,50 @@ class TestChooseShift:
     def test_negative_margin_rejected(self):
         with pytest.raises(ValueError):
             choose_shift(GROUND, ALPHABET, 100, margin_nats=-0.1)
+
+
+def _pinched_alphabet(ctx, k, mat):
+    p, energies = schur_pinched_distribution(ctx, k, DensityMatrix(np.array(mat, dtype=complex)),
+                                             build_schur_basis(k, ctx.dim))
+    return p, WorkAlphabet(energies=energies, beta=ctx.beta)
+
+
+class TestPinnedShifts:
+    """Exact shifts and outcomes: a change to the shift search, its checkpoint
+    gate or the feasibility predicate must keep choosing exactly these."""
+
+    def test_qubit_k4_alphabet(self):
+        p, alph = _pinched_alphabet(QUBIT, 4, [[0.8, 0.25], [0.25, 0.2]])
+        h = choose_shift(p, alph, 2500, margin_nats=0.01)
+        assert h.shifts == (-96, 0, 1, 1, 95, -1) + (0,) * 10
+
+    def test_qutrit_k3_alphabet(self):
+        qutrit = ThermalContext(levels=(0, 1, 2), beta=1.0)
+        p, alph = _pinched_alphabet(
+            qutrit, 3, [[0.6, 0.1, 0.05], [0.1, 0.3, 0.02], [0.05, 0.02, 0.1]]
+        )
+        h = choose_shift(p, alph, 2000, margin_nats=0.0)
+        assert h.shifts == (-11, 1) + (0,) * 7 + (10,) + (0,) * 17
+
+    def test_wide_truncated_ladder(self):
+        ladder = InfiniteContext(beta=1.0, delta_e=0.5)
+        alph = WorkAlphabet(energies=ladder.truncated_context(20).levels, beta=1.0)
+        p = TailState(epsilon=1.0).diagonal(20)
+        h = choose_shift(p / p.sum(), alph, 150, margin_nats=0.0)
+        assert h.shifts == (-14, 0, 0, 0, 0, 0, 4, 8, 2) + (0,) * 11
+
+    @pytest.mark.parametrize("mode, h, xi, rate", [
+        ("exact", (-599, -1, 1, 22, 577) + (0,) * 11, 0.0025, 0.2375),
+        ("sampled", (-52, 1, 0, 0, 51) + (0,) * 11, 0.0, 0.0205),
+    ])
+    def test_universal_qubit_outcome(self, mode, h, xi, rate):
+        params = UniversalParams.from_schedule(10_000, QUBIT)
+        out = universal_protocol(DensityMatrix.pure(np.array([1.0, 0.0])), QUBIT, params,
+                                 seed=3, mode=mode)
+        assert (out.details["h"], out.xi, out.rate_nats) == (h, xi, rate)
+        assert out.details["protocol_hash"] == (
+            "d2441cbe77ee5f56e073003db57faf2e49ab44487929495367ecc17c9f815e5b"
+        )
 
 
 class TestClassicalPlan:

@@ -233,3 +233,13 @@ class TestInfiniteContext:
         z = quad.partition_function()
         direct = sum(math.exp(-((i - 1) ** 2)) for i in range(1, 50))
         assert z == pytest.approx(direct, rel=1e-9)
+
+    @pytest.mark.parametrize("delta_e", [1.0, 0.5, 0.1, 1 / 3, 2.75])
+    @pytest.mark.parametrize("d", [1, 2, 17, 1000, 10_000])
+    def test_vectorised_ladder_equals_per_level_energies(self, delta_e, d):
+        ctx = InfiniteContext(beta=1.0, delta_e=delta_e)
+        assert np.array_equal(ctx.energies(d), np.array([ctx.energy(i) for i in range(1, d + 1)]))
+
+    def test_custom_level_rule_energies(self):
+        quad = InfiniteContext(beta=1.0, level_rule=lambda i: (i - 1) ** 2)
+        assert np.array_equal(quad.energies(5), [0.0, 1.0, 4.0, 9.0, 16.0])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermoflux.typeclass import (
     FreqVector,
@@ -11,6 +13,7 @@ from thermoflux.typeclass import (
     TypicalSet,
     enumerate_freqs,
     exact_freq_count,
+    feasible_rows,
     injection_feasible,
     log_freq_count,
     log_multinomial_rows,
@@ -57,10 +60,12 @@ class TestCounting:
         assert all(f.total == 5 for f in freqs)
 
     def test_vectorized_rows_agree_with_scalar(self):
-        rows = np.array([[3, 2], [5, 0], [1, 4]])
+        rows = np.array([[3, 2], [5, 0], [1, 4], [400, 17]])
         vec = log_multinomial_rows(rows)
         for r, v in zip(rows, vec):
-            assert v == pytest.approx(log_freq_count(tuple(r)), abs=1e-12)
+            scalar = math.lgamma(sum(r) + 1) - sum(math.lgamma(c + 1) for c in r)
+            assert v == pytest.approx(scalar, rel=1e-13, abs=1e-12)
+            assert log_freq_count(tuple(r)) == v
 
 
 class TestInjectionFeasibility:
@@ -96,6 +101,61 @@ class TestInjectionFeasibility:
                         <= exact_freq_count(target)
                     )
                 assert injection_feasible(f, g, h) == expected
+
+
+def _oracle(f, g, h) -> bool:
+    target = tuple(a + b - c for a, b, c in zip(f, g, h))
+    if any(t < 0 for t in target):
+        return False
+    return exact_freq_count(f) * exact_freq_count(g) <= exact_freq_count(target)
+
+
+@st.composite
+def _blocks(draw):
+    """A d-letter shift h and a few (f, g) rows, some of them exact ties."""
+    d = draw(st.integers(1, 4))
+    counts = st.lists(st.integers(0, 12), min_size=d, max_size=d)
+    free = draw(st.lists(st.integers(-6, 6), min_size=d - 1, max_size=d - 1))
+    h = tuple(free) + (-sum(free),)
+    rows = draw(st.lists(st.tuples(counts, counts), min_size=1, max_size=6))
+    ties = []
+    if d >= 2:
+        # |Freq(f)| = |Freq(g)| = |Freq(f+g-h)| = 1: a one-letter f and g moved
+        # wholly onto one letter, the tie the recheck must decide as feasible
+        a, b = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+        f, g, hh = [0] * d, [0] * d, [0] * d
+        f[0], g[1] = a, b
+        hh[0], hh[1] = a, -a
+        ties.append((f, g, tuple(hh)))
+    ties.append((rows[0][0], [0] * d, (0,) * d))  # g = 0 with h = 0: target = f
+    return h, rows, ties
+
+
+class TestFeasibleRows:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(_blocks())
+    def test_agrees_with_bigint_oracle(self, block):
+        h, rows, ties = block
+        F = np.array([f for f, _ in rows])
+        G = np.array([g for _, g in rows])
+        got = feasible_rows(F, G, h)
+        assert got.dtype == bool
+        for f, g, ok in zip(F, G, got):
+            assert ok == _oracle(tuple(f), tuple(g), h)
+            assert injection_feasible(f, g, h) == ok
+        for f, g, hh in ties:
+            assert feasible_rows([f], [g], hh)[0] == _oracle(f, g, hh) == injection_feasible(f, g, hh)
+
+    def test_exact_tie_is_feasible(self):
+        assert feasible_rows([(1, 0)], [(0, 1)], (1, -1)).tolist() == [True]
+
+    def test_negative_target_is_infeasible(self):
+        assert feasible_rows([(5, 0), (5, 0)], [(0, 0), (0, 3)], (-3, 3)).tolist() == [False, True]
+
+    def test_precomputed_lhs_gives_same_decisions(self):
+        F, G, h = np.array([(4, 2), (1, 5)]), np.array([(3, 3), (6, 0)]), (-1, 1)
+        lhs = log_multinomial_rows(F) + log_multinomial_rows(G)
+        assert np.array_equal(feasible_rows(F, G, h, lhs=lhs), feasible_rows(F, G, h))
 
 
 class TestTypeProbability:
