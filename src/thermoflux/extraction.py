@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -38,12 +39,15 @@ from thermoflux.pinching import apply as pinch_apply
 from thermoflux.pinching import energy_pinching, schur_pinched_distribution
 from thermoflux.schur import build_schur_basis
 from thermoflux.typeclass import (
+    GRID_CHUNK,
     ShiftFunction,
-    enumerate_freqs,
+    compositions,
     exact_freq_count,
+    feasible_grid,
     feasible_rows,
     injection_feasible,  # noqa: F401  (kept importable here: perfbench traces every binding)
     log_multinomial_rows,
+    log_type_prob_rows,
 )
 
 PROTOCOL_VERSION = "1"
@@ -248,37 +252,6 @@ def choose_shift(
     return ShiftFunction(tuple(h))
 
 
-def _log_type_prob(counts: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Row-wise ln P[type = counts] under i.i.d. p; -inf outside support."""
-    counts = np.atleast_2d(counts)
-    logp = np.full(len(p), -np.inf)
-    pos = p > 0
-    logp[pos] = np.log(p[pos])
-    out = log_multinomial_rows(counts).astype(float)
-    bad = (counts[:, ~pos] > 0).any(axis=1)
-    contrib = counts[:, pos] @ logp[pos]
-    out = out + contrib
-    out[bad] = -np.inf
-    return out
-
-
-def _enumerate_count_rows(n: int, d: int) -> np.ndarray:
-    """(N, d) array of all occupation vectors of n into d bins."""
-    if d == 1:
-        return np.array([[n]])
-    rows = []
-
-    def rec(remaining, prefix):
-        if len(prefix) == d - 1:
-            rows.append(prefix + [remaining])
-            return
-        for c in range(remaining + 1):
-            rec(remaining - c, prefix + [c])
-
-    rec(n, [])
-    return np.array(rows, dtype=np.int64)
-
-
 def _grid_size(n: int, d: int) -> int:
     return math.comb(n + d - 1, d - 1)
 
@@ -340,22 +313,16 @@ def build_classical_plan(
 def _xi_exact(p, t, n, l, h, support) -> float:
     d = len(t)
     # f rows restricted to the support of p, embedded into d coordinates
-    f_sub = _enumerate_count_rows(n, len(support))
+    f_sub = compositions(n, len(support))
     f_rows = np.zeros((len(f_sub), d), dtype=np.int64)
     f_rows[:, support] = f_sub
-    g_rows = _enumerate_count_rows(l, d)
-    log_pf = _log_type_prob(f_rows, p)
-    log_pg = _log_type_prob(g_rows, t)
-    log_mf = log_multinomial_rows(f_rows)
-    log_mg = log_multinomial_rows(g_rows)
+    g_rows = compositions(l, d)
+    log_pf = log_type_prob_rows(f_rows, p)
+    log_pg = log_type_prob_rows(g_rows, t)
     success = 0.0
-    for fi in range(len(f_rows)):
-        if log_pf[fi] == -np.inf:
-            continue
-        f_block = np.broadcast_to(f_rows[fi], g_rows.shape)
-        feas = feasible_rows(f_block, g_rows, h.shifts, lhs=log_mf[fi] + log_mg)
-        mass = np.exp(log_pf[fi] + log_pg[feas]).sum()
-        success += mass
+    for lo, feas in feasible_grid(f_rows, g_rows, h.shifts):
+        for fi, row in enumerate(feas, lo):
+            success += np.exp(log_pf[fi] + log_pg[row]).sum()
     return float(min(max(1.0 - success, 0.0), 1.0))
 
 
@@ -649,9 +616,10 @@ class BlockPartition:
     M: int
     d: int
 
-    @property
-    def grid(self) -> list:
-        return [f.counts for f in enumerate_freqs(self.M, self.d)]
+    @cached_property
+    def grid(self) -> np.ndarray:
+        """(N, d) count rows l of the grid points l/M, in lexicographic order."""
+        return compositions(self.M, self.d)
 
     def assign(self, p) -> tuple:
         vec, _ = self._assign_with_flag(p)
@@ -662,18 +630,19 @@ class BlockPartition:
         return boundary
 
     def _assign_with_flag(self, p, tol: float = 1e-12):
-        p = np.asarray(p, dtype=float)
-        best, best_d = None, None
-        second = None
-        for vec in self.grid:
-            dist = 0.5 * float(np.abs(np.array(vec) / self.M - p).sum())
-            if best_d is None or dist < best_d - tol:
-                best, best_d, second = vec, dist, None
-            elif abs(dist - best_d) <= tol and vec != best:
-                second = vec
-                if vec < best:
-                    best = vec
-        return tuple(best), second is not None
+        """The first grid point within tol of the nearest, and whether another is."""
+        dist = 0.5 * np.abs(self.grid / self.M - np.asarray(p, dtype=float)).sum(axis=1)
+        near = np.flatnonzero(dist <= dist.min() + tol)
+        return tuple(int(c) for c in self.grid[near[0]]), len(near) > 1
+
+    def assign_types(self, F: np.ndarray, n: int) -> np.ndarray:
+        """Grid index of the block of each type row f of n letters, by the exact
+        distance sum_i |f_i M - l_i n|, ties to the first (lexicographic) point."""
+        step = max(1, GRID_CHUNK // len(self.grid))
+        return np.concatenate([
+            np.abs(F[lo:lo + step, None, :] * self.M - self.grid * n).sum(axis=2).argmin(axis=1)
+            for lo in range(0, len(F), step)
+        ])
 
 
 @dataclass(frozen=True)
@@ -694,15 +663,18 @@ def measure_and_prepare_protocol(M: int, ctx: ThermalContext, n: int, p):
     partition = BlockPartition(M=M, d=d)
     boundary = partition.is_boundary(p)
 
-    mass_p: dict = {}
-    mass_t: dict = {}
-    for f in enumerate_freqs(n, d):
-        block = partition.assign(np.array(f.counts) / n)
-        lp = _log_type_prob(np.array([f.counts]), p)[0]
-        lt = _log_type_prob(np.array([f.counts]), t)[0]
-        if lp > -np.inf:
-            mass_p[block] = mass_p.get(block, 0.0) + math.exp(lp)
-        mass_t[block] = mass_t.get(block, 0.0) + math.exp(lt)
+    # types in colexicographic order, the order each block's mass is summed in
+    F = compositions(n, d)[:, ::-1]
+    block = partition.assign_types(F, n)
+    keys = [tuple(int(c) for c in g) for g in partition.grid]
+    lp, lt = log_type_prob_rows(F, p), log_type_prob_rows(F, t)
+
+    def block_masses(log_prob, hit) -> dict:
+        sums = np.bincount(block[hit], weights=np.exp(log_prob[hit]), minlength=len(keys))
+        blocks, first = np.unique(block[hit], return_index=True)
+        return {keys[b]: float(sums[b]) for b in blocks[np.argsort(first)]}
+
+    mass_p, mass_t = block_masses(lp, lp > -np.inf), block_masses(lt, slice(None))
 
     beta = ctx.beta
     levels = {blk: -math.log(mt) / beta for blk, mt in mass_t.items() if mt > 0}
@@ -742,9 +714,9 @@ def measure_and_prepare_protocol(M: int, ctx: ThermalContext, n: int, p):
 
 def _sanov_exponent(partition: BlockPartition, block: tuple, t: np.ndarray) -> float:
     """min_{p in block} D(p || t) over the block's interval of the 1-simplex (d=2)."""
-    centers = sorted(v[0] / partition.M for v in partition.grid)
+    centers = partition.grid[:, 0] / partition.M  # increasing: the grid is lexicographic
     c = block[0] / partition.M
-    idx = centers.index(c)
+    idx = int(np.searchsorted(centers, c))
     lo = 0.0 if idx == 0 else (centers[idx - 1] + c) / 2.0
     hi = 1.0 if idx == len(centers) - 1 else (c + centers[idx + 1]) / 2.0
 

@@ -254,13 +254,10 @@ def renormalized_free_energy_limit(
         log_t = ctx_inf.log_gibbs_head(d)
         mask = p > 0
         head = float(np.sum(p[mask] * (np.log(p[mask]) - log_t[mask])))
-        tail_p = 1.0 - rho.head_mass(d)
         # crude certified remainder: tail terms are dominated by
         # p_i (ln p_i - ln t_i) <= p_i * beta E_i + |p_i ln p_i|; for the ladder
         # E_i grows linearly while p_i decays polynomially or faster, so we
         # bound the remainder by successive-doubling stabilization instead.
-        if prev is not None and abs(head - prev) <= tol and tail_p < 1e-12:
-            return head
         if prev is not None and abs(head - prev) <= tol:
             return head
         prev = head

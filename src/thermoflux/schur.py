@@ -24,6 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from thermoflux.core import ThermalContext, _check_cap
+from thermoflux.typeclass import compositions
 
 
 @dataclass(frozen=True)
@@ -231,21 +232,6 @@ def permutation_operator(perm, n: int, d: int) -> np.ndarray:
     return op
 
 
-def _enumerate_types(n: int, d: int) -> list:
-    """Occupation vectors (count of symbol 0, ..., symbol d-1), decreasing lex order."""
-    out = []
-
-    def rec(remaining, prefix):
-        if len(prefix) == d - 1:
-            out.append(tuple(prefix) + (remaining,))
-            return
-        for c in range(remaining, -1, -1):
-            rec(remaining - c, prefix + [c])
-
-    rec(n, [])
-    return out
-
-
 def _strings_of_type(f: tuple, n: int, d: int) -> list:
     """Computational-basis indices of all strings with occupation f."""
     symbols = []
@@ -316,7 +302,7 @@ def build_schur_basis(n: int, d: int) -> SchurBasis:
     nfact = math.factorial(n)
     perms = list(itertools.permutations(range(n)))
     perm_maps = {p: _perm_index_map(p, n, d) for p in perms}
-    types = _enumerate_types(n, d)
+    types = [tuple(int(c) for c in f) for f in compositions(n, d)[::-1]]  # decreasing lex order
     type_strings = {f: _strings_of_type(f, n, d) for f in types}
 
     blocks = []

@@ -1,9 +1,9 @@
 """Method-of-types combinatorics in log domain.
 
-Multinomial type counts, colexicographic enumeration, the injection-feasibility
-counting inequality, and typical sets.  Feasibility decisions within the
-floating-point slack are re-checked in exact big-integer arithmetic so the
-predicate never flips due to rounding.
+Multinomial type counts, composition enumeration, the injection-feasibility
+counting inequality (row-wise or over a whole (f, g) grid), and typical sets.
+Feasibility decisions within the floating-point slack are re-checked in exact
+big-integer arithmetic so the predicate never flips due to rounding.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from scipy.special import gammaln
 
 FEASIBILITY_SLACK = 1e-9
 ENUM_CAP = 10 ** 7
+GRID_CHUNK = 1 << 14  # (f, g) pairs decided per block by feasible_grid
 
 
 @dataclass(frozen=True)
@@ -76,43 +77,82 @@ def exact_freq_count(f) -> int:
     return out
 
 
+def compositions(n: int, d: int) -> np.ndarray:
+    """(N, d) int64 array of all occupation vectors of n items into d bins, in
+    lexicographic order."""
+    if math.comb(n + d - 1, d - 1) > ENUM_CAP:
+        raise ValueError(f"enumeration of (n={n}, d={d}) exceeds cap {ENUM_CAP}")
+    rows, rest = np.zeros((1, 0), dtype=np.int64), np.array([n], dtype=np.int64)
+    for _ in range(d - 1):  # fix one more leading coordinate c = 0..rest per row
+        reps = rest + 1
+        c = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        rows = np.column_stack([np.repeat(rows, reps, axis=0), c])
+        rest = np.repeat(rest, reps) - c
+    return np.column_stack([rows, rest])
+
+
 def enumerate_freqs(n: int, d: int):
     """All occupation vectors of n items into d bins, colexicographic order."""
-    if (n + 1) ** (d - 1) > ENUM_CAP:
-        raise ValueError(f"enumeration of (n={n}, d={d}) exceeds cap {ENUM_CAP}")
-
-    def rec(remaining, slots):
-        if slots == 1:
-            yield (remaining,)
-            return
-        for last in range(remaining + 1):
-            for rest in rec(remaining - last, slots - 1):
-                yield rest + (last,)
-
-    for counts in rec(n, d):
+    for counts in compositions(n, d)[:, ::-1]:
         yield FreqVector(counts)
+
+
+def _exact_feasible(f, g, h) -> bool:
+    return exact_freq_count(f) * exact_freq_count(g) <= exact_freq_count(np.add(f, g) - h)
+
+
+def _decide(lhs, rhs, ok, exact) -> np.ndarray:
+    """ok & (lhs <= rhs), elementwise.  Entries within FEASIBILITY_SLACK
+    (1 + |lhs| + |rhs|) of a tie are re-decided by exact(*index) in big-integer
+    arithmetic, so rounding never flips the predicate."""
+    rhs = np.where(ok, rhs, 0.0)
+    feas = ok & (lhs <= rhs)
+    near = ok & (np.abs(lhs - rhs) <= FEASIBILITY_SLACK * (1.0 + np.abs(lhs) + np.abs(rhs)))
+    for idx in zip(*np.nonzero(near)):
+        feas[idx] = exact(*idx)
+    return feas
 
 
 def feasible_rows(F, G, h, lhs=None) -> np.ndarray:
     """Row-wise |Freq(n,f)| |Freq(l,g)| <= |Freq(n+l, f+g-h)| for (N, d) rows F, G
     and one shift h; False where f+g-h has a negative entry.
 
-    lhs, when given, is the precomputed ln|Freq(F)| + ln|Freq(G)| per row.  Rows
-    within FEASIBILITY_SLACK (1 + |lhs| + |rhs|) of a tie are re-decided in
-    exact big-integer arithmetic, so rounding never flips the predicate.
+    lhs, when given, is the precomputed ln|Freq(F)| + ln|Freq(G)| per row.
     """
     F, G = np.atleast_2d(F), np.atleast_2d(G)
     target = F + G - np.asarray(h)
     if lhs is None:
         lhs = log_multinomial_rows(F) + log_multinomial_rows(G)
     ok = (target >= 0).all(axis=1)
-    rhs = np.full(len(target), -np.inf)
+    rhs = np.zeros(len(target))
     rhs[ok] = log_multinomial_rows(target[ok])
-    scale = 1.0 + np.abs(lhs) + np.abs(np.where(ok, rhs, 0.0))
-    feas = ok & (lhs <= rhs)
-    for i in np.flatnonzero(ok & (np.abs(lhs - rhs) <= FEASIBILITY_SLACK * scale)):
-        feas[i] = exact_freq_count(F[i]) * exact_freq_count(G[i]) <= exact_freq_count(target[i])
-    return feas
+    return _decide(lhs, rhs, ok, lambda i: _exact_feasible(F[i], G[i], h))
+
+
+def feasible_grid(F, G, h):
+    """The predicate of feasible_rows over the whole grid F x G of (Nf, d) rows
+    of n letters and (Ng, d) rows of l letters.  Yields (lo, feas) for blocks of
+    about GRID_CHUNK pairs, feas[i, j] deciding (F[lo + i], G[j]).
+
+    ln|Freq(f+g-h)| = ln(n+l-sum h)! - sum_i ln (f_i+g_i-h_i)!, read from one
+    table of ln x!, one coordinate column at a time.
+    """
+    h = np.asarray(h)
+    top = F.max(axis=0) + G.max(axis=0) - h
+    total = int(F[0].sum() + G[0].sum() - h.sum())
+    log_fact = gammaln(np.arange(max(total, int(top.max()), 0) + 1) + 1.0)
+    log_mf, log_mg = log_multinomial_rows(F), log_multinomial_rows(G)
+    step = max(1, GRID_CHUNK // len(G))
+    for lo in range(0, len(F), step):
+        f = F[lo:lo + step]
+        ok = np.ones((len(f), len(G)), dtype=bool)
+        rhs = np.full(ok.shape, log_fact[total])
+        for i in range(F.shape[1]):
+            target = f[:, i, None] + (G[:, i] - h[i])
+            ok &= target >= 0
+            rhs -= log_fact[np.maximum(target, 0)]
+        lhs = log_mf[lo:lo + step, None] + log_mg
+        yield lo, _decide(lhs, rhs, ok, lambda a, b: _exact_feasible(f[a], G[b], h))
 
 
 def injection_feasible(f, g, h) -> bool:
@@ -131,18 +171,19 @@ def log_multinomial_rows(counts: np.ndarray) -> np.ndarray:
     return gammaln(n + 1) - gammaln(counts + 1).sum(axis=-1)
 
 
+def log_type_prob_rows(counts, p) -> np.ndarray:
+    """Row-wise ln P[type = counts] = ln[ |Freq(n,f)| prod_i p_i^{f(i)} ] under
+    i.i.d. p, for an (N, d) array of occupation rows; -inf outside the support."""
+    counts, p = np.atleast_2d(counts), np.asarray(p, dtype=float)
+    pos = p > 0
+    out = log_multinomial_rows(counts) + counts[:, pos] @ np.log(p[pos])
+    out[(counts[:, ~pos] > 0).any(axis=1)] = -np.inf
+    return out
+
+
 def type_log_probability(f, p) -> float:
     """ln[ |Freq(n,f)| prod_i p_i^{f(i)} ]; -inf when p_i = 0 with f(i) > 0."""
-    counts = _counts(f)
-    p = np.asarray(p, dtype=float)
-    total = log_freq_count(counts)
-    for c, pi in zip(counts, p):
-        if c == 0:
-            continue
-        if pi <= 0.0:
-            return -math.inf
-        total += c * math.log(pi)
-    return total
+    return float(log_type_prob_rows([_counts(f)], p)[0])
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 """Tests for work-extraction plan synthesis and protocol simulation."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thermoflux.core import (
     DensityMatrix,
@@ -13,6 +16,7 @@ from thermoflux.core import (
 )
 from thermoflux.estimation import classical_relative_entropy
 from thermoflux.extraction import (
+    BlockPartition,
     ConditionedProtocol,
     ConverseViolationError,
     UniversalParams,
@@ -31,7 +35,7 @@ from thermoflux.extraction import (
 from thermoflux.infdim import InfiniteContext, TailState
 from thermoflux.pinching import energy_pinching, schur_pinched_distribution
 from thermoflux.schur import build_schur_basis
-from thermoflux.typeclass import ShiftFunction
+from thermoflux.typeclass import ShiftFunction, enumerate_freqs
 
 QUBIT = ThermalContext(levels=(0, 1), beta=1.0)
 ALPHABET = WorkAlphabet.from_context(QUBIT)
@@ -168,6 +172,67 @@ class TestClassicalPlan:
         out = run_classical_plan(plan)
         assert out.fidelity == pytest.approx(1.0)
         assert out.rate_nats == 0.0
+
+
+def _count(c) -> int:
+    out = math.factorial(sum(c))
+    for x in c:
+        out //= math.factorial(x)
+    return out
+
+
+def _rows(n, d):
+    return [c + (n - sum(c),) for c in itertools.product(range(n + 1), repeat=d - 1) if sum(c) <= n]
+
+
+def _xi_oracle(p, t, n, l, h) -> float:
+    """1 - the summed P_p(f) P_t(g) of every (f, g) pair that big-integer type
+    counting calls feasible, one pair at a time."""
+    def prob(c, q):
+        return _count(c) * math.prod(qi ** ci for qi, ci in zip(q, c))
+
+    success = []
+    for f in _rows(n, len(p)):
+        for g in _rows(l, len(p)):
+            target = tuple(a + b - c for a, b, c in zip(f, g, h))
+            if min(target) >= 0 and _count(f) * _count(g) <= _count(target):
+                success.append(prob(f, p) * prob(g, t))
+    return min(max(1.0 - math.fsum(success), 0.0), 1.0)
+
+
+@st.composite
+def _exact_plans(draw):
+    """A source p on d in {2, 3} letters (zero entries allowed), sizes n <= 8 and
+    l <= 20, and a random zero-sum shift h, overdrawing ones included."""
+    d = draw(st.sampled_from((2, 3)))
+    weights = draw(st.lists(st.integers(0, 4), min_size=d, max_size=d).filter(any))
+    free = draw(st.lists(st.integers(-8, 8), min_size=d - 1, max_size=d - 1))
+    p = tuple(w / sum(weights) for w in weights)
+    return p, draw(st.integers(1, 8)), draw(st.integers(0, 20)), tuple(free) + (-sum(free),)
+
+
+class TestExactXiGrid:
+    @settings(max_examples=200)
+    @given(_exact_plans())
+    # C(6,3) C(14,0) = 20 = C(20,19): f = (3, 3), g = (14, 0) is an exact tie that
+    # float log-gamma puts on the infeasible side
+    @example(((0.5, 0.5), 6, 14, (-2, 2)))
+    def test_agrees_with_bigint_pair_oracle(self, plan_input):
+        p, n, l, h = plan_input
+        alphabet = WorkAlphabet(energies=range(len(p)), beta=1.0)
+        plan = build_classical_plan(np.array(p), alphabet, n, l, ShiftFunction(h), mode="exact")
+        assert plan.xi == pytest.approx(_xi_oracle(p, alphabet.thermal, n, l, h), abs=1e-12)
+
+    @pytest.mark.parametrize("levels, n, diag, xi", [
+        ((0, 1), 200, [0.9, 0.1], "0.0014418342493294212"),
+        ((0, 1), 300, [0.95, 0.05], "0.003129466655304891"),
+        ((0, 1, 2), 18, [0.9, 0.05, 0.05], "0.0018097928746447778"),
+    ])
+    def test_pinned_state_aware_xi(self, levels, n, diag, xi):
+        """Exact xi of three state-aware plans, to the last bit."""
+        ctx = ThermalContext(levels=levels, beta=1.0)
+        out = state_aware_protocol(DensityMatrix.from_diagonal(diag), ctx, n, k=1, plan_mode="exact")
+        assert repr(out.xi) == xi
 
 
 class TestStringwiseOracle:
@@ -324,6 +389,47 @@ class TestMeasureAndPrepare:
     def test_interior_input_not_flagged(self):
         summary, _ = measure_and_prepare_protocol(4, QUBIT, 20, np.array([0.9, 0.1]))
         assert not summary["boundary"]
+
+
+def _sequential_nearest(M, d, p, tol=1e-12):
+    """The nearest-block rule as one loop over the grid in colexicographic order,
+    ties within tol to the lexicographically smallest point: the oracle for the
+    vectorised BlockPartition."""
+    p = np.asarray(p, dtype=float)
+    best, best_d, second = None, None, None
+    for vec in (f.counts for f in enumerate_freqs(M, d)):
+        dist = 0.5 * float(np.abs(np.array(vec) / M - p).sum())
+        if best_d is None or dist < best_d - tol:
+            best, best_d, second = vec, dist, None
+        elif abs(dist - best_d) <= tol and vec != best:
+            second = vec
+            if vec < best:
+                best = vec
+    return tuple(best), second is not None
+
+
+class TestBlockPartition:
+    @pytest.mark.parametrize("d", (2, 3))
+    @pytest.mark.parametrize("M", (1, 2, 3, 5, 8, 16))
+    def test_points_match_sequential_rule(self, d, M):
+        partition = BlockPartition(M=M, d=d)
+        rng = np.random.default_rng(100 * d + M)
+        grid = partition.grid
+        pairs = rng.integers(len(grid), size=(15, 2))
+        points = list(rng.dirichlet(np.ones(d), size=15))
+        points += [(grid[a] + grid[b]) / (2 * M) for a, b in pairs]  # exact midpoints
+        for p in points:
+            assert (partition.assign(p), partition.is_boundary(p)) == _sequential_nearest(M, d, p)
+
+    @pytest.mark.parametrize("d", (2, 3))
+    @pytest.mark.parametrize("M", (1, 2, 3, 5, 8, 16))
+    def test_types_match_sequential_rule(self, d, M):
+        partition = BlockPartition(M=M, d=d)
+        for n in (7, 16):
+            F = np.array([f.counts for f in enumerate_freqs(n, d)])
+            blocks = [tuple(int(c) for c in partition.grid[i]) for i in partition.assign_types(F, n)]
+            assert blocks == [_sequential_nearest(M, d, f / n)[0] for f in F]
+            assert blocks == [partition.assign(f / n) for f in F]
 
 
 class TestTomographicProtocol:
