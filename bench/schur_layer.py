@@ -1,0 +1,113 @@
+"""Schur layer timings: the uncached basis build, and schur_pinching + apply
+on a cached basis, for qubits k = 4..8 and qutrits k = 3..5.
+
+    python bench/schur_layer.py [--out BENCH_schur.json] [--max-k K] [--repeats R]
+
+Each entry is the median wall time of R >= 5 repeats.  The file also records
+the commit (with "+dirty" when the working tree differs from it), the machine
+and the line count of src/thermoflux/*.py.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from thermoflux import core, pinching, schur  # noqa: E402
+
+CELLS = tuple((2, k) for k in range(4, 9)) + tuple((3, k) for k in range(3, 6))
+MIN_REPEATS = 5
+
+
+def _median_seconds(fn, repeats: int) -> float:
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def _commit() -> str:
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True).stdout.strip()
+
+    head = git("rev-parse", "--short", "HEAD") or "unknown"
+    return head + ("+dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
+
+
+def _machine() -> dict:
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return {
+        "cpu": cpu,
+        "cores": os.cpu_count(),
+        "system": platform.platform(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
+def _src_lines() -> int:
+    return sum(len(p.read_text().splitlines()) for p in sorted((ROOT / "src" / "thermoflux").glob("*.py")))
+
+
+def measure(cells, repeats: int) -> list:
+    entries = []
+    for d, k in cells:
+        ctx = core.ThermalContext(levels=tuple(range(d)), beta=1.0)
+        g = np.random.default_rng(d * 100 + k).normal(size=(d, d, 2)) @ [1.0, 1j]
+        rho = g @ g.conj().T
+        rho_k = core.tensor_power(rho / rho.trace().real, k)
+        basis = schur.build_schur_basis(k, d)
+        entries.append({
+            "d": d,
+            "k": k,
+            "dim": d ** k,
+            "build_s": _median_seconds(lambda: schur._schur_basis.__wrapped__(k, d), repeats),
+            "pinch_apply_s": _median_seconds(
+                lambda: pinching.apply(pinching.schur_pinching(ctx, k, basis), rho_k), repeats
+            ),
+            "repeats": repeats,
+        })
+    return entries
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", default=str(ROOT / "BENCH_schur.json"))
+    parser.add_argument("--max-k", type=int, default=8, help="leave out cells with more copies")
+    parser.add_argument("--repeats", type=int, default=MIN_REPEATS)
+    args = parser.parse_args(argv)
+    if args.repeats < MIN_REPEATS:
+        parser.error(f"--repeats must be at least {MIN_REPEATS}")
+    report = {
+        "topic": "schur",
+        "commit": _commit(),
+        "machine": _machine(),
+        "src_lines": _src_lines(),
+        "timing": f"wall-clock median of {args.repeats} repeats, seconds",
+        "entries": measure([c for c in CELLS if c[1] <= args.max_k], args.repeats),
+    }
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -262,8 +262,8 @@ def relative_entropy(rho, sigma) -> float:
     # Tr[rho ln sigma] over the support of sigma
     supp = ~kernel
     logs = np.log(svals[supp])
-    overlaps = np.einsum("ij,jk->ik", r, svecs[:, supp])  # rho |v_i>
-    weights = np.einsum("ji,jk->ik", svecs[:, supp].conj(), overlaps).diagonal().real
+    vecs = svecs[:, supp]
+    weights = np.einsum("ij,ij->j", vecs.conj(), r @ vecs).real  # <v_i|rho|v_i>
     term2 = float(np.dot(weights, logs))
     return term1 - term2
 

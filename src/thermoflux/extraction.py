@@ -48,6 +48,7 @@ from thermoflux.typeclass import (
     injection_feasible,  # noqa: F401  (kept importable here: perfbench traces every binding)
     log_multinomial_rows,
     log_type_prob_rows,
+    strings_of_type,
 )
 
 PROTOCOL_VERSION = "1"
@@ -122,12 +123,17 @@ class ProtocolOutcome:
 
 
 def _round_counts(total: int, weights: np.ndarray) -> tuple:
-    """Deterministic largest-remainder rounding of total*weights to integer counts."""
+    """Deterministic largest-remainder rounding of total*weights to integer counts.
+
+    Remainders are compared to 9 decimals, so weights that are equal in exact
+    arithmetic (multiplicity copies of one Weyl vector, say) tie and the
+    lowest index wins, whatever their last bits.
+    """
     raw = total * np.asarray(weights, dtype=float)
     base = np.floor(raw).astype(int)
     short = total - int(base.sum())
     if short > 0:
-        order = np.argsort(-(raw - base), kind="stable")
+        order = np.argsort(-np.round(raw - base, 9), kind="stable")
         base[order[:short]] += 1
     return tuple(int(x) for x in base)
 
@@ -809,7 +815,7 @@ class ConditionedProtocol:
     """Incoherent measurement on the first subsystem, then a branch channel on
     the second; the composite must stay Gibbs-preserving."""
 
-    measurement: object  # ProjectorFamily on H_A
+    measurement: object  # projector family on H_A (ProjectorFamily or BasisFamily)
     branches: tuple  # callables rho_B -> rho_B (matrices in/out)
     ctx: ThermalContext
     copies_measured: int
@@ -905,7 +911,7 @@ def simulate_plan_stringwise(plan: ExtractionPlan) -> dict:
                 continue
             # explicit injection: i-th source pair -> i-th target string
             sources = [s1 + s2 for s1 in sys_strings for s2 in bath_strings]
-            targets = sorted(itertools_type_strings(target, n + l, d))
+            targets = np.array(np.unravel_index(strings_of_type(target), (d,) * (n + l))).T
             assert len(set(sources)) == len(sources)
             assert len(sources) <= len(targets)
             for src, dst in zip(sorted(sources), targets):
@@ -919,11 +925,3 @@ def simulate_plan_stringwise(plan: ExtractionPlan) -> dict:
         "fidelity": 1.0 - xi,
     }
 
-
-def itertools_type_strings(counts: tuple, length: int, d: int):
-    import itertools
-
-    symbols = []
-    for sym, c in enumerate(counts):
-        symbols.extend([sym] * c)
-    return set(itertools.permutations(symbols))

@@ -6,9 +6,8 @@ quantitative pinching inequality / relative-entropy loss checks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -17,7 +16,6 @@ from thermoflux.core import (
     DimensionMismatchError,
     HamiltonianOperator,
     ThermalContext,
-    _check_cap,
     _entries,
     relative_entropy,
 )
@@ -32,7 +30,6 @@ class ProjectorFamily:
 
     dim: int
     projectors: tuple
-    labels: tuple = None  # optional (diagram rows or None, energy Fraction) per projector
 
     def __post_init__(self):
         projs = tuple(np.asarray(p, dtype=complex) for p in self.projectors)
@@ -60,9 +57,68 @@ class ProjectorFamily:
         return all(np.max(np.abs(p @ h - h @ p)) <= tol for p in self.projectors)
 
 
+@dataclass(frozen=True, eq=False)
+class BasisFamily:
+    """The projectors Pi_j = sum_{c : groups[c] = j} |u_c><u_c| onto groups of
+    the columns u_c of a unitary U, with labels[j] naming Pi_j.
+
+    One bound is checked in place of the pairwise projector checks:
+    ||U^dag U - I||_F <= eps = PROJ_TOL/2.  It implies that every Pi_j is
+    Hermitian, idempotent, orthogonal to the others and that they sum to the
+    identity, each within PROJ_TOL entrywise: with U_j the columns of group j
+    and E = U^dag U - I, Pi_j^2 - Pi_j = U_j E_jj U_j^dag and
+    Pi_i Pi_j = U_i E_ij U_j^dag have norm <= ||U_j||^2 eps <= (1 + eps) eps,
+    and sum_j Pi_j - I = U U^dag - I has the spectrum of E.  Pi_j is Hermitian
+    by construction.  The dense projectors are materialised only when read.
+    """
+
+    unitary: np.ndarray
+    groups: np.ndarray  # projector index of each column of unitary
+    labels: tuple = None  # optional (diagram rows or None, energy Fraction) per projector
+
+    def __post_init__(self):
+        u = np.asarray(self.unitary)
+        groups = np.asarray(self.groups, dtype=np.intp)
+        if u.ndim != 2 or u.shape[0] != u.shape[1] or groups.shape != (u.shape[0],):
+            raise DimensionMismatchError(f"unitary {u.shape} and groups {groups.shape} mismatch")
+        count = int(groups.max()) + 1
+        if groups.min() < 0 or np.bincount(groups).min() == 0:
+            raise ValueError("groups must number the projectors 0..J-1, each non-empty")
+        if self.labels is not None and len(self.labels) != count:
+            raise ValueError(f"{len(self.labels)} labels for {count} projectors")
+        dev = float(np.linalg.norm(u.conj().T @ u - np.eye(len(u))))
+        if dev > PROJ_TOL / 2:
+            raise ValueError(f"basis not unitary: ||U^dag U - I||_F = {dev:g}")
+        object.__setattr__(self, "unitary", u)
+        object.__setattr__(self, "groups", groups)
+
+    @property
+    def dim(self) -> int:
+        return len(self.groups)
+
+    def __len__(self) -> int:
+        return int(self.groups.max()) + 1
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """mask[a, b]: columns a and b belong to the same projector."""
+        return self.groups[:, None] == self.groups[None, :]
+
+    @cached_property
+    def projectors(self) -> tuple:
+        u = self.unitary
+        return tuple(
+            (u[:, cols] @ u[:, cols].conj().T).astype(complex)
+            for cols in (np.flatnonzero(self.groups == j) for j in range(len(self)))
+        )
+
+    def commutes_with(self, h: np.ndarray, tol: float = PROJ_TOL) -> bool:
+        return all(np.max(np.abs(p @ h - h @ p)) <= tol for p in self.projectors)
+
+
 @dataclass(frozen=True)
 class PinchingChannel:
-    family: ProjectorFamily
+    family: BasisFamily
     kind: str  # energy | schur | coarse
 
     @property
@@ -74,62 +130,53 @@ class PinchingChannel:
 
 
 def apply(channel: PinchingChannel, rho):
-    """sum_j Pi_j rho Pi_j; trace preserving."""
+    """sum_j Pi_j rho Pi_j = U (mask o U^dag rho U) U^dag; trace preserving."""
     r = _entries(rho)
     if r.shape[0] != channel.dim:
         raise DimensionMismatchError(f"state dim {r.shape[0]} vs channel dim {channel.dim}")
-    out = np.zeros_like(r, dtype=complex)
-    for p in channel.family.projectors:
-        out += p @ r @ p
+    u = channel.family.unitary
+    out = u @ ((u.conj().T @ r @ u) * channel.family.mask) @ u.conj().T
     if isinstance(rho, DensityMatrix):
         return DensityMatrix(out)
     return out
 
 
+def _identity_family(groups, labels=None) -> BasisFamily:
+    return BasisFamily(unitary=np.eye(len(groups)), groups=groups, labels=labels)
+
+
 def energy_pinching(ctx: ThermalContext, n: int) -> PinchingChannel:
     """One diagonal projector per distinct total energy of H^{x n} (exact grouping)."""
-    ham = HamiltonianOperator(ctx, n)
-    dim = ham.dim
-    groups = ham.energy_groups()
-    projs = []
-    labels = []
-    for e in sorted(groups):
-        p = np.zeros((dim, dim))
-        idx = groups[e]
-        p[idx, idx] = 1.0
-        projs.append(p)
-        labels.append((None, e))
+    levels = HamiltonianOperator(ctx, n).exact_levels()
+    energies = sorted(set(levels))
+    index = {e: j for j, e in enumerate(energies)}
     return PinchingChannel(
-        family=ProjectorFamily(dim=dim, projectors=tuple(projs), labels=tuple(labels)),
+        family=_identity_family([index[e] for e in levels], tuple((None, e) for e in energies)),
         kind="energy",
     )
 
 
 def schur_pinching(ctx: ThermalContext, n: int, basis: SchurBasis = None) -> PinchingChannel:
-    """Pinching onto the energy eigenspaces of H_lambda (x) I within each Schur block."""
+    """Pinching onto the energy eigenspaces of H_lambda (x) I within each Schur
+    block: the Schur change of basis, each column labelled by its block and the
+    energy of its Weyl vector."""
     if basis is None:
         basis = build_schur_basis(n, ctx.dim)
     if basis.n != n or basis.d != ctx.dim:
         raise DimensionMismatchError("basis does not match (n, d)")
-    dim = basis.dim
-    projs = []
+    groups = []
     labels = []
     for b in basis.blocks:
         energies = b.energy_labels(ctx)
-        for e in sorted(set(energies)):
-            p = np.zeros((dim, dim))
-            for i, ei in enumerate(energies):
-                if ei == e:
-                    for t in range(b.sym_dim):
-                        v = b.copies[:, i, t]
-                        p += np.outer(v, v)
-            projs.append(p)
-            labels.append((b.diagram.rows, e))
+        levels = sorted(set(energies))
+        index = {e: len(labels) + j for j, e in enumerate(levels)}
+        labels += [(b.diagram.rows, e) for e in levels]
+        groups += [index[e] for e in energies for _ in range(b.sym_dim)]
     bound = (n + 1) ** (2 * (ctx.dim - 1))
-    if len(projs) > bound:
-        raise RuntimeError(f"projector count {len(projs)} exceeds bound {bound}")
+    if len(labels) > bound:
+        raise RuntimeError(f"projector count {len(labels)} exceeds bound {bound}")
     return PinchingChannel(
-        family=ProjectorFamily(dim=dim, projectors=tuple(projs), labels=tuple(labels)),
+        family=BasisFamily(unitary=basis.change_of_basis, groups=groups, labels=tuple(labels)),
         kind="schur",
     )
 
@@ -138,12 +185,7 @@ def coarse_pinching(d_cut: int, dim: int) -> PinchingChannel:
     """Two-block pinching {Pi_{d_cut}, I - Pi_{d_cut}} for truncation experiments."""
     if not (1 <= d_cut < dim):
         raise ValueError(f"need 1 <= d_cut < dim, got d_cut={d_cut}, dim={dim}")
-    p1 = np.zeros((dim, dim))
-    p1[np.arange(d_cut), np.arange(d_cut)] = 1.0
-    p2 = np.eye(dim) - p1
-    return PinchingChannel(
-        family=ProjectorFamily(dim=dim, projectors=(p1, p2)), kind="coarse"
-    )
+    return PinchingChannel(family=_identity_family([0] * d_cut + [1] * (dim - d_cut)), kind="coarse")
 
 
 def mixture_realization(channel: PinchingChannel) -> list:
@@ -196,16 +238,10 @@ def schur_pinched_distribution(ctx: ThermalContext, k: int, rho, basis: SchurBas
         basis = build_schur_basis(k, ctx.dim)
     from thermoflux.core import tensor_power
 
+    u = basis.change_of_basis
     rk = _entries(tensor_power(rho, k))
-    probs = []
-    energies = []
-    for b in basis.blocks:
-        labels = b.energy_labels(ctx)
-        for i in range(b.weyl_dim):
-            for t in range(b.sym_dim):
-                v = b.copies[:, i, t]
-                probs.append(float((v.conj() @ rk @ v).real))
-                energies.append(labels[i])
-    probs = np.clip(np.array(probs), 0.0, None)
-    probs = probs / probs.sum()
-    return probs, tuple(energies)
+    probs = np.clip(np.einsum("ij,ij->j", u.conj(), rk @ u).real, 0.0, None)
+    energies = tuple(
+        e for b in basis.blocks for e in b.energy_labels(ctx) for _ in range(b.sym_dim)
+    )
+    return probs / probs.sum(), energies

@@ -4,18 +4,34 @@ Enumerates Young diagrams, computes irrep dimensions (Weyl / hook-length
 formulas), and constructs an orthonormal Schur basis in which every
 permutation-invariant operator is block diagonal as A_lambda (x) I_{m_lambda}.
 
-Construction: for each diagram we build the symmetric-group irrep in Young's
-orthogonal form (the orthonormalized Young-symmetrizer basis indexed by
-standard tableaux), turn its matrix elements into isotypic matrix units
-E_{ts} = (m/n!) sum_pi u(pi)_{ts} V_pi, and read one copy of the Weyl space
-off the range of E_{11}, type class by type class.  Convention: type classes
-in decreasing lexicographic count order; first nonzero amplitude of each
-basis vector real positive; standard tableaux sorted by their row word.
+Construction, with no sum over the n! permutations.  The symmetric-group
+irreps are taken in Young's orthogonal form (YOR), indexed by standard
+tableaux.  For each diagram lambda:
+
+* Copy 0 of the Weyl space is the range of E_00, the projector onto the
+  joint eigenspace of the Jucys-Murphy elements X_j = sum_{i<j} (i j) whose
+  eigenvalues are the contents of the first standard tableau
+  (Okounkov-Vershik).  Permutations keep the occupation type of a string, so
+  E_00 is applied type class by type class, as a product of Lagrange factors
+  (X_j - c')/(c_j - c') on the |S| x |S| block of the type's strings S; each
+  X_j is j - 1 index gathers.
+* Canonical rule: the Weyl vectors of a type are the Gram-Schmidt
+  orthonormalisation, with one reorthogonalisation, of E_00 e_s over the
+  type's strings s in increasing index order; residuals below GS_SKIP are
+  skipped and the first nonzero amplitude of each vector is made positive.
+  The basis is thus fixed even where a (lambda, type) subspace has dimension
+  (Kostka number) above 1.
+* Copy t' >= 1 follows from an earlier copy t through YOR:
+  V_{a_j} e_t = g_tt e_t + g_t't e_t' for the adjacent transposition a_j, so
+  e_t' = (V_{a_j} e_t - g_tt e_t) / g_t't is one index gather.
+
+Conventions: type classes in decreasing lexicographic count order; standard
+tableaux sorted by their row word.  build_schur_basis caches the basis by
+(n, d); its arrays are read-only.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +40,10 @@ from functools import lru_cache
 import numpy as np
 
 from thermoflux.core import ThermalContext, _check_cap
-from thermoflux.typeclass import compositions
+from thermoflux.typeclass import compositions, strings_of_type
+
+GS_SKIP = 1e-6  # Gram-Schmidt residual norm below which an image vector adds nothing
+UNITARY_TOL = 5e-11  # bound on ||U^T U - I||_F for a built basis
 
 
 @dataclass(frozen=True)
@@ -232,20 +251,6 @@ def permutation_operator(perm, n: int, d: int) -> np.ndarray:
     return op
 
 
-def _strings_of_type(f: tuple, n: int, d: int) -> list:
-    """Computational-basis indices of all strings with occupation f."""
-    symbols = []
-    for s, c in enumerate(f):
-        symbols.extend([s] * c)
-    seen = set()
-    for p in itertools.permutations(symbols):
-        idx = 0
-        for s in p:
-            idx = idx * d + s
-        seen.add(idx)
-    return sorted(seen)
-
-
 @dataclass(frozen=True)
 class SchurBlock:
     diagram: YoungDiagram
@@ -264,27 +269,21 @@ class SchurBlock:
 
 @dataclass(frozen=True)
 class SchurBasis:
+    """change_of_basis is the unitary whose columns are the Schur basis vectors.
+
+    Column order: blocks in diagram order; within a block, Weyl index major,
+    multiplicity copy minor — so invariant operators become A_lambda (x) I_m.
+    Each block's weyl_basis and copies are read-only views of its columns.
+    """
+
     n: int
     d: int
     blocks: tuple
+    change_of_basis: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.d ** self.n
-
-    @property
-    def change_of_basis(self) -> np.ndarray:
-        """Unitary whose columns are the Schur basis vectors.
-
-        Column order: blocks in diagram order; within a block, Weyl index major,
-        multiplicity copy minor — so invariant operators become A_lambda (x) I_m.
-        """
-        cols = []
-        for b in self.blocks:
-            for i in range(b.weyl_dim):
-                for t in range(b.sym_dim):
-                    cols.append(b.copies[:, i, t])
-        return np.column_stack(cols)
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
@@ -295,67 +294,123 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def build_schur_basis(n: int, d: int) -> SchurBasis:
-    """Construct the full Schur basis of (C^d)^{x n}."""
-    _check_cap(d ** n)
-    dim = d ** n
-    nfact = math.factorial(n)
-    perms = list(itertools.permutations(range(n)))
-    perm_maps = {p: _perm_index_map(p, n, d) for p in perms}
-    types = [tuple(int(c) for c in f) for f in compositions(n, d)[::-1]]  # decreasing lex order
-    type_strings = {f: _strings_of_type(f, n, d) for f in types}
+def _canonical_span(image: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning image: Gram-Schmidt with one
+    reorthogonalisation over the columns in order, skipping residuals below
+    GS_SKIP, each result phase-fixed by _fix_phase."""
+    q = np.zeros((image.shape[0], 0))
+    for col in image.T:
+        v = col - q @ (q.T @ col)
+        v = v - q @ (q.T @ v)
+        norm = np.linalg.norm(v)
+        if norm >= GS_SKIP:
+            q = np.column_stack([q, _fix_phase(v / norm)])
+    return q
 
-    blocks = []
+
+def _first_tableau_contents(rows: tuple) -> list:
+    """Content col - row of entries 1..n in the first standard tableau (rows
+    filled in reading order)."""
+    return [c - r for r, length in enumerate(rows) for c in range(length)]
+
+
+def _transposition_maps(strings: np.ndarray, n: int, d: int) -> dict:
+    """(i, j) -> positions in `strings` of the strings with slots i and j swapped."""
+    digits = (strings[:, None] // d ** np.arange(n - 1, -1, -1)) % d
+    place = d ** np.arange(n - 1, -1, -1)
+    out = {}
+    for j in range(n):
+        for i in range(j):
+            swapped = strings + (digits[:, i] - digits[:, j]) * (place[j] - place[i])
+            out[i, j] = np.searchsorted(strings, swapped)
+    return out
+
+
+def _jm_projector(swaps: dict, contents: list, n: int, d: int, size: int) -> np.ndarray:
+    """The joint eigenprojector of X_2..X_n with eigenvalues `contents` on one
+    type class, as a product of Lagrange factors (X_j - c)/(c_j - c) over every
+    other eigenvalue c that X_j can have on (C^d)^{x n}: -min(j, d-1) .. j for
+    0-based slot j.  Each X_j is killed off its whole spectrum, so rounding
+    residue from earlier factors is not amplified later; the nodes farthest
+    from c_j go first, which keeps every intermediate factor small."""
+    p = np.eye(size)
+    for j in range(1, n):
+        target = contents[j]
+        nodes = sorted(range(-min(j, d - 1), j + 1), key=lambda c: -abs(c - target))
+        for c in nodes[:-1]:  # the last, nearest node is target itself
+            xp = sum(p[swaps[i, j]] for i in range(j))
+            p = (xp - c * p) / (target - c)
+    return p
+
+
+def _copy_steps(rows: tuple) -> tuple:
+    """(new, old, j) in breadth-first order from tableau 0: copy `new` follows
+    from copy `old` through the adjacent transposition a_j."""
+    gens = _yor_generators(rows)
+    steps, seen, queue = [], {0}, [0]
+    for old in queue:
+        for j, g in enumerate(gens):
+            for new in np.flatnonzero(g[:, old]):
+                if int(new) not in seen:
+                    seen.add(int(new))
+                    queue.append(int(new))
+                    steps.append((int(new), old, j))
+    return tuple(steps)
+
+
+def build_schur_basis(n: int, d: int) -> SchurBasis:
+    """The Schur basis of (C^d)^{x n}, built once per (n, d); its arrays are read-only."""
+    _check_cap(d ** n)
+    return _schur_basis(n, d)
+
+
+@lru_cache(maxsize=16)
+def _schur_basis(n: int, d: int) -> SchurBasis:
+    dim = d ** n
+    adjacent = [_perm_index_map(tuple(range(j)) + (j + 1, j) + tuple(range(j + 2, n)), n, d)
+                for j in range(n - 1)]
+    classes = []
+    for f in compositions(n, d)[::-1]:  # decreasing lex order
+        strings = strings_of_type(f)
+        classes.append((tuple(int(c) for c in f), strings, _transposition_maps(strings, n, d)))
+
+    u = np.zeros((dim, dim))
+    layout = []
+    offset = 0
     for diagram in enumerate_young_diagrams(n, d):
         n_lam, m_lam = irrep_dimensions(diagram, d)
-        yor = {p: yor_matrix(diagram, p) for p in perms}
-
-        def matrix_unit_apply(t_out: int, t_in: int, vecs: np.ndarray) -> np.ndarray:
-            """Apply E_{t_out, t_in} = (m/n!) sum_pi u(pi)_{t_out,t_in} V_pi to columns."""
-            acc = np.zeros_like(vecs)
-            for p in perms:
-                c = yor[p][t_out, t_in]
-                if c != 0.0:
-                    acc += c * vecs[perm_maps[p], :]
-            return (m_lam / nfact) * acc
-
-        weyl_cols = []
-        weyl_types = []
-        for f in types:
-            idxs = type_strings[f]
-            seeds = np.zeros((dim, len(idxs)))
-            seeds[idxs, np.arange(len(idxs))] = 1.0
-            image = matrix_unit_apply(0, 0, seeds)
-            # orthonormal basis of the image (Kostka-number rank)
-            q, s, _ = np.linalg.svd(image, full_matrices=False)
-            rank = int(np.sum(s > 1e-8))
-            for r in range(rank):
-                weyl_cols.append(_fix_phase(q[:, r]))
-                weyl_types.append(f)
-        if len(weyl_cols) != n_lam:
+        contents = _first_tableau_contents(diagram.rows)
+        rep = np.zeros((dim, 0))
+        types = []
+        for f, strings, swaps in classes:
+            q = _canonical_span(_jm_projector(swaps, contents, n, d, len(strings)))
+            cols = np.zeros((dim, q.shape[1]))
+            cols[strings] = q
+            rep = np.column_stack([rep, cols])
+            types += [f] * q.shape[1]
+        if len(types) != n_lam:
             raise RuntimeError(
-                f"Weyl space of {diagram.rows}: got {len(weyl_cols)} vectors, expected {n_lam}"
+                f"Weyl space of {diagram.rows}: got {len(types)} vectors, expected {n_lam}"
             )
-        rep = np.column_stack(weyl_cols)
-        copies = np.zeros((dim, n_lam, m_lam))
+        copies = u[:, offset:offset + n_lam * m_lam].reshape(dim, n_lam, m_lam)
         copies[:, :, 0] = rep
-        for t in range(1, m_lam):
-            copies[:, :, t] = matrix_unit_apply(t, 0, rep)
-        blocks.append(
-            SchurBlock(
-                diagram=diagram,
-                weyl_dim=n_lam,
-                sym_dim=m_lam,
-                weyl_basis=rep,
-                types=tuple(weyl_types),
-                copies=copies,
-            )
-        )
-    basis = SchurBasis(n=n, d=d, blocks=tuple(blocks))
-    u = basis.change_of_basis
-    if np.max(np.abs(u.conj().T @ u - np.eye(dim))) > 1e-10:
-        raise RuntimeError("Schur change of basis failed unitarity check")
-    return basis
+        gens = _yor_generators(diagram.rows)
+        for new, old, j in _copy_steps(diagram.rows):
+            g = gens[j]
+            copies[:, :, new] = (copies[adjacent[j], :, old] - g[old, old] * copies[:, :, old]) / g[new, old]
+        layout.append((diagram, n_lam, m_lam, tuple(types), offset))
+        offset += n_lam * m_lam
+
+    dev = float(np.linalg.norm(u.T @ u - np.eye(dim)))
+    if dev > UNITARY_TOL:
+        raise RuntimeError(f"Schur change of basis failed unitarity check: {dev:g}")
+    u.flags.writeable = False
+    blocks = []
+    for diagram, n_lam, m_lam, types, offset in layout:
+        copies = u[:, offset:offset + n_lam * m_lam].reshape(dim, n_lam, m_lam)
+        blocks.append(SchurBlock(diagram=diagram, weyl_dim=n_lam, sym_dim=m_lam,
+                                 weyl_basis=copies[:, :, 0], types=types, copies=copies))
+    return SchurBasis(n=n, d=d, blocks=tuple(blocks), change_of_basis=u)
 
 
 def decompose_permutation_invariant(a: np.ndarray, basis: SchurBasis) -> list:

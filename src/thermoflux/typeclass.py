@@ -91,6 +91,23 @@ def compositions(n: int, d: int) -> np.ndarray:
     return np.column_stack([rows, rest])
 
 
+def strings_of_type(f) -> np.ndarray:
+    """Sorted int64 array of the base-d indices of all strings of occupation f
+    (d = len(f), most significant digit first).
+
+    Built one position at a time: every prefix is extended by each symbol it
+    still has left, so the rows stay in increasing index order.
+    """
+    left = np.array([_counts(f)], dtype=np.int64)
+    idx = np.zeros(1, dtype=np.int64)
+    for _ in range(int(left.sum())):
+        rows, sym = np.nonzero(left)
+        idx = idx[rows] * left.shape[1] + sym
+        left = left[rows]
+        left[np.arange(len(rows)), sym] -= 1
+    return idx
+
+
 def enumerate_freqs(n: int, d: int):
     """All occupation vectors of n items into d bins, colexicographic order."""
     for counts in compositions(n, d)[:, ::-1]:

@@ -86,6 +86,14 @@ def _pinched_alphabet(ctx, k, mat):
     return p, WorkAlphabet(energies=energies, beta=ctx.beta)
 
 
+def test_round_counts_ties_go_to_the_lowest_index():
+    """0.1 + 0.2 and 0.3 differ only in the last bit; their remainders at
+    total 5 tie, and the lower index takes the one spare count."""
+    from thermoflux.extraction import _round_counts
+
+    assert _round_counts(5, [0.3, 0.1 + 0.2, 0.4]) == (2, 1, 2)
+
+
 class TestPinnedShifts:
     """Exact shifts and outcomes: a change to the shift search, its checkpoint
     gate or the feasibility predicate must keep choosing exactly these."""

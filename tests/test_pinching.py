@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermoflux.core import (
     DensityMatrix,
@@ -13,7 +15,8 @@ from thermoflux.core import (
     thermal_state,
 )
 from thermoflux.pinching import (
-    PinchingChannel,
+    PROJ_TOL,
+    BasisFamily,
     ProjectorFamily,
     apply,
     choi_matrix,
@@ -187,3 +190,63 @@ class TestPinchedDistribution:
         z = QUBIT.partition_function
         for p, e in zip(probs, energies):
             assert p == pytest.approx(math.exp(-float(e)) / z ** 2, abs=1e-12)
+
+
+def _random_state(rng, dim):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    return rho / rho.trace().real
+
+
+QUTRIT = ThermalContext(levels=(0, 1, 2), beta=1.0)
+
+
+class TestBasisFamily:
+    @pytest.mark.parametrize("channel", [
+        energy_pinching(QUBIT, 3),
+        energy_pinching(QUTRIT, 2),
+        schur_pinching(QUBIT, 4),
+        schur_pinching(QUTRIT, 3),
+        coarse_pinching(3, 8),
+    ], ids=["energy-qubit", "energy-qutrit", "schur-qubit", "schur-qutrit", "coarse"])
+    def test_apply_equals_sum_over_materialised_projectors(self, channel):
+        rho = _random_state(np.random.default_rng(11), channel.dim)
+        direct = sum(p @ rho @ p for p in channel.family.projectors)
+        assert len(channel.family.projectors) == len(channel.family)
+        assert np.max(np.abs(apply(channel, rho) - direct)) <= 1e-12
+
+    def test_materialised_projectors_form_a_family(self):
+        fam = schur_pinching(QUTRIT, 3).family
+        ProjectorFamily(dim=fam.dim, projectors=fam.projectors)  # validating constructor
+
+    def test_labels_name_each_projector(self):
+        fam = schur_pinching(QUBIT, 3).family
+        assert [(rows, int(e)) for rows, e in fam.labels] == [
+            ((3,), 0), ((3,), 1), ((3,), 2), ((3,), 3), ((2, 1), 1), ((2, 1), 2)
+        ]
+
+    def test_non_unitary_basis_rejected(self):
+        u = np.eye(4)
+        u[0, 1] = PROJ_TOL  # ||U^T U - I||_F = sqrt(2) PROJ_TOL > PROJ_TOL / 2
+        with pytest.raises(ValueError):
+            BasisFamily(unitary=u, groups=[0, 0, 1, 1])
+
+    def test_groups_must_number_every_projector(self):
+        with pytest.raises(ValueError):
+            BasisFamily(unitary=np.eye(3), groups=[0, 2, 2])
+
+
+class TestRandomStateBounds:
+    @settings(max_examples=30)
+    @given(case=st.sampled_from([(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_pinching_inequality_and_loss_bound(self, case, seed):
+        """P(rho^k) >= rho^k / (k+1)^{2(d-1)} and (1/k) D(rho^k || P(rho^k))
+        <= 2(d-1) ln(k+1)/k on random mixed states."""
+        d, k = case
+        ctx = QUBIT if d == 2 else QUTRIT
+        channel = schur_pinching(ctx, k)
+        rk = tensor_power(_random_state(np.random.default_rng(seed), d), k)
+        _, ok = pinching_inequality_check(channel, rk, (k + 1) ** (2 * (d - 1)))
+        assert ok
+        assert relative_entropy_loss(channel, rk, k) <= 2 * (d - 1) / k * math.log(k + 1) + 1e-10

@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermoflux.core import ThermalContext, thermal_state, tensor_power
 from thermoflux.schur import (
-    SchurBasis,
     YoungDiagram,
+    _fix_phase,
+    _perm_index_map,
     build_schur_basis,
     decompose_permutation_invariant,
     enumerate_young_diagrams,
@@ -20,6 +23,7 @@ from thermoflux.schur import (
     weyl_dimension,
     yor_matrix,
 )
+from thermoflux.typeclass import compositions, strings_of_type
 
 QUBIT = ThermalContext(levels=(0, 1), beta=1.0)
 
@@ -105,7 +109,7 @@ class TestSymmetricGroupRepresentation:
 
 class TestSchurBasisConstruction:
     def test_change_of_basis_is_unitary(self):
-        for n, d in [(2, 2), (3, 2), (4, 2), (2, 3)]:
+        for n, d in [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3), (2, 4)]:
             u = build_schur_basis(n, d).change_of_basis
             assert np.allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=1e-10)
 
@@ -164,3 +168,130 @@ class TestInvariantDecomposition:
         a = np.diag([0.0, 1.0, 0.0, 0.0])  # weight on |01> only: breaks swap symmetry
         with pytest.raises(ValueError):
             decompose_permutation_invariant(a, basis)
+
+
+def _oracle(n, d):
+    """The construction by sums over all n! permutations: matrix units
+    E_ts = (m/n!) sum_pi u(pi)_ts V_pi in Young's orthogonal form, copy 0 read
+    off the range of E_00 type class by type class by an SVD, copy t = E_t0
+    copy 0.  Returns per diagram (copies, {type: E_00 image of the type's
+    strings in increasing index order})."""
+    dim = d ** n
+    perms = list(itertools.permutations(range(n)))
+    maps = {p: _perm_index_map(p, n, d) for p in perms}
+    types = [tuple(int(c) for c in f) for f in compositions(n, d)[::-1]]
+    out = []
+    for diagram in enumerate_young_diagrams(n, d):
+        n_lam, m_lam = irrep_dimensions(diagram, d)
+        yor = {p: yor_matrix(diagram, p) for p in perms}
+
+        def unit(t_out, t_in, vecs):
+            acc = np.zeros_like(vecs)
+            for p in perms:
+                acc += yor[p][t_out, t_in] * vecs[maps[p], :]
+            return (m_lam / math.factorial(n)) * acc
+
+        cols, images = [], {}
+        for f in types:
+            strings = strings_of_type(f)
+            seeds = np.zeros((dim, len(strings)))
+            seeds[strings, np.arange(len(strings))] = 1.0
+            images[f] = unit(0, 0, seeds)
+            q, sv, _ = np.linalg.svd(images[f], full_matrices=False)
+            cols += [_fix_phase(q[:, r]) for r in range(int(np.sum(sv > 1e-8)))]
+        copies = np.zeros((dim, n_lam, m_lam))
+        copies[:, :, 0] = np.column_stack(cols)
+        for t in range(1, m_lam):
+            copies[:, :, t] = unit(t, 0, copies[:, :, 0])
+        out.append((copies, images))
+    return out
+
+
+def _gram_schmidt_rule(image):
+    """The canonical rule, stated apart from the library: Gram-Schmidt with one
+    reorthogonalisation over the columns in order, residuals below 1e-6
+    skipped, first nonzero amplitude made positive."""
+    vecs = []
+    for col in image.T:
+        v = col.copy()
+        for _ in range(2):
+            for w in vecs:
+                v = v - (w @ v) * w
+        if np.linalg.norm(v) >= 1e-6:
+            v = v / np.linalg.norm(v)
+            vecs.append(v * np.sign(v[np.flatnonzero(np.abs(v) > 1e-9)[0]]))
+    return np.array(vecs).T.reshape(len(image), len(vecs))
+
+
+class TestAgainstPermutationSumOracle:
+    @pytest.mark.parametrize("n, d", [(2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (2, 3), (3, 3)])
+    def test_basis_matches_oracle(self, n, d):
+        basis = build_schur_basis(n, d)
+        for block, (copies, _) in zip(basis.blocks, _oracle(n, d)):
+            assert np.max(np.abs(block.copies - copies)) <= 1e-10
+
+    def test_qutrit_four_copies_subspaces_match_and_vectors_follow_the_rule(self):
+        """Where a (lambda, type) subspace has dimension above 1 the oracle's
+        vectors are set by the SVD's rounding; the subspaces must still agree,
+        and copy 0 must be the canonical rule applied to the oracle's image."""
+        basis = build_schur_basis(4, 3)
+        for block, (copies, images) in zip(basis.blocks, _oracle(4, 3)):
+            for f, image in images.items():
+                sel = [i for i, g in enumerate(block.types) if g == f]
+                if not sel:
+                    assert _gram_schmidt_rule(image).shape[1] == 0
+                    continue
+                for t in range(block.sym_dim):
+                    ours, theirs = block.copies[:, sel, t], copies[:, sel, t]
+                    assert np.max(np.abs(ours @ ours.T - theirs @ theirs.T)) <= 1e-10
+                assert np.max(np.abs(block.weyl_basis[:, sel] - _gram_schmidt_rule(image))) <= 1e-10
+
+
+class TestCachedBasis:
+    def test_built_once_per_size(self):
+        assert build_schur_basis(4, 2) is build_schur_basis(4, 2)
+
+    def test_arrays_are_read_only(self):
+        basis = build_schur_basis(3, 2)
+        block = basis.blocks[1]
+        for arr in (basis.change_of_basis, block.copies, block.weyl_basis):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+        assert np.shares_memory(block.copies, basis.change_of_basis)
+
+    def test_qubit_eight_copies(self):
+        basis = build_schur_basis(8, 2)
+        u = basis.change_of_basis
+        assert np.linalg.norm(u.T @ u - np.eye(256)) <= 1e-11
+        assert [b.weyl_dim * b.sym_dim for b in basis.blocks] == [9, 49, 100, 84, 14]
+
+
+SIZES = st.sampled_from([(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3), (2, 4)])
+
+
+class TestSchurProperties:
+    @settings(max_examples=25)
+    @given(size=SIZES, seed=st.integers(0, 2 ** 32 - 1))
+    def test_invariant_operators_block_diagonalise(self, size, seed):
+        """U is unitary, and sum_i c_i X_i^{x n} for random complex X_i (such
+        operators span the permutation-invariant ones) becomes
+        (+) A_lambda (x) I_m."""
+        n, d = size
+        rng = np.random.default_rng(seed)
+        a = sum(
+            rng.normal() * tensor_power(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), n)
+            for _ in range(3)
+        )
+        basis = build_schur_basis(n, d)
+        u = basis.change_of_basis
+        assert np.linalg.norm(u.conj().T @ u - np.eye(len(u))) <= 5e-11
+        got = u.conj().T @ a @ u
+        want = np.zeros_like(got)
+        offset = 0
+        for b in basis.blocks:
+            size_b = b.weyl_dim * b.sym_dim
+            sub = got[offset:offset + size_b, offset:offset + size_b]
+            a_lam = sub.reshape(b.weyl_dim, b.sym_dim, b.weyl_dim, b.sym_dim)[:, 0, :, 0]
+            want[offset:offset + size_b, offset:offset + size_b] = np.kron(a_lam, np.eye(b.sym_dim))
+            offset += size_b
+        assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(a)))

@@ -19,6 +19,7 @@ from thermoflux.typeclass import (
     injection_feasible,
     log_freq_count,
     log_multinomial_rows,
+    strings_of_type,
     type_log_probability,
     typical_mass,
 )
@@ -76,6 +77,21 @@ class TestCounting:
     def test_enumeration_is_colexicographic(self):
         freqs = [f.counts for f in enumerate_freqs(4, 3)]
         assert freqs == sorted(freqs, key=lambda c: c[::-1])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_strings_of_type_match_the_permutation_walk(self, d):
+        """Every type with n <= 6 letters: the sorted indices that walking all
+        n! orderings of the type's letters and deduplicating gives."""
+        for n in range(7):
+            for f in compositions(n, d):
+                letters = [s for s, c in enumerate(f) for _ in range(c)]
+                walked = sorted({
+                    sum(s * d ** (n - 1 - pos) for pos, s in enumerate(perm))
+                    for perm in itertools.permutations(letters)
+                })
+                got = strings_of_type(f)
+                assert got.dtype == np.int64
+                assert got.tolist() == walked
 
     def test_vectorized_rows_agree_with_scalar(self):
         rows = np.array([[3, 2], [5, 0], [1, 4], [400, 17]])
