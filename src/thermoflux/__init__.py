@@ -2,28 +2,20 @@
 
 from thermoflux.core import (
     DensityMatrix,
-    SubnormalizedState,
     ThermalContext,
     HamiltonianOperator,
     thermal_state,
     relative_entropy,
-    lindblad_relative_entropy,
-    fidelity_to_pure,
     tensor_power,
-    partial_trace,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DensityMatrix",
-    "SubnormalizedState",
     "ThermalContext",
     "HamiltonianOperator",
     "thermal_state",
     "relative_entropy",
-    "lindblad_relative_entropy",
-    "fidelity_to_pure",
     "tensor_power",
-    "partial_trace",
 ]

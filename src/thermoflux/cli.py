@@ -40,7 +40,14 @@ STATE_PRESETS = ("ground", "plus", "thermal", "maximally-mixed")
 _CONFIG_KEYS = {
     "mode", "state", "levels", "beta", "n_grid", "seeds", "params", "output",
 }
-_PARAM_KEYS = {"k", "l", "c", "margin_factor", "M", "eta"}
+# the params keys each mode reads; any other key is rejected
+_PARAM_KEYS = {
+    "classical": {"l", "c"},
+    "aware": {"k"},
+    "universal": {"c", "margin_factor"},
+    "mnp": {"M"},
+    "tomo": {"k", "eta"},
+}
 
 
 @dataclass(frozen=True)
@@ -62,13 +69,13 @@ class ExperimentConfig:
         for key in ("mode", "state", "levels", "beta", "n_grid", "seeds"):
             if key not in raw:
                 raise ConfigError(f"missing config key: {key}")
-        params = dict(raw.get("params", {}))
-        bad = set(params) - _PARAM_KEYS
-        if bad:
-            raise ConfigError(f"unknown params keys: {sorted(bad)}")
         mode = raw["mode"]
-        if mode not in ("classical", "aware", "universal", "mnp", "tomo"):
+        if mode not in _PARAM_KEYS:
             raise ConfigError(f"unknown mode {mode!r}")
+        params = dict(raw.get("params", {}))
+        bad = set(params) - _PARAM_KEYS[mode]
+        if bad:
+            raise ConfigError(f"params keys {sorted(bad)} are not read by mode {mode!r}")
         if not raw["n_grid"] or not raw["seeds"]:
             raise ConfigError("n_grid and seeds must be non-empty")
         return cls(
@@ -338,10 +345,8 @@ def _cmd_pinch(args) -> int:
     k = args.copies
     if args.kind == "energy":
         channel = pinching.energy_pinching(ctx, k)
-    elif args.kind == "schur":
-        channel = pinching.schur_pinching(ctx, k)
     else:
-        raise ConfigError(f"unknown channel kind {args.kind!r}")
+        channel = pinching.schur_pinching(ctx, k)
     rk = _entries(tensor_power(rho, k))
     out = pinching.apply(channel, rk)
     loss = pinching.relative_entropy_loss(channel, rk, k)
@@ -477,12 +482,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pinch)
 
     p = sub.add_parser("extract", help="run one protocol instance")
-    p.add_argument("--mode", choices=("classical", "aware", "universal", "mnp", "tomo"),
-                   required=True)
+    p.add_argument("--mode", choices=tuple(_PARAM_KEYS), required=True)
     p.add_argument("--state", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=int, default=None, help="block size (aware and tomo modes)")
     p.add_argument("--exact", action="store_true",
                    help="universal mode: skip the measurement stage")
     p.add_argument("--csv", default=None, help="append the result row here")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -51,7 +51,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _validate_state(entries: np.ndarray, *, subnormalized: bool) -> np.ndarray:
+def _validate_state(entries: np.ndarray) -> np.ndarray:
     entries = np.asarray(entries, dtype=complex)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {entries.shape}")
@@ -62,12 +62,8 @@ def _validate_state(entries: np.ndarray, *, subnormalized: bool) -> np.ndarray:
     if evals.min() < -PSD_TOL:
         raise ValueError(f"matrix not PSD: min eigenvalue {evals.min():g}")
     tr = float(entries.trace().real)
-    if subnormalized:
-        if not (0.0 < tr <= 1.0 + TRACE_TOL):
-            raise ValueError(f"subnormalized trace must be in (0,1], got {tr:g}")
-    else:
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace must be 1, got {tr:.12g}")
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"trace must be 1, got {tr:.12g}")
     return _frozen(entries)
 
 
@@ -78,7 +74,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _validate_state(self.entries, subnormalized=False))
+        object.__setattr__(self, "entries", _validate_state(self.entries))
 
     @property
     def dim(self) -> int:
@@ -96,27 +92,6 @@ class DensityMatrix:
 
     def diagonal(self) -> np.ndarray:
         return self.entries.diagonal().real.copy()
-
-
-@dataclass(frozen=True)
-class SubnormalizedState:
-    """Hermitian PSD matrix with trace in (0, 1]."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _validate_state(self.entries, subnormalized=True))
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def trace(self) -> float:
-        return float(self.entries.trace().real)
-
-    def normalized(self) -> DensityMatrix:
-        return DensityMatrix(self.entries / self.trace)
 
 
 def _as_fraction(x) -> Fraction:
@@ -225,7 +200,7 @@ def thermal_state(ctx: ThermalContext, copies: int = 1) -> DensityMatrix:
 
 
 def _entries(rho) -> np.ndarray:
-    if isinstance(rho, (DensityMatrix, SubnormalizedState)):
+    if isinstance(rho, DensityMatrix):
         return rho.entries
     return np.asarray(rho, dtype=complex)
 
@@ -268,25 +243,6 @@ def relative_entropy(rho, sigma) -> float:
     return term1 - term2
 
 
-def lindblad_relative_entropy(rho, sigma) -> float:
-    """Lindblad extension D_L = Tr[rho ln rho - rho ln sigma] + Tr sigma - Tr rho."""
-    r = _entries(rho)
-    s = _entries(sigma)
-    return relative_entropy(r, s) + float(s.trace().real) - float(r.trace().real)
-
-
-def fidelity_to_pure(rho, psi) -> float:
-    """Squared-overlap fidelity <psi|rho|psi> against a pure target."""
-    r = _entries(rho)
-    v = np.asarray(psi, dtype=complex).ravel()
-    if v.shape[0] != r.shape[0]:
-        raise DimensionMismatchError(f"vector dim {v.shape[0]} vs matrix dim {r.shape[0]}")
-    nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > 1e-10:
-        raise ValueError(f"target vector not normalized: |psi| = {nrm:.12g}")
-    return float((v.conj() @ r @ v).real)
-
-
 def tensor_power(rho, n: int):
     """n-fold Kronecker power."""
     r = _entries(rho)
@@ -296,44 +252,11 @@ def tensor_power(rho, n: int):
         out = np.kron(out, r)
     if isinstance(rho, DensityMatrix):
         return DensityMatrix(out)
-    if isinstance(rho, SubnormalizedState):
-        return SubnormalizedState(out)
-    return out
-
-
-def partial_trace(rho, dims, keep):
-    """Trace out all subsystems not listed in keep.
-
-    dims: tuple of subsystem dimensions; keep: iterable of subsystem indices.
-    """
-    r = _entries(rho)
-    dims = tuple(int(d) for d in dims)
-    if int(np.prod(dims)) != r.shape[0]:
-        raise DimensionMismatchError(f"prod(dims)={np.prod(dims)} vs matrix dim {r.shape[0]}")
-    keep = sorted(set(int(k) for k in keep))
-    ns = len(dims)
-    if any(k < 0 or k >= ns for k in keep):
-        raise DimensionMismatchError(f"keep indices {keep} out of range for {ns} subsystems")
-    t = r.reshape(dims + dims)
-    # contract traced subsystems pairwise
-    traced = [i for i in range(ns) if i not in keep]
-    for count, i in enumerate(traced):
-        axis1 = i - count
-        axis2 = axis1 + (ns - count)
-        t = np.trace(t, axis1=axis1, axis2=axis2)
-    dkeep = int(np.prod([dims[k] for k in keep])) if keep else 1
-    out = t.reshape(dkeep, dkeep)
-    if isinstance(rho, DensityMatrix):
-        return DensityMatrix(out)
-    if isinstance(rho, SubnormalizedState):
-        return SubnormalizedState(out)
     return out
 
 
 def trace_distance(rho, sigma) -> float:
-    """(1/2)||rho - sigma||_1 ... returned as the full l1 norm of the difference.
-
-    Note: the continuity bound uses the unhalved trace norm ||rho1 - rho2||_1.
-    """
+    """The unhalved trace norm ||rho - sigma||_1 (twice the trace distance),
+    the quantity the relative-entropy continuity bound is stated in."""
     diff = _entries(rho) - _entries(sigma)
     return float(np.sum(np.abs(np.linalg.eigvalsh(diff))))

@@ -1,7 +1,7 @@
 """Sampling simulation and statistical guarantees for the learning step.
 
 Hoeffding sample sizing, seeded type sampling with a documented stream-splitting
-rule, and relative-entropy estimation with continuity-bound error bars.
+rule, and the classical relative entropy of the estimated statistics.
 """
 
 from __future__ import annotations
@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from thermoflux.core import ThermalContext
 
 
 @dataclass(frozen=True)
@@ -53,14 +51,6 @@ class EmpiricalDistribution:
         return np.array(self.counts, dtype=float) / self.m
 
 
-@dataclass(frozen=True)
-class EstimatorReport:
-    estimate: float  # per-copy D(p_hat || t^k)/k, nats
-    radius: float  # l1 confidence radius on p_hat
-    error_bar: float  # continuity-bound propagated error, per copy
-    confidence: float
-
-
 def hoeffding_sample_size(d_alphabet: int, eta: float, delta: float) -> int:
     """Samples sufficient for Pr[||p - p_hat||_1 > eta] <= delta over a d-letter alphabet."""
     if not (0 < eta <= 1) or not (0 < delta < 1):
@@ -89,29 +79,3 @@ def classical_relative_entropy(p, q) -> float:
     if np.any(q[mask] <= 0):
         raise ValueError("p has support outside q")
     return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
-
-
-def estimate_relative_entropy(
-    p_hat, ctx: ThermalContext, k: int, r: float, confidence: float = None
-) -> EstimatorReport:
-    """Per-copy relative entropy of the empirical k-copy type against t^k.
-
-    The k-copy alphabet is ordered canonically (base-d digit strings), so the
-    thermal reference is the k-fold Kronecker power of the single-copy Gibbs
-    distribution.  Error bar is the Lemma-style continuity constant at k copies
-    times the l1 radius, divided by k.
-    """
-    if isinstance(p_hat, EmpiricalDistribution):
-        p_hat = p_hat.p_hat
-    p_hat = np.asarray(p_hat, dtype=float)
-    t = ctx.gibbs_probabilities()
-    tk = t
-    for _ in range(k - 1):
-        tk = np.kron(tk, t)
-    if p_hat.shape[0] != tk.shape[0]:
-        raise ValueError(f"p_hat has {p_hat.shape[0]} letters, expected {tk.shape[0]}")
-    d_hat = classical_relative_entropy(p_hat, tk) / k
-    err = ctx.continuity_constant(k) * r / k
-    return EstimatorReport(
-        estimate=d_hat, radius=r, error_bar=err, confidence=confidence if confidence is not None else float("nan")
-    )

@@ -33,6 +33,7 @@ from thermoflux.estimation import (
     EmpiricalDistribution,
     SamplingOracle,
     classical_relative_entropy,
+    hoeffding_sample_size,
     sample_types,
 )
 from thermoflux.pinching import apply as pinch_apply
@@ -496,14 +497,13 @@ class UniversalParams:
         delta_prime = n ** (-1.0 / 6.0)
         alpha_k = ctx.continuity_constant(k)
         r_sched = delta_prime / (3.0 * alpha_k)
-        budget_logs = d ** k * math.log(2) + math.log(2.0 / eps)
-        m_hoeffding = math.ceil(budget_logs / (2 * r_sched ** 2))
+        m_hoeffding = hoeffding_sample_size(d ** k, r_sched, eps / 2.0)
         m_cap = max(1, math.ceil(q / 2))
         if m_hoeffding <= m_cap:
             m, r = m_hoeffding, r_sched
         else:
-            m = m_cap
-            r = math.sqrt(budget_logs / (2 * m))
+            m = m_cap  # r: the radius at which the Hoeffding formula gives exactly m
+            r = math.sqrt((d ** k * math.log(2) + math.log(2.0 / eps)) / (2 * m))
         return cls(n=n, k=k, m=m, eps=eps, delta_prime=delta_prime, r=r, c=c,
                    margin_factor=margin_factor)
 
@@ -803,51 +803,6 @@ def tomographic_universal_protocol(
         plan_mode=plan_mode,
         seed=seed,
     )
-
-
-# ---------------------------------------------------------------------------
-# conditioned protocols (measure, then thermally operate per branch)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConditionedProtocol:
-    """Incoherent measurement on the first subsystem, then a branch channel on
-    the second; the composite must stay Gibbs-preserving."""
-
-    measurement: object  # projector family on H_A (ProjectorFamily or BasisFamily)
-    branches: tuple  # callables rho_B -> rho_B (matrices in/out)
-    ctx: ThermalContext
-    copies_measured: int
-    copies_remaining: int
-
-
-def verify_conditioned_protocol(cp: ConditionedProtocol, tol: float = 1e-9) -> dict:
-    """Check measurement incoherence, per-branch Gibbs preservation, and
-    Gibbs preservation of the measure-then-branch composite."""
-    violations = []
-    ctx = cp.ctx
-    ham_a = HamiltonianOperator(ctx, cp.copies_measured).matrix()
-    for a, proj in enumerate(cp.measurement.projectors):
-        dev = np.max(np.abs(proj @ ham_a - ham_a @ proj))
-        if dev > 1e-10:
-            violations.append(f"measurement element {a} not incoherent (dev {dev:g})")
-    tau_b = _entries(tensor_power(thermal_state(ctx), cp.copies_remaining))
-    for a, branch in enumerate(cp.branches):
-        out = branch(tau_b)
-        dev = np.max(np.abs(out - tau_b))
-        if dev > tol:
-            violations.append(f"branch {a} not Gibbs-preserving (dev {dev:g})")
-    # composite on tau_A (x) tau_B
-    tau_a = _entries(tensor_power(thermal_state(ctx), cp.copies_measured))
-    composite = np.zeros_like(tau_b)
-    for proj, branch in zip(cp.measurement.projectors, cp.branches):
-        weight = float(np.trace(proj @ tau_a).real)
-        composite += weight * branch(tau_b)
-    dev = np.max(np.abs(composite - tau_b))
-    if dev > tol:
-        violations.append(f"composite not Gibbs-preserving (dev {dev:g})")
-    return {"passes": not violations, "violations": violations}
 
 
 # ---------------------------------------------------------------------------

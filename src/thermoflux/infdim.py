@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import zeta
 
-from thermoflux.core import SubnormalizedState, ThermalContext
+from thermoflux.core import ThermalContext
 from thermoflux.estimation import classical_relative_entropy
 from thermoflux.extraction import ProtocolOutcome, WorkAlphabet, run_pipeline
 
@@ -100,15 +100,6 @@ class TailState:
             return self.head_mass(d)
         s = self.s
         return 1.0 - d ** (1.0 - s) / ((s - 1.0) * float(zeta(s, 1)))
-
-    def tail_bound_check(self, d_check: int = 1000) -> bool:
-        """Integral-test certificate: zeta(s, d+1) <= d^{1-s}/(s-1), so the
-        tail mass beyond d is <= d^{1-s}/((s-1) zeta(s))."""
-        if self.coefficients is not None:
-            return True
-        s = self.s
-        bound = d_check ** (1.0 - s) / (s - 1.0)
-        return float(zeta(s, d_check + 1)) <= bound * (1 + 1e-12)
 
     def matrix(self, d: int) -> np.ndarray:
         """Truncated (subnormalized) matrix on the first d levels."""
@@ -199,14 +190,6 @@ class InfiniteContext:
         levels = tuple(Fraction(self.energy(i)).limit_denominator(10 ** 9)
                        for i in range(1, d + 1))
         return ThermalContext(levels=levels, beta=self.beta)
-
-
-def truncate(rho: TailState, d: int):
-    """Project onto the first d levels: (SubnormalizedState, success_mass)."""
-    if d < 1:
-        raise ValueError("d >= 1 required")
-    mass = rho.head_mass(d)
-    return SubnormalizedState(rho.matrix(d)), mass
 
 
 def log_success_probability(rho: TailState, d: int, n: int) -> float:
@@ -457,30 +440,3 @@ def semiuniversal_protocol(
         seed=seed,
         success=math.exp(log_success_probability(rho_true, d_n, n_run)),
     )
-
-
-def empirical_misidentification_rate(
-    S: CandidateSet,
-    true_index: int,
-    d_tilde: int,
-    id_samples: int,
-    trials: int,
-    seed: int = 0,
-) -> float:
-    """Distribution-level repeat of the identification stage alone."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 947]))
-    width = max(len(_pinched_letter_distribution(st, d_tilde)) for st in S.states)
-
-    def pad(p):
-        return np.concatenate([p, np.zeros(width - len(p))])
-
-    p_true = pad(_pinched_letter_distribution(S.states[true_index], d_tilde))
-    cands = [pad(_pinched_letter_distribution(st, d_tilde)) for st in S.states]
-    bad = 0
-    draws = rng.multinomial(id_samples, p_true, size=trials)
-    for counts in draws:
-        p_hat = counts / id_samples
-        dists = [float(np.abs(p_hat - c).sum()) for c in cands]
-        if int(np.argmin(dists)) != true_index:
-            bad += 1
-    return bad / trials

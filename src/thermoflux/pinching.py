@@ -1,4 +1,4 @@
-"""Pinching channels: energy pinching, Schur pinching, coarse two-block pinching.
+"""Pinching channels: energy pinching and joint Schur/energy pinching.
 
 Includes the mixture-of-energy-conserving-unitaries realization and the
 quantitative pinching inequality / relative-entropy loss checks.
@@ -52,9 +52,6 @@ class ProjectorFamily:
 
     def __len__(self) -> int:
         return len(self.projectors)
-
-    def commutes_with(self, h: np.ndarray, tol: float = PROJ_TOL) -> bool:
-        return all(np.max(np.abs(p @ h - h @ p)) <= tol for p in self.projectors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,14 +109,10 @@ class BasisFamily:
             for cols in (np.flatnonzero(self.groups == j) for j in range(len(self)))
         )
 
-    def commutes_with(self, h: np.ndarray, tol: float = PROJ_TOL) -> bool:
-        return all(np.max(np.abs(p @ h - h @ p)) <= tol for p in self.projectors)
-
 
 @dataclass(frozen=True)
 class PinchingChannel:
     family: BasisFamily
-    kind: str  # energy | schur | coarse
 
     @property
     def dim(self) -> int:
@@ -141,19 +134,16 @@ def apply(channel: PinchingChannel, rho):
     return out
 
 
-def _identity_family(groups, labels=None) -> BasisFamily:
-    return BasisFamily(unitary=np.eye(len(groups)), groups=groups, labels=labels)
-
-
 def energy_pinching(ctx: ThermalContext, n: int) -> PinchingChannel:
     """One diagonal projector per distinct total energy of H^{x n} (exact grouping)."""
     levels = HamiltonianOperator(ctx, n).exact_levels()
     energies = sorted(set(levels))
     index = {e: j for j, e in enumerate(energies)}
-    return PinchingChannel(
-        family=_identity_family([index[e] for e in levels], tuple((None, e) for e in energies)),
-        kind="energy",
-    )
+    return PinchingChannel(family=BasisFamily(
+        unitary=np.eye(len(levels)),
+        groups=[index[e] for e in levels],
+        labels=tuple((None, e) for e in energies),
+    ))
 
 
 def schur_pinching(ctx: ThermalContext, n: int, basis: SchurBasis = None) -> PinchingChannel:
@@ -176,16 +166,8 @@ def schur_pinching(ctx: ThermalContext, n: int, basis: SchurBasis = None) -> Pin
     if len(labels) > bound:
         raise RuntimeError(f"projector count {len(labels)} exceeds bound {bound}")
     return PinchingChannel(
-        family=BasisFamily(unitary=basis.change_of_basis, groups=groups, labels=tuple(labels)),
-        kind="schur",
+        family=BasisFamily(unitary=basis.change_of_basis, groups=groups, labels=tuple(labels))
     )
-
-
-def coarse_pinching(d_cut: int, dim: int) -> PinchingChannel:
-    """Two-block pinching {Pi_{d_cut}, I - Pi_{d_cut}} for truncation experiments."""
-    if not (1 <= d_cut < dim):
-        raise ValueError(f"need 1 <= d_cut < dim, got d_cut={d_cut}, dim={dim}")
-    return PinchingChannel(family=_identity_family([0] * d_cut + [1] * (dim - d_cut)), kind="coarse")
 
 
 def mixture_realization(channel: PinchingChannel) -> list:
@@ -213,18 +195,6 @@ def relative_entropy_loss(channel: PinchingChannel, rho_tensor_k, k: int) -> flo
     """(1/k) D(rho^k || P(rho^k)) — the per-copy pinching loss."""
     r = _entries(rho_tensor_k)
     return relative_entropy(r, apply(channel, r)) / k
-
-
-def choi_matrix(channel: PinchingChannel) -> np.ndarray:
-    """Choi matrix (unnormalized); PSD iff the channel is completely positive."""
-    d = channel.dim
-    # Choi = sum_j (I (x) P_j) |Omega><Omega| (I (x) P_j), |Omega> = sum_a |a>|a>
-    omega = np.eye(d).reshape(d * d)
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    for p in channel.family.projectors:
-        v = (np.kron(np.eye(d), p) @ omega).reshape(d * d, 1)
-        choi += v @ v.conj().T
-    return choi
 
 
 def schur_pinched_distribution(ctx: ThermalContext, k: int, rho, basis: SchurBasis = None):

@@ -1,9 +1,10 @@
 """Method-of-types combinatorics in log domain.
 
-Multinomial type counts, composition enumeration, the injection-feasibility
-counting inequality (row-wise or over a whole (f, g) grid), and typical sets.
-Feasibility decisions within the floating-point slack are re-checked in exact
-big-integer arithmetic so the predicate never flips due to rounding.
+Multinomial type counts and log-probabilities, composition enumeration, and the
+injection-feasibility counting inequality (row-wise or over a whole (f, g)
+grid).  A type is an int row of occupation counts.  Feasibility decisions
+within the floating-point slack are re-checked in exact big-integer arithmetic
+so the predicate never flips due to rounding.
 """
 
 from __future__ import annotations
@@ -17,25 +18,6 @@ from scipy.special import gammaln
 FEASIBILITY_SLACK = 1e-9
 ENUM_CAP = 10 ** 7
 GRID_CHUNK = 1 << 14  # (f, g) pairs decided per block by feasible_grid
-
-
-@dataclass(frozen=True)
-class FreqVector:
-    counts: tuple
-
-    def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
-        if any(c < 0 for c in counts):
-            raise ValueError(f"negative count in {counts}")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def d(self) -> int:
-        return len(self.counts)
 
 
 @dataclass(frozen=True)
@@ -58,14 +40,7 @@ class ShiftFunction:
 
 
 def _counts(f) -> tuple:
-    if isinstance(f, FreqVector):
-        return f.counts
     return tuple(int(c) for c in f)
-
-
-def log_freq_count(f) -> float:
-    """ln |Freq(n, f)| = ln( n! / prod f(i)! ) via log-gamma."""
-    return float(log_multinomial_rows(np.array(_counts(f))))
 
 
 def exact_freq_count(f) -> int:
@@ -106,12 +81,6 @@ def strings_of_type(f) -> np.ndarray:
         left = left[rows]
         left[np.arange(len(rows)), sym] -= 1
     return idx
-
-
-def enumerate_freqs(n: int, d: int):
-    """All occupation vectors of n items into d bins, colexicographic order."""
-    for counts in compositions(n, d)[:, ::-1]:
-        yield FreqVector(counts)
 
 
 def _exact_feasible(f, g, h) -> bool:
@@ -196,43 +165,3 @@ def log_type_prob_rows(counts, p) -> np.ndarray:
     out = log_multinomial_rows(counts) + counts[:, pos] @ np.log(p[pos])
     out[(counts[:, ~pos] > 0).any(axis=1)] = -np.inf
     return out
-
-
-def type_log_probability(f, p) -> float:
-    """ln[ |Freq(n,f)| prod_i p_i^{f(i)} ]; -inf when p_i = 0 with f(i) > 0."""
-    return float(log_type_prob_rows([_counts(f)], p)[0])
-
-
-@dataclass(frozen=True)
-class TypicalSet:
-    """Strongly delta-typical occupation vectors for base distribution p."""
-
-    p: tuple
-    n: int
-    delta: float
-
-    def contains(self, f) -> bool:
-        counts = _counts(f)
-        for c, pi in zip(counts, self.p):
-            if pi == 0.0:
-                if c != 0:
-                    return False
-            elif abs(c / self.n - pi) > self.delta:
-                return False
-        return True
-
-
-def typical_mass(p, n: int, delta: float) -> float:
-    """Exact probability that the empirical type is delta-typical."""
-    p = tuple(float(x) for x in p)
-    ts = TypicalSet(p=p, n=n, delta=delta)
-    logs = [
-        type_log_probability(f, p)
-        for f in enumerate_freqs(n, len(p))
-        if ts.contains(f)
-    ]
-    logs = [x for x in logs if x > -math.inf]
-    if not logs:
-        return 0.0
-    m = max(logs)
-    return float(math.exp(m) * sum(math.exp(x - m) for x in logs))

@@ -189,11 +189,34 @@ class TestCommandLine:
         rc = main(["sweep", "--config", str(config)])
         assert rc == 2
 
-    @pytest.mark.parametrize("params", [{"m": 3}, {"run_mode": "exact"}])
+    @pytest.mark.parametrize("params", [
+        ("universal", {"m": 3}), ("universal", {"run_mode": "exact"}), ("universal", {"k": 3}),
+        ("universal", {"l": 100}), ("universal", {"M": 4}), ("universal", {"eta": 0.1}),
+        ("classical", {"k": 2}), ("classical", {"M": 4}), ("aware", {"c": 1.0}),
+        ("aware", {"eta": 0.1}), ("mnp", {"k": 5}), ("mnp", {"l": 100}),
+        ("tomo", {"M": 4}), ("tomo", {"margin_factor": 1.0}),
+    ])
     def test_unread_param_rejected(self, tmp_path, capsys, params):
+        """A params key the mode does not read exits 2 (params: (mode, keys))."""
+        mode, keys = params
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps(base_config(mode="universal", params=params)))
+        config.write_text(json.dumps(base_config(mode=mode, params=keys)))
         assert main(["sweep", "--config", str(config)]) == 2
+        assert "not read by mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, params", [
+        ("classical", {"l": 100, "c": 1.0}), ("aware", {"k": 2}),
+        ("universal", {"c": 1.0, "margin_factor": 2.0}), ("mnp", {"M": 4}),
+        ("tomo", {"k": 2, "eta": 0.1}),
+    ])
+    def test_params_read_by_the_mode_accepted(self, mode, params):
+        assert ExperimentConfig.from_dict(base_config(mode=mode, params=params)).params == params
+
+    @pytest.mark.parametrize("mode, rc", [
+        ("universal", 2), ("mnp", 2), ("classical", 2), ("aware", 0), ("tomo", 0),
+    ])
+    def test_extract_k_only_where_read(self, capsys, mode, rc):
+        assert main(["extract", "--mode", mode, "--state", "ground", "--n", "12", "--k", "2"]) == rc
 
     @pytest.mark.parametrize("mode", ["classical", "aware", "mnp", "tomo"])
     def test_exact_flag_outside_universal_rejected(self, capsys, mode):

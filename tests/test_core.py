@@ -9,15 +9,10 @@ import pytest
 from thermoflux.core import (
     DensityMatrix,
     DimensionCapError,
-    DimensionMismatchError,
     HamiltonianOperator,
-    SubnormalizedState,
     SupportViolationError,
     ThermalContext,
     dim_cap,
-    fidelity_to_pure,
-    lindblad_relative_entropy,
-    partial_trace,
     relative_entropy,
     tensor_power,
     thermal_state,
@@ -52,17 +47,6 @@ class TestDensityMatrix:
         rho = DensityMatrix.from_diagonal([0.5, 0.5])
         with pytest.raises(ValueError):
             rho.entries[0, 0] = 1.0
-
-
-class TestSubnormalizedState:
-    def test_trace_below_one_allowed(self):
-        s = SubnormalizedState(np.diag([0.3, 0.2]))
-        assert s.trace == pytest.approx(0.5)
-        assert np.allclose(s.normalized().diagonal(), [0.6, 0.4])
-
-    def test_trace_above_one_rejected(self):
-        with pytest.raises(ValueError):
-            SubnormalizedState(np.diag([0.8, 0.4]))
 
 
 class TestThermalContext:
@@ -156,22 +140,6 @@ class TestRelativeEntropy:
             )
 
 
-class TestLindbladRelativeEntropy:
-    def test_reduces_to_relative_entropy_when_normalized(self):
-        rho = DensityMatrix.from_diagonal([0.9, 0.1])
-        tau = thermal_state(QUBIT)
-        assert lindblad_relative_entropy(rho.entries, tau.entries) == pytest.approx(
-            relative_entropy(rho, tau), abs=1e-12
-        )
-
-    def test_scaled_thermal_state(self):
-        """D_L(c tau || tau) = c ln c + 1 - c."""
-        tau = thermal_state(QUBIT).entries
-        c = 0.5
-        expected = c * math.log(c) + 1.0 - c
-        assert lindblad_relative_entropy(c * tau, tau) == pytest.approx(expected, abs=1e-12)
-
-
 class TestTensorAlgebra:
     def test_tensor_power_dimensions(self):
         tau = thermal_state(QUBIT)
@@ -183,12 +151,6 @@ class TestTensorAlgebra:
         z = sum(math.exp(-float(e)) for e in ham.exact_levels())
         diag = np.array([math.exp(-float(e)) / z for e in ham.exact_levels()])
         assert np.allclose(tau3.diagonal(), diag, atol=1e-12)
-
-    def test_partial_trace_recovers_marginal(self):
-        tau = thermal_state(QUBIT)
-        tau3 = tensor_power(tau, 3)
-        reduced = partial_trace(tau3.entries, [2, 2, 2], keep=[1])
-        assert np.allclose(reduced, tau.entries, atol=1e-12)
 
     def test_dim_cap_enforced(self, monkeypatch):
         monkeypatch.setenv("THERMOFLUX_DIM_CAP", "8")
@@ -202,14 +164,3 @@ class TestTensorAlgebra:
         b = DensityMatrix.from_diagonal([0.0, 1.0])
         assert trace_distance(a, b) == pytest.approx(2.0)
 
-
-class TestFidelity:
-    def test_fidelity_to_pure_self(self):
-        v = np.array([1.0, 1.0]) / math.sqrt(2)
-        rho = DensityMatrix.pure(v)
-        assert fidelity_to_pure(rho, v) == pytest.approx(1.0)
-
-    def test_fidelity_mismatched_dims(self):
-        rho = DensityMatrix.from_diagonal([0.5, 0.5])
-        with pytest.raises(DimensionMismatchError):
-            fidelity_to_pure(rho, np.array([1.0, 0.0, 0.0]))

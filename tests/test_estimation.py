@@ -5,17 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from thermoflux.core import ThermalContext
 from thermoflux.estimation import (
     EmpiricalDistribution,
     SamplingOracle,
     classical_relative_entropy,
-    estimate_relative_entropy,
     hoeffding_sample_size,
     sample_types,
 )
-
-QUBIT = ThermalContext(levels=(0, 1), beta=1.0)
 
 
 class TestSamplingOracle:
@@ -83,27 +79,3 @@ class TestRelativeEntropyEstimation:
     def test_support_violation_raises(self):
         with pytest.raises(ValueError):
             classical_relative_entropy(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
-
-    def test_exact_input_recovers_true_value(self):
-        p = np.array([1.0, 0.0])
-        report = estimate_relative_entropy(p, QUBIT, k=1, r=0.0)
-        assert report.estimate == pytest.approx(math.log(1.0 + math.exp(-1.0)), abs=1e-12)
-        assert report.error_bar == 0.0
-
-    def test_error_bar_uses_continuity_constant(self):
-        p = np.array([1.0, 0.0, 0.0, 0.0])
-        report = estimate_relative_entropy(p, QUBIT, k=2, r=0.1)
-        assert report.error_bar == pytest.approx(QUBIT.continuity_constant(2) * 0.1 / 2)
-
-    def test_estimate_is_per_copy(self):
-        """Two copies of the ground state carry twice the relative entropy, so
-        the per-copy estimate is unchanged."""
-        p1 = np.array([1.0, 0.0])
-        p2 = np.array([1.0, 0.0, 0.0, 0.0])
-        r1 = estimate_relative_entropy(p1, QUBIT, k=1, r=0.0)
-        r2 = estimate_relative_entropy(p2, QUBIT, k=2, r=0.0)
-        assert r1.estimate == pytest.approx(r2.estimate, abs=1e-12)
-
-    def test_alphabet_size_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_relative_entropy(np.array([1.0, 0.0]), QUBIT, k=2, r=0.1)

@@ -17,7 +17,6 @@ from thermoflux.core import (
 from thermoflux.estimation import classical_relative_entropy
 from thermoflux.extraction import (
     BlockPartition,
-    ConditionedProtocol,
     ConverseViolationError,
     UniversalParams,
     WorkAlphabet,
@@ -30,12 +29,11 @@ from thermoflux.extraction import (
     state_aware_protocol,
     tomographic_universal_protocol,
     universal_protocol,
-    verify_conditioned_protocol,
 )
 from thermoflux.infdim import InfiniteContext, TailState
-from thermoflux.pinching import energy_pinching, schur_pinched_distribution
+from thermoflux.pinching import schur_pinched_distribution
 from thermoflux.schur import build_schur_basis
-from thermoflux.typeclass import ShiftFunction, enumerate_freqs
+from thermoflux.typeclass import ShiftFunction, compositions
 
 QUBIT = ThermalContext(levels=(0, 1), beta=1.0)
 ALPHABET = WorkAlphabet.from_context(QUBIT)
@@ -405,7 +403,7 @@ def _sequential_nearest(M, d, p, tol=1e-12):
     vectorised BlockPartition."""
     p = np.asarray(p, dtype=float)
     best, best_d, second = None, None, None
-    for vec in (f.counts for f in enumerate_freqs(M, d)):
+    for vec in (tuple(int(c) for c in f) for f in compositions(M, d)[:, ::-1]):
         dist = 0.5 * float(np.abs(np.array(vec) / M - p).sum())
         if best_d is None or dist < best_d - tol:
             best, best_d, second = vec, dist, None
@@ -434,7 +432,7 @@ class TestBlockPartition:
     def test_types_match_sequential_rule(self, d, M):
         partition = BlockPartition(M=M, d=d)
         for n in (7, 16):
-            F = np.array([f.counts for f in enumerate_freqs(n, d)])
+            F = compositions(n, d)[:, ::-1]
             blocks = [tuple(int(c) for c in partition.grid[i]) for i in partition.assign_types(F, n)]
             assert blocks == [_sequential_nearest(M, d, f / n)[0] for f in F]
             assert blocks == [partition.assign(f / n) for f in F]
@@ -464,50 +462,3 @@ class TestTomographicProtocol:
         noisy = tomographic_universal_protocol(plus, QUBIT, 40, k=2, eta=eta, seed=5)
         allowance = 2.0 * QUBIT.continuity_constant(2) * eta
         assert noisy.rate_nats >= perfect.rate_nats - allowance - 1e-9
-
-
-class TestConditionedProtocol:
-    def test_trivial_protocol_passes(self):
-        fam = energy_pinching(QUBIT, 1).family
-        cp = ConditionedProtocol(
-            measurement=fam,
-            branches=tuple(lambda r: r for _ in range(len(fam))),
-            ctx=QUBIT,
-            copies_measured=1,
-            copies_remaining=2,
-        )
-        report = verify_conditioned_protocol(cp)
-        assert report["passes"]
-
-    def test_coherent_measurement_flagged(self):
-        from thermoflux.pinching import ProjectorFamily
-
-        v = np.array([1.0, 1.0]) / math.sqrt(2)
-        w = np.array([1.0, -1.0]) / math.sqrt(2)
-        fam = ProjectorFamily(dim=2, projectors=(np.outer(v, v), np.outer(w, w)))
-        cp = ConditionedProtocol(
-            measurement=fam,
-            branches=(lambda r: r, lambda r: r),
-            ctx=QUBIT,
-            copies_measured=1,
-            copies_remaining=1,
-        )
-        report = verify_conditioned_protocol(cp)
-        assert not report["passes"]
-        assert any("incoherent" in v for v in report["violations"])
-
-    def test_non_gibbs_branch_flagged(self):
-        fam = energy_pinching(QUBIT, 1).family
-
-        def bad_branch(r):
-            return np.eye(r.shape[0]) / r.shape[0]
-
-        cp = ConditionedProtocol(
-            measurement=fam,
-            branches=(bad_branch, bad_branch),
-            ctx=QUBIT,
-            copies_measured=1,
-            copies_remaining=1,
-        )
-        report = verify_conditioned_protocol(cp)
-        assert not report["passes"]

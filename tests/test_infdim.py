@@ -12,13 +12,11 @@ from thermoflux.infdim import (
     NormalizationError,
     TailState,
     distinguishing_dimension,
-    empirical_misidentification_rate,
     log_success_probability,
     renormalized_free_energy,
     renormalized_free_energy_limit,
     schedule_success_curve,
     semiuniversal_protocol,
-    truncate,
 )
 
 LADDER = InfiniteContext(beta=1.0)
@@ -57,9 +55,6 @@ class TestTailState:
         assert rho.certified_head_bound(10) == pytest.approx(0.99969, abs=1e-5)
         assert rho.certified_head_bound(10) ** 100 == pytest.approx(0.9697, abs=1e-4)
 
-    def test_tail_certificate(self):
-        assert TailState(epsilon=2.0).tail_bound_check()
-
     def test_coherent_block_trace_must_match(self):
         with pytest.raises(ValueError):
             TailState(coefficients=(0.5, 0.5), coherent_block=0.4 * np.eye(2))
@@ -68,13 +63,11 @@ class TestTailState:
 class TestTruncation:
     def test_finite_support_full_mass(self):
         rho = TailState(coefficients=(0.7, 0.3))
-        _, mass = truncate(rho, 5)
-        assert mass == pytest.approx(1.0)
+        assert rho.head_mass(5) == pytest.approx(1.0)
 
     def test_d1_on_mixed_state(self):
         rho = TailState(coefficients=(0.7, 0.3))
-        _, mass = truncate(rho, 1)
-        assert mass == pytest.approx(0.7)
+        assert rho.head_mass(1) == pytest.approx(0.7)
 
     def test_log_domain_matches_direct_power(self):
         rho = TailState(epsilon=2.0)
@@ -188,13 +181,6 @@ class TestSemiuniversalProtocol:
         out = semiuniversal_protocol(cands, 1, LADDER, 1000, seed=5)
         assert out.extracted_work == 0.0
         assert out.fidelity == pytest.approx(1.0, abs=1e-9)
-
-    def test_misidentification_rare(self):
-        ground = TailState(coefficients=(1.0,))
-        tau_like = geometric_state(1.0)
-        cands = CandidateSet(states=(ground, tau_like))
-        rate = empirical_misidentification_rate(cands, 0, 1, 100, 500, seed=2)
-        assert rate <= 1e-3
 
     def test_misidentified_overdraw_is_reported_not_raised(self):
         """Identification picks the colder candidate, whose shift overdraws the

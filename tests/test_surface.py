@@ -1,0 +1,74 @@
+"""The public surface of the library is what the library itself, the demos, the
+benchmarks or the CLI use: every public top-level def or class in
+src/thermoflux is referenced from somewhere other than its own definition and
+the package's re-exports.  Tests do not count as callers."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "thermoflux"
+CALLER_DIRS = ("src", "demos", "bench", "perfbench")
+
+# Reference implementations that tests compare the fast paths against.
+REFERENCE_CHECKS = {
+    "ProjectorFamily",  # validating constructor for BasisFamily's projectors
+    "yor_matrix",  # Young's orthogonal form of any permutation
+    "permutation_operator",  # dense action of a permutation on the tensor power
+}
+
+
+def _caller_sources() -> dict:
+    return {
+        path: path.read_text()
+        for top in CALLER_DIRS
+        for path in sorted((ROOT / top).rglob("*.py"))
+        if "tests" not in path.relative_to(ROOT).parts[1:] and path.name != "__init__.py"
+    }
+
+
+def _public_definitions() -> list:
+    return [
+        (path, node)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+
+
+SOURCES = _caller_sources()
+DEFINITIONS = _public_definitions()
+CHECKED = [(p, n) for p, n in DEFINITIONS if n.name not in REFERENCE_CHECKS]
+
+
+def _referenced_elsewhere(path: Path, node, sources=SOURCES) -> bool:
+    word = re.compile(rf"\b{re.escape(node.name)}\b")
+    for other, text in sources.items():
+        if other == path:  # the definition's own lines do not count
+            lines = text.splitlines()
+            text = "\n".join(lines[:node.lineno - 1] + lines[node.end_lineno:])
+        if word.search(text):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("path, node", CHECKED, ids=[f"{p.stem}.{n.name}" for p, n in CHECKED])
+def test_public_definition_has_a_caller(path, node):
+    assert _referenced_elsewhere(path, node), (
+        f"{path.name}: {node.name} is referenced only by its own definition or by tests"
+    )
+
+
+def test_reference_checks_exist():
+    assert REFERENCE_CHECKS <= {node.name for _, node in DEFINITIONS}
+
+
+def test_a_definition_only_tests_call_is_caught():
+    source = "def orphan():\n    return 1\n\n\ndef used():\n    return 2\n\n\nX = used()\n"
+    orphan, used = ast.parse(source).body[:2]
+    path = Path("mod.py")
+    assert not _referenced_elsewhere(path, orphan, {path: source})
+    assert _referenced_elsewhere(path, used, {path: source})

@@ -9,29 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermoflux.typeclass import (
-    FreqVector,
     ShiftFunction,
-    TypicalSet,
     compositions,
-    enumerate_freqs,
     exact_freq_count,
     feasible_rows,
     injection_feasible,
-    log_freq_count,
     log_multinomial_rows,
+    log_type_prob_rows,
     strings_of_type,
-    type_log_probability,
-    typical_mass,
 )
-
-
-class TestFreqVector:
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            FreqVector(counts=(3, -1))
-
-    def test_total(self):
-        assert FreqVector(counts=(2, 3, 0)).total == 5
 
 
 class TestShiftFunction:
@@ -49,7 +35,7 @@ class TestShiftFunction:
 class TestCounting:
     def test_log_count_matches_exact_small(self):
         for counts in [(3, 2), (5, 0), (2, 2, 2), (10, 1, 1)]:
-            assert log_freq_count(counts) == pytest.approx(
+            assert log_multinomial_rows(np.array(counts)) == pytest.approx(
                 math.log(exact_freq_count(counts)), abs=1e-10
             )
 
@@ -58,9 +44,9 @@ class TestCounting:
         assert exact_freq_count((2, 2, 2)) == 90
 
     def test_enumeration_size(self):
-        freqs = list(enumerate_freqs(5, 3))
-        assert len(freqs) == math.comb(5 + 2, 2)
-        assert all(f.total == 5 for f in freqs)
+        rows = compositions(5, 3)
+        assert len(rows) == math.comb(5 + 2, 2)
+        assert (rows.sum(axis=1) == 5).all()
 
     @pytest.mark.parametrize("n, d", [(0, 1), (5, 1), (0, 3), (4, 2), (5, 3), (3, 4)])
     def test_compositions_are_every_row_in_lexicographic_order(self, n, d):
@@ -75,7 +61,7 @@ class TestCounting:
             compositions(2, 5000)  # C(5001, 2) = 1.25e7 rows
 
     def test_enumeration_is_colexicographic(self):
-        freqs = [f.counts for f in enumerate_freqs(4, 3)]
+        freqs = [tuple(f) for f in compositions(4, 3)[:, ::-1]]
         assert freqs == sorted(freqs, key=lambda c: c[::-1])
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -99,7 +85,6 @@ class TestCounting:
         for r, v in zip(rows, vec):
             scalar = math.lgamma(sum(r) + 1) - sum(math.lgamma(c + 1) for c in r)
             assert v == pytest.approx(scalar, rel=1e-13, abs=1e-12)
-            assert log_freq_count(tuple(r)) == v
 
 
 class TestInjectionFeasibility:
@@ -195,33 +180,15 @@ class TestFeasibleRows:
 class TestTypeProbability:
     def test_distribution_normalizes(self):
         p = (0.5, 0.3, 0.2)
-        logs = [type_log_probability(f, p) for f in enumerate_freqs(50, 3)]
+        logs = log_type_prob_rows(compositions(50, 3), p)
         total = sum(math.exp(x) for x in logs)
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_support_violation_is_minus_infinity(self):
-        assert type_log_probability((1, 1), (1.0, 0.0)) == -math.inf
+        assert log_type_prob_rows([(1, 1)], (1.0, 0.0))[0] == -math.inf
 
     def test_peak_at_expected_type(self):
         p = (0.8, 0.2)
-        best = max(enumerate_freqs(10, 2), key=lambda f: type_log_probability(f, p))
-        assert best.counts == (8, 2)
+        F = compositions(10, 2)
+        assert tuple(F[np.argmax(log_type_prob_rows(F, p))]) == (8, 2)
 
-
-class TestTypicality:
-    def test_typical_set_membership(self):
-        ts = TypicalSet(p=(0.7, 0.3), n=100, delta=0.05)
-        assert ts.contains((70, 30))
-        assert ts.contains((74, 26))
-        assert not ts.contains((80, 20))
-
-    def test_zero_probability_letter_must_be_empty(self):
-        ts = TypicalSet(p=(1.0, 0.0), n=10, delta=0.1)
-        assert ts.contains((10, 0))
-        assert not ts.contains((9, 1))
-
-    def test_typical_mass_grows_with_n(self):
-        p = (0.6, 0.4)
-        masses = [typical_mass(p, n, 0.05) for n in (50, 200, 800)]
-        assert masses[0] < masses[1] < masses[2]
-        assert masses[-1] > 0.98
