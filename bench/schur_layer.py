@@ -31,7 +31,7 @@ CELLS = tuple((2, k) for k in range(4, 9)) + tuple((3, k) for k in range(3, 6))
 MIN_REPEATS = 5
 
 
-def _median_seconds(fn, repeats: int) -> float:
+def median_seconds(fn, repeats: int) -> float:
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
@@ -40,7 +40,7 @@ def _median_seconds(fn, repeats: int) -> float:
     return statistics.median(times)
 
 
-def _commit() -> str:
+def commit() -> str:
     def git(*args):
         return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True).stdout.strip()
 
@@ -48,7 +48,7 @@ def _commit() -> str:
     return head + ("+dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
 
 
-def _machine() -> dict:
+def machine() -> dict:
     cpu = platform.processor()
     try:
         with open("/proc/cpuinfo") as fh:
@@ -64,7 +64,7 @@ def _machine() -> dict:
     }
 
 
-def _src_lines() -> int:
+def src_lines() -> int:
     return sum(len(p.read_text().splitlines()) for p in sorted((ROOT / "src" / "thermoflux").glob("*.py")))
 
 
@@ -80,8 +80,8 @@ def measure(cells, repeats: int) -> list:
             "d": d,
             "k": k,
             "dim": d ** k,
-            "build_s": _median_seconds(lambda: schur._schur_basis.__wrapped__(k, d), repeats),
-            "pinch_apply_s": _median_seconds(
+            "build_s": median_seconds(lambda: schur._schur_basis.__wrapped__(k, d), repeats),
+            "pinch_apply_s": median_seconds(
                 lambda: pinching.apply(pinching.schur_pinching(ctx, k, basis), rho_k), repeats
             ),
             "repeats": repeats,
@@ -99,9 +99,9 @@ def main(argv=None) -> int:
         parser.error(f"--repeats must be at least {MIN_REPEATS}")
     report = {
         "topic": "schur",
-        "commit": _commit(),
-        "machine": _machine(),
-        "src_lines": _src_lines(),
+        "commit": commit(),
+        "machine": machine(),
+        "src_lines": src_lines(),
         "timing": f"wall-clock median of {args.repeats} repeats, seconds",
         "entries": measure([c for c in CELLS if c[1] <= args.max_k], args.repeats),
     }

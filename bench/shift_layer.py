@@ -1,0 +1,114 @@
+"""Shift search and candidate identification timings at the sizes of the
+perfbench workloads: `extraction.choose_shift` on a qubit k = 4 Schur-pinched
+alphabet (n_eff = 2500) and on truncated ladders (d_n = 12, 27, 16, 32, the
+cutoffs of the semiuniversal ops), and `infdim.distinguishing_dimension` on
+the three two-candidate sets of the semiuniversal workload (d <= 4 copies).
+
+    python bench/shift_layer.py [--out BENCH_shift.json] [--repeats R]
+
+Each entry is the median wall time of R >= 5 repeats.  The file also records
+the commit (with "+dirty" when the working tree differs from it), the machine
+and the line count of src/thermoflux/*.py.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+from schur_layer import MIN_REPEATS, commit, machine, median_seconds, src_lines  # noqa: E402
+from thermoflux import core, extraction, infdim, pinching, schur  # noqa: E402
+
+LADDER = infdim.InfiniteContext(beta=1.0, delta_e=1.0)
+EPS1, EPS2, EPS3 = (infdim.TailState(epsilon=e) for e in (1.0, 2.0, 3.0))
+
+
+def _geometric(x: float) -> infdim.TailState:
+    return infdim.TailState(coefficients=tuple((1 - x) * x ** (i - 1) for i in range(1, 400)))
+
+
+GEO_WARM, GEO_COLD = _geometric(math.exp(-0.5)), _geometric(math.exp(-2.0))
+# (name, state, n_eff, d_n): the truncated ladders of the semiuniversal ops
+LADDER_CELLS = (
+    ("eps2", EPS2, 135, 12),
+    ("eps1", EPS1, 135, 27),
+    ("eps3", EPS3, 1000, 16),
+    ("geo2", GEO_COLD, 1000, 32),
+)
+ID_SETS = (("eps1|eps2", (EPS1, EPS2)), ("eps2|geo0.5", (EPS2, GEO_WARM)), ("eps1|geo0.5", (EPS1, GEO_WARM)))
+
+
+def _qubit_k4():
+    ctx = core.ThermalContext(levels=(0, 1), beta=1.0)
+    rho = core.DensityMatrix(np.array([[0.8, 0.25], [0.25, 0.2]], dtype=complex))
+    p, energies = pinching.schur_pinched_distribution(ctx, 4, rho, schur.build_schur_basis(4, 2))
+    return p, extraction.WorkAlphabet(energies=energies, beta=1.0)
+
+
+def _shift_entry(name, p, alphabet, n_eff, margin, repeats) -> dict:
+    l = math.ceil(n_eff ** 1.5)
+    h = extraction.choose_shift(p, alphabet, n_eff, margin_nats=margin, l=l)
+    return {
+        "layer": "choose_shift",
+        "cell": name,
+        "d": alphabet.d,
+        "n_eff": n_eff,
+        "l": l,
+        "work": float(h.work(alphabet.energies)),
+        "seconds": median_seconds(
+            lambda: extraction.choose_shift(p, alphabet, n_eff, margin_nats=margin, l=l), repeats
+        ),
+        "repeats": repeats,
+    }
+
+
+def measure(repeats: int) -> list:
+    p, alphabet = _qubit_k4()
+    entries = [_shift_entry("qubit k=4", p, alphabet, 2500, 0.01, repeats)]
+    for name, state, n_eff, d_n in LADDER_CELLS:
+        head = state.diagonal(d_n)
+        alphabet = extraction.WorkAlphabet.from_context(LADDER.truncated_context(d_n))
+        entries.append(_shift_entry(f"ladder {name}", head / head.sum(), alphabet, n_eff, 0.0, repeats))
+    for name, states in ID_SETS:
+        S = infdim.CandidateSet(states=states)
+        report = infdim.distinguishing_dimension(S)
+        entries.append({
+            "layer": "distinguishing_dimension",
+            "cell": name,
+            "d_cap": infdim.DEFAULT_D_CAP,
+            "d_tilde": report.d_tilde,
+            "seconds": median_seconds(lambda: infdim.distinguishing_dimension(S), repeats),
+            "repeats": repeats,
+        })
+    return entries
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", default=str(ROOT / "BENCH_shift.json"))
+    parser.add_argument("--repeats", type=int, default=MIN_REPEATS)
+    args = parser.parse_args(argv)
+    if args.repeats < MIN_REPEATS:
+        parser.error(f"--repeats must be at least {MIN_REPEATS}")
+    report = {
+        "topic": "shift",
+        "commit": commit(),
+        "machine": machine(),
+        "src_lines": src_lines(),
+        "timing": f"wall-clock median of {args.repeats} repeats, seconds",
+        "entries": measure(args.repeats),
+    }
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -42,12 +42,12 @@ from thermoflux.schur import build_schur_basis
 from thermoflux.typeclass import (
     GRID_CHUNK,
     ShiftFunction,
+    TransferProbe,
     compositions,
     exact_freq_count,
     feasible_grid,
     feasible_rows,
     injection_feasible,  # noqa: F401  (kept importable here: perfbench traces every binding)
-    log_multinomial_rows,
     log_type_prob_rows,
     strings_of_type,
 )
@@ -145,40 +145,28 @@ def _shell_widths(total: int, weights: np.ndarray, sigmas: float = 3.0) -> np.nd
     return np.ceil(sigmas * np.sqrt(total * w * (1.0 - w))).astype(int)
 
 
+def _shell_corners(c0: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """c0, then c0 with min(widths[i], c0[i]) counts moved from letter i to
+    letter j, for every i != j (row-major) that moves a positive amount."""
+    move = np.minimum(widths, c0)
+    i, j = np.nonzero(~np.eye(len(c0), dtype=bool) & (move[:, None] > 0))
+    rows = np.repeat(c0[None], len(i) + 1, axis=0)
+    moved = np.arange(1, len(i) + 1)
+    rows[moved, i] -= move[i]
+    rows[moved, j] += move[i]
+    return rows
+
+
 def _checkpoint_blocks(n_eff: int, p_est: np.ndarray, l: int, t: np.ndarray):
-    """Deterministic typical-shell corner blocks used to gate the shift search."""
-    d = len(t)
-    f0 = np.array(_round_counts(n_eff, p_est))
-    g0 = np.array(_round_counts(l, t))
-    fw = _shell_widths(n_eff, p_est)
-    gw = _shell_widths(l, t)
-    f_corners = [tuple(f0)]
-    for i in range(d):
-        for j in range(d):
-            if i == j or fw[i] == 0:
-                continue
-            move = min(int(fw[i]), int(f0[i]))
-            if move == 0:
-                continue
-            f = f0.copy()
-            f[i] -= move
-            f[j] += move
-            f_corners.append(tuple(f))
-    g_corners = [tuple(g0)]
-    for i in range(d):
-        for j in range(d):
-            if i == j or gw[i] == 0:
-                continue
-            move = min(int(gw[i]), int(g0[i]))
-            if move == 0:
-                continue
-            g = g0.copy()
-            g[i] -= move
-            g[j] += move
-            g_corners.append(tuple(g))
-    blocks = [(f, tuple(g0)) for f in f_corners]
-    blocks += [(tuple(f0), g) for g in g_corners[1:]]
-    return blocks
+    """Deterministic typical-shell corner blocks used to gate the shift search:
+    (F, G) rows pairing each f corner with g0, then f0 with each other g corner."""
+    f0 = np.array(_round_counts(n_eff, p_est), dtype=np.int64)
+    g0 = np.array(_round_counts(l, t), dtype=np.int64)
+    fc = _shell_corners(f0, _shell_widths(n_eff, p_est))
+    gc = _shell_corners(g0, _shell_widths(l, t))
+    F = np.vstack([fc, np.repeat(f0[None], len(gc) - 1, axis=0)])
+    G = np.vstack([np.repeat(g0[None], len(fc), axis=0), gc[1:]])
+    return F, G
 
 
 def choose_shift(
@@ -194,7 +182,10 @@ def choose_shift(
 
     Search: greedy level transfers over letter pairs in decreasing energy-gap
     order (ties by lexicographic pair index), binary-searching the largest
-    feasible transfer amount for each pair.  Returns h = 0 when the budget is
+    feasible transfer amount for each pair.  A transfer of a from letter j is
+    capped at the smallest checkpoint target count of j, beyond which a target
+    goes negative; below it ln|Freq(target)| is concave in a, so the feasible
+    amounts form an interval from 0.  Returns h = 0 when the budget is
     exhausted or no positive-work transfer is feasible.
     """
     p_est = np.asarray(p_est, dtype=float)
@@ -213,11 +204,7 @@ def choose_shift(
     if budget_w <= 0:
         return zero
 
-    F, G = (np.array(rows) for rows in zip(*_checkpoint_blocks(n_eff, p_est, l, t)))
-    lhs = log_multinomial_rows(F) + log_multinomial_rows(G)  # shift-independent
-
-    def feasible(shift_counts) -> bool:
-        return bool(feasible_rows(F, G, shift_counts, lhs=lhs).all())
+    probe = TransferProbe(*_checkpoint_blocks(n_eff, p_est, l, t))
 
     energies = [float(e) for e in alphabet.energies]
     pairs = []
@@ -228,35 +215,27 @@ def choose_shift(
                 pairs.append((gap, i, j))
     pairs.sort(key=lambda x: (-x[0], x[1], x[2]))
 
-    h = [0] * d
     spent = 0.0
     for gap, i, j in pairs:
         amax = int((budget_w - spent) / gap + 1e-12)
-        amax = min(amax, n_eff)
+        amax = min(amax, n_eff, int(probe.T[:, j].min()))
         if amax <= 0:
             continue
-
-        def with_amount(a):
-            cand = list(h)
-            cand[i] -= a
-            cand[j] += a
-            return tuple(cand)
-
-        if feasible(with_amount(amax)):
+        if probe.feasible(i, j, amax).all():
             best = amax
         else:
             lo, hi = 0, amax  # feasible(lo) holds (current h passed before)
             while hi - lo > 1:
                 mid = (lo + hi) // 2
-                if feasible(with_amount(mid)):
+                if probe.feasible(i, j, mid).all():
                     lo = mid
                 else:
                     hi = mid
             best = lo
         if best > 0:
-            h = list(with_amount(best))
+            probe.commit(probe.moved(i, j, best))
             spent += best * gap
-    return ShiftFunction(tuple(h))
+    return ShiftFunction(tuple(probe.h))
 
 
 def _grid_size(n: int, d: int) -> int:

@@ -8,7 +8,7 @@ partial sums plus monotone integral-test tail bounds — never silent truncation
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,6 +19,7 @@ from scipy.special import zeta
 from thermoflux.core import ThermalContext
 from thermoflux.estimation import classical_relative_entropy
 from thermoflux.extraction import ProtocolOutcome, WorkAlphabet, run_pipeline
+from thermoflux.typeclass import compositions, strings_of_type
 
 TAIL_SLACK = 1e-9
 DEFAULT_D_CAP = 4
@@ -261,29 +262,45 @@ class CandidateSet:
         object.__setattr__(self, "states", tuple(self.states))
 
 
-def _type_pinch(mat: np.ndarray, d: int, n: int) -> np.ndarray:
-    """Pinch an n-copy matrix on (C^d)^{otimes n} onto the eigenspaces of a
-    virtual nondegenerate-per-level Hamiltonian: the type subspaces.  Keeps the
-    permutation coherences inside each type, kills everything across types."""
-    strings = list(itertools.product(range(d), repeat=n))
-    types = [tuple(sorted(s)) for s in strings]
-    out = np.zeros_like(mat)
-    for t in set(types):
-        idx = [i for i, ti in enumerate(types) if ti == t]
-        out[np.ix_(idx, idx)] = mat[np.ix_(idx, idx)]
+@functools.lru_cache(maxsize=16)
+def _type_digits(d: int, n: int) -> tuple:
+    """Digits (most significant first) of the strings of every n-letter type
+    over d letters: one read-only (types, strings, n) array per string count."""
+    groups = {}
+    for f in compositions(n, d):
+        strings = strings_of_type(f)
+        groups.setdefault(len(strings), []).append(strings)
+    powers = d ** np.arange(n - 1, -1, -1)
+    out = tuple(np.array(g)[..., None] // powers % d for g in groups.values())
+    for digits in out:
+        digits.flags.writeable = False
     return out
 
 
-def _pinched_truncated_power(rho: TailState, d: int, n: int) -> np.ndarray:
+def _type_blocks(rho: TailState, d: int, n: int) -> list:
+    """The n-copy truncation rho_d^{otimes n} pinched onto the type subspaces
+    (permutation coherences inside each type kept, everything across types
+    killed), as one stack of diagonal blocks per block size.  Entries are
+    multiplied left to right, in np.kron's order."""
     m = rho.matrix(d)
-    full = m
-    for _ in range(n - 1):
-        full = np.kron(full, m)
-    return _type_pinch(full, d, n)
+    out = []
+    for digits in _type_digits(d, n):
+        rows, cols = digits[:, :, None, :], digits[:, None, :, :]
+        block = m[rows[..., 0], cols[..., 0]]
+        for pos in range(1, n):
+            block = block * m[rows[..., pos], cols[..., pos]]
+        out.append(block)
+    return out
 
 
-def _l1_distance(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.abs(np.linalg.eigvalsh(a - b)).sum())
+def _spectrum(blocks) -> np.ndarray:
+    """Ascending eigenvalues of a block-diagonal Hermitian matrix, one batched
+    eigvalsh per block size."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel() for b in blocks]))
+
+
+def _l1_distance(a, b) -> float:
+    return float(np.abs(_spectrum([x - y for x, y in zip(a, b)])).sum())
 
 
 @dataclass(frozen=True)
@@ -311,7 +328,7 @@ def distinguishing_dimension(S: CandidateSet, d_cap: int = DEFAULT_D_CAP) -> Dis
     k = len(S.states)
     per_d = {}
     for d in range(1, d_cap + 1):
-        mats = [_pinched_truncated_power(st, d, d) for st in S.states]
+        mats = [_type_blocks(st, d, d) for st in S.states] if k > 1 else []
         dist = {}
         for i in range(k):
             for j in range(i + 1, k):
@@ -346,9 +363,8 @@ def _pinched_letter_distribution(rho: TailState, d: int) -> np.ndarray:
     """Outcome distribution of the identification measurement: the d-copy
     type-pinched truncated eigendecomposition probabilities plus an explicit
     'outside the truncation' letter."""
-    mat = _pinched_truncated_power(rho, d, d)
-    vals = np.clip(np.linalg.eigvalsh(mat), 0.0, None)
-    out = np.concatenate([np.sort(vals)[::-1], [max(1.0 - vals.sum(), 0.0)]])
+    vals = np.clip(_spectrum(_type_blocks(rho, d, d)), 0.0, None)
+    out = np.concatenate([vals[::-1], [max(1.0 - vals.sum(), 0.0)]])
     return out / out.sum()
 
 
@@ -387,18 +403,15 @@ def semiuniversal_protocol(
         if budget > n / 10:
             raise ValueError("identification budget exceeds n/10")
         rng = np.random.default_rng(np.random.SeedSequence([seed, 733]))
-        p_true = _pinched_letter_distribution(rho_true, d_tilde)
-        width = max(len(_pinched_letter_distribution(st, d_tilde)) for st in S.states)
+        letters = [_pinched_letter_distribution(st, d_tilde) for st in S.states]
+        width = max(len(p) for p in letters)
 
         def pad(p):
             return np.concatenate([p, np.zeros(width - len(p))])
 
-        counts = rng.multinomial(id_samples, pad(p_true))
+        counts = rng.multinomial(id_samples, pad(letters[true_index]))
         p_hat = counts / id_samples
-        dists = [
-            float(np.abs(p_hat - pad(_pinched_letter_distribution(st, d_tilde))).sum())
-            for st in S.states
-        ]
+        dists = [float(np.abs(p_hat - pad(p)).sum()) for p in letters]
         identified = int(np.argmin(dists))
 
     n_run = n - budget

@@ -1,10 +1,11 @@
 """Method-of-types combinatorics in log domain.
 
 Multinomial type counts and log-probabilities, composition enumeration, and the
-injection-feasibility counting inequality (row-wise or over a whole (f, g)
-grid).  A type is an int row of occupation counts.  Feasibility decisions
-within the floating-point slack are re-checked in exact big-integer arithmetic
-so the predicate never flips due to rounding.
+injection-feasibility counting inequality (row-wise, over a whole (f, g) grid,
+or per two-letter transfer from a committed shift).  A type is an int row of
+occupation counts.  Feasibility decisions within the floating-point slack are
+re-checked in exact big-integer arithmetic so the predicate never flips due to
+rounding.
 """
 
 from __future__ import annotations
@@ -99,16 +100,12 @@ def _decide(lhs, rhs, ok, exact) -> np.ndarray:
     return feas
 
 
-def feasible_rows(F, G, h, lhs=None) -> np.ndarray:
+def feasible_rows(F, G, h) -> np.ndarray:
     """Row-wise |Freq(n,f)| |Freq(l,g)| <= |Freq(n+l, f+g-h)| for (N, d) rows F, G
-    and one shift h; False where f+g-h has a negative entry.
-
-    lhs, when given, is the precomputed ln|Freq(F)| + ln|Freq(G)| per row.
-    """
+    and one shift h; False where f+g-h has a negative entry."""
     F, G = np.atleast_2d(F), np.atleast_2d(G)
     target = F + G - np.asarray(h)
-    if lhs is None:
-        lhs = log_multinomial_rows(F) + log_multinomial_rows(G)
+    lhs = log_multinomial_rows(F) + log_multinomial_rows(G)
     ok = (target >= 0).all(axis=1)
     rhs = np.zeros(len(target))
     rhs[ok] = log_multinomial_rows(target[ok])
@@ -139,6 +136,50 @@ def feasible_grid(F, G, h):
             rhs -= log_fact[np.maximum(target, 0)]
         lhs = log_mf[lo:lo + step, None] + log_mg
         yield lo, _decide(lhs, rhs, ok, lambda a, b: _exact_feasible(f[a], G[b], h))
+
+
+def _log_fact(x) -> np.ndarray:
+    """ln x! elementwise, with negative x read as 0."""
+    return gammaln(np.maximum(x, 0) + 1.0)
+
+
+class TransferProbe:
+    """The predicate of feasible_rows for (N, d) rows F, G and the shifts that
+    move a target counts from letter j to letter i, away from a committed h.
+
+    Keeps T = F + G - h, its count of negative entries and S = sum_c ln T_c!
+    per row, so a probe reads only columns i and j:
+    ln|Freq(T')| = ln(sum T)! - (S - ln T_i! - ln T_j! + ln(T_i+a)! + ln(T_j-a)!).
+    """
+
+    def __init__(self, F, G):
+        self.F, self.G = np.atleast_2d(F), np.atleast_2d(G)
+        self.lhs = log_multinomial_rows(self.F) + log_multinomial_rows(self.G)
+        self.commit(np.zeros(self.F.shape[1], dtype=np.int64))
+
+    def commit(self, h) -> None:
+        """Make h the committed shift; T, its negative count and S are rebuilt."""
+        self.h = np.asarray(h)
+        self.T = self.F + self.G - self.h
+        self.neg = (self.T < 0).sum(axis=1)
+        self.log_total = gammaln(self.T.sum(axis=1) + 1.0)
+        self.S = _log_fact(self.T).sum(axis=1)
+
+    def moved(self, i: int, j: int, a: int) -> np.ndarray:
+        """The committed h with h_i - a and h_j + a."""
+        h = self.h.copy()
+        h[i] -= a
+        h[j] += a
+        return h
+
+    def feasible(self, i: int, j: int, a: int) -> np.ndarray:
+        """Row-wise feasibility of the shift moved(i, j, a), for letters i != j."""
+        ti, tj = self.T[:, i], self.T[:, j]
+        neg = self.neg - (ti < 0) - (tj < 0) + (ti + a < 0) + (tj - a < 0)
+        rest = self.S - _log_fact(ti) - _log_fact(tj)
+        rhs = self.log_total - (rest + _log_fact(ti + a) + _log_fact(tj - a))
+        h = self.moved(i, j, a)
+        return _decide(self.lhs, rhs, neg == 0, lambda r: _exact_feasible(self.F[r], self.G[r], h))
 
 
 def injection_feasible(f, g, h) -> bool:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,9 @@ from thermoflux.extraction import (
     ConverseViolationError,
     UniversalParams,
     WorkAlphabet,
+    _checkpoint_blocks,
+    _round_counts,
+    _shell_widths,
     build_classical_plan,
     choose_shift,
     measure_and_prepare_protocol,
@@ -33,7 +37,7 @@ from thermoflux.extraction import (
 from thermoflux.infdim import InfiniteContext, TailState
 from thermoflux.pinching import schur_pinched_distribution
 from thermoflux.schur import build_schur_basis
-from thermoflux.typeclass import ShiftFunction, compositions
+from thermoflux.typeclass import ShiftFunction, compositions, feasible_rows
 
 QUBIT = ThermalContext(levels=(0, 1), beta=1.0)
 ALPHABET = WorkAlphabet.from_context(QUBIT)
@@ -87,8 +91,6 @@ def _pinched_alphabet(ctx, k, mat):
 def test_round_counts_ties_go_to_the_lowest_index():
     """0.1 + 0.2 and 0.3 differ only in the last bit; their remainders at
     total 5 tie, and the lower index takes the one spare count."""
-    from thermoflux.extraction import _round_counts
-
     assert _round_counts(5, [0.3, 0.1 + 0.2, 0.4]) == (2, 1, 2)
 
 
@@ -128,6 +130,118 @@ class TestPinnedShifts:
         assert out.details["protocol_hash"] == (
             "d2441cbe77ee5f56e073003db57faf2e49ab44487929495367ecc17c9f815e5b"
         )
+
+
+def _oracle_checkpoint_blocks(n_eff, p_est, l, t):
+    """The typical-shell corner blocks as (f, g) tuple pairs, built one letter
+    pair (i, j) at a time."""
+    def corners(total, w):
+        c0 = np.array(_round_counts(total, w))
+        width = _shell_widths(total, w)
+        out = [tuple(c0)]
+        for i in range(len(t)):
+            for j in range(len(t)):
+                move = min(int(width[i]), int(c0[i]))
+                if i != j and move > 0:
+                    c = c0.copy()
+                    c[i] -= move
+                    c[j] += move
+                    out.append(tuple(c))
+        return out
+
+    fc, gc = corners(n_eff, p_est), corners(l, t)
+    return [(f, gc[0]) for f in fc] + [(fc[0], g) for g in gc[1:]]
+
+
+def _oracle_choose_shift(p_est, alphabet, n_eff, margin_nats, l) -> tuple:
+    """choose_shift as a full-row search: every probe re-decides every
+    checkpoint row with feasible_rows, over amounts capped by budget and n_eff
+    only."""
+    t, d = alphabet.thermal, alphabet.d
+    budget_nats = classical_relative_entropy(p_est, t) - margin_nats
+    budget_w = budget_nats * n_eff / alphabet.beta
+    if budget_nats <= 1e-12 or budget_w <= 0:
+        return (0,) * d
+    F, G = (np.array(rows) for rows in zip(*_oracle_checkpoint_blocks(n_eff, p_est, l, t)))
+    energies = [float(e) for e in alphabet.energies]
+    pairs = sorted(
+        ((energies[j] - energies[i], i, j) for i in range(d) for j in range(d)
+         if energies[j] > energies[i]),
+        key=lambda x: (-x[0], x[1], x[2]),
+    )
+    h, spent = [0] * d, 0.0
+    for gap, i, j in pairs:
+        amax = min(int((budget_w - spent) / gap + 1e-12), n_eff)
+
+        def with_amount(a):
+            cand = list(h)
+            cand[i] -= a
+            cand[j] += a
+            return cand
+
+        def feasible(a):
+            return bool(feasible_rows(F, G, with_amount(a)).all())
+
+        if amax <= 0:
+            continue
+        if feasible(amax):
+            best = amax
+        else:
+            lo, hi = 0, amax
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
+            best = lo
+        if best > 0:
+            h = with_amount(best)
+            spent += best * gap
+    return tuple(h)
+
+
+@st.composite
+def _shift_searches(draw):
+    """choose_shift inputs: up to 12 letters on a ladder or at random energies,
+    p with zero letters, n_eff <= 500, l and margin at random.  One draw in four
+    puts all of p on a highest letter: moving all of it down to a lowest letter
+    is then an exact tie at the cap min T[:, j]."""
+    d = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        energies = [Fraction(i, 2) for i in range(d)]
+    else:
+        energies = [Fraction(e, 8) for e in draw(st.lists(st.integers(0, 40), min_size=d, max_size=d))]
+    if draw(st.integers(0, 3)) == 0:
+        weights = [0] * d
+        weights[max(range(d), key=lambda i: (energies[i], -i))] = 1
+    else:
+        weights = draw(st.lists(st.integers(0, 5), min_size=d, max_size=d).filter(any))
+    p = np.array(weights, dtype=float) / sum(weights)
+    n_eff = draw(st.integers(1, 500))
+    l = draw(st.integers(1, max(1, math.ceil(n_eff ** 1.5))))
+    margin = draw(st.sampled_from((0.0, 0.0, 0.01, 0.1)))
+    return WorkAlphabet(energies=energies, beta=draw(st.sampled_from((0.5, 1.0, 2.0)))), p, n_eff, l, margin
+
+
+class TestShiftSearchOracle:
+    """choose_shift caps each transfer at min T[:, j] and probes two columns
+    per step; it must pick the same h as the full-row search."""
+
+    def test_checkpoint_rows_match_the_pair_loop(self):
+        p, alph = _pinched_alphabet(QUBIT, 4, [[0.8, 0.25], [0.25, 0.2]])
+        F, G = _checkpoint_blocks(2500, p, 125_000, alph.thermal)
+        rows = _oracle_checkpoint_blocks(2500, p, 125_000, alph.thermal)
+        assert F.dtype == G.dtype == np.int64
+        assert [tuple(f) for f in F] == [f for f, _ in rows]
+        assert [tuple(g) for g in G] == [g for _, g in rows]
+
+    @settings(max_examples=80, deadline=None)
+    @given(_shift_searches())
+    # f = (0, 5), g = (3, 0): moving all 5 down gives the target (8, 0), a tie
+    # 1 * 1 = 1 that the two-column rhs puts on the infeasible side in floats
+    @example((WorkAlphabet(energies=(0, Fraction(1, 2)), beta=0.5), np.array([0.0, 1.0]), 5, 3, 0.0))
+    def test_matches_full_row_search(self, search):
+        alphabet, p, n_eff, l, margin = search
+        got = choose_shift(p, alphabet, n_eff, margin_nats=margin, l=l)
+        assert got.shifts == _oracle_choose_shift(p, alphabet, n_eff, margin, l)
 
 
 class TestClassicalPlan:

@@ -1,10 +1,12 @@
 """Tests for truncated infinite-dimensional systems."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from thermoflux import infdim
 from thermoflux.infdim import (
     CandidateSet,
     CutoffSchedule,
@@ -156,6 +158,72 @@ class TestDistinguishingDimension:
         rep = distinguishing_dimension(s)
         assert rep.d_tilde == 1
         assert rep.xi_tilde > 0
+
+
+def _dense_pinched_power(rho, d, n):
+    """rho_d^{otimes n} built densely with np.kron and pinched onto the type
+    subspaces one type at a time (the reference for the per-type blocks)."""
+    m = rho.matrix(d)
+    full = m
+    for _ in range(n - 1):
+        full = np.kron(full, m)
+    types = [tuple(sorted(s)) for s in itertools.product(range(d), repeat=n)]
+    out = np.zeros_like(full)
+    for t in set(types):
+        idx = [i for i, ti in enumerate(types) if ti == t]
+        out[np.ix_(idx, idx)] = full[np.ix_(idx, idx)]
+    return out
+
+
+def _dense_l1(a, b):
+    return float(np.abs(np.linalg.eigvalsh(a - b)).sum())
+
+
+EPS = [TailState(epsilon=e) for e in (1.0, 2.0, 3.0)]
+GEO_WARM, GEO_COLD = geometric_state(0.5), geometric_state(2.0)
+COHERENT = TailState(
+    coefficients=(0.4, 0.3, 0.2, 0.1),
+    coherent_block=[[0.4, 0.05 + 0.02j, 0.01], [0.05 - 0.02j, 0.3, -0.03j], [0.01, 0.03j, 0.2]],
+)
+
+
+class TestTypeBlocks:
+    """The per-type blocks against the dense np.kron power and its type pinch."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_diagonal_spectra_and_distances_equal_the_dense_route(self, d):
+        states = EPS + [GEO_WARM, GEO_COLD]
+        dense = [_dense_pinched_power(st, d, d) for st in states]
+        blocks = [infdim._type_blocks(st, d, d) for st in states]
+        for mat, blk in zip(dense, blocks):
+            assert np.array_equal(infdim._spectrum(blk), np.linalg.eigvalsh(mat))
+        for a, b in itertools.combinations(range(len(states)), 2):
+            assert infdim._l1_distance(blocks[a], blocks[b]) == _dense_l1(dense[a], dense[b])
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_coherent_block_agrees_with_the_dense_route(self, d):
+        dense, blocks = _dense_pinched_power(COHERENT, d, d), infdim._type_blocks(COHERENT, d, d)
+        assert np.allclose(infdim._spectrum(blocks), np.linalg.eigvalsh(dense), rtol=0, atol=1e-12)
+        other = EPS[1]
+        got = infdim._l1_distance(blocks, infdim._type_blocks(other, d, d))
+        assert got == pytest.approx(_dense_l1(dense, _dense_pinched_power(other, d, d)), rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("pair", [(EPS[0], EPS[1]), (EPS[1], GEO_WARM), (EPS[0], GEO_WARM)])
+    def test_distinguishing_report_equals_the_dense_route(self, pair, monkeypatch):
+        S = CandidateSet(states=pair)
+        report = distinguishing_dimension(S)
+        monkeypatch.setattr(infdim, "_type_blocks", _dense_pinched_power)
+        monkeypatch.setattr(infdim, "_l1_distance", _dense_l1)
+        assert report == distinguishing_dimension(S)
+        assert report.pair_distances[4]
+
+    def test_singleton_builds_no_matrices(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a matrix was built for a one-candidate set")
+
+        monkeypatch.setattr(infdim, "_type_blocks", forbidden)
+        report = distinguishing_dimension(CandidateSet(states=(EPS[2],)))
+        assert report.pair_distances == {d: {} for d in range(1, infdim.DEFAULT_D_CAP + 1)}
 
 
 class TestSemiuniversalProtocol:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from thermoflux.typeclass import (
     ShiftFunction,
+    TransferProbe,
     compositions,
     exact_freq_count,
     feasible_rows,
@@ -171,10 +172,45 @@ class TestFeasibleRows:
     def test_negative_target_is_infeasible(self):
         assert feasible_rows([(5, 0), (5, 0)], [(0, 0), (0, 3)], (-3, 3)).tolist() == [False, True]
 
-    def test_precomputed_lhs_gives_same_decisions(self):
-        F, G, h = np.array([(4, 2), (1, 5)]), np.array([(3, 3), (6, 0)]), (-1, 1)
-        lhs = log_multinomial_rows(F) + log_multinomial_rows(G)
-        assert np.array_equal(feasible_rows(F, G, h, lhs=lhs), feasible_rows(F, G, h))
+
+class TestTransferProbe:
+    @settings(max_examples=200)
+    @given(_blocks(), st.data())
+    def test_agrees_with_bigint_oracle(self, block, data):
+        """Probes from a committed h, over rows whose targets may already be
+        negative, and the injected ties probed as transfers from h = 0."""
+        h, rows, ties = block
+        F = np.array([f for f, _ in rows])
+        G = np.array([g for _, g in rows])
+        if len(h) < 2:
+            return
+        probe = TransferProbe(F, G)
+        probe.commit(h)
+        i, j = data.draw(st.permutations(range(len(h))))[:2]
+        a = data.draw(st.integers(-6, 12))
+        moved = probe.moved(i, j, a)
+        assert probe.feasible(i, j, a).tolist() == [_oracle(f, g, moved) for f, g in zip(F, G)]
+        for f, g, hh in ties:  # hh moves hh[0] from letter 0 to letter 1
+            probe = TransferProbe([f], [g])
+            assert probe.moved(1, 0, hh[0]).tolist() == list(hh)
+            assert probe.feasible(1, 0, hh[0])[0] == _oracle(f, g, hh)
+
+    def test_exact_ties_are_feasible(self):
+        """C(6,3) C(14,0) = 20 = C(20,1), and a zero transfer with g = 0: ties
+        that the two-column rhs puts on the infeasible side in floats."""
+        assert TransferProbe([(3, 3)], [(14, 0)]).feasible(0, 1, 2).tolist() == [True]
+        assert TransferProbe([(11, 12, 0, 10)], [(0, 0, 0, 0)]).feasible(1, 0, 0).tolist() == [True]
+
+    def test_commit_rebuilds_the_row_state(self):
+        F, G = np.array([(6, 2, 0), (3, 3, 2)]), np.array([(10, 5, 5), (12, 4, 4)])
+        probe = TransferProbe(F, G)
+        for i, j, a in [(0, 1, 3), (1, 2, 2), (0, 2, 1)]:
+            probe.commit(probe.moved(i, j, a))
+        fresh = TransferProbe(F, G)
+        fresh.commit(probe.h)
+        assert probe.h.tolist() == [-4, 1, 3]
+        assert np.array_equal(probe.S, fresh.S) and np.array_equal(probe.T, F + G - probe.h)
+        assert probe.feasible(0, 1, 2).tolist() == feasible_rows(F, G, probe.moved(0, 1, 2)).tolist()
 
 
 class TestTypeProbability:
