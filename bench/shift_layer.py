@@ -79,12 +79,11 @@ def measure(repeats: int) -> list:
         entries.append(_shift_entry(f"ladder {name}", head / head.sum(), alphabet, n_eff, 0.0, repeats))
     for name, states in ID_SETS:
         S = infdim.CandidateSet(states=states)
-        report = infdim.distinguishing_dimension(S)
         entries.append({
             "layer": "distinguishing_dimension",
             "cell": name,
-            "d_cap": infdim.DEFAULT_D_CAP,
-            "d_tilde": report.d_tilde,
+            "d_cap": infdim.D_CAP,
+            "d_tilde": infdim.distinguishing_dimension(S),
             "seconds": median_seconds(lambda: infdim.distinguishing_dimension(S), repeats),
             "repeats": repeats,
         })

@@ -29,13 +29,7 @@ from thermoflux.core import (
     tensor_power,
     thermal_state,
 )
-from thermoflux.estimation import (
-    EmpiricalDistribution,
-    SamplingOracle,
-    classical_relative_entropy,
-    hoeffding_sample_size,
-    sample_types,
-)
+from thermoflux.estimation import classical_relative_entropy, hoeffding_sample_size, sample_types
 from thermoflux.pinching import apply as pinch_apply
 from thermoflux.pinching import energy_pinching, schur_pinched_distribution
 from thermoflux.schur import build_schur_basis
@@ -54,7 +48,7 @@ from thermoflux.typeclass import (
 
 PROTOCOL_VERSION = "1"
 CONVERSE_TOL = 1e-8
-DEFAULT_GRID_CAP = 4_000_000
+GRID_CAP = 4_000_000
 DEFAULT_SAMPLES = 400
 
 
@@ -139,10 +133,10 @@ def _round_counts(total: int, weights: np.ndarray) -> tuple:
     return tuple(int(x) for x in base)
 
 
-def _shell_widths(total: int, weights: np.ndarray, sigmas: float = 3.0) -> np.ndarray:
+def _shell_widths(total: int, weights: np.ndarray) -> np.ndarray:
     """Per-coordinate multinomial 3-sigma widths (in counts)."""
     w = np.asarray(weights, dtype=float)
-    return np.ceil(sigmas * np.sqrt(total * w * (1.0 - w))).astype(int)
+    return np.ceil(3.0 * np.sqrt(total * w * (1.0 - w))).astype(int)
 
 
 def _shell_corners(c0: np.ndarray, widths: np.ndarray) -> np.ndarray:
@@ -251,13 +245,12 @@ def build_classical_plan(
     mode: str = "auto",
     seed: int = None,
     samples: int = DEFAULT_SAMPLES,
-    grid_cap: int = DEFAULT_GRID_CAP,
 ) -> ExtractionPlan:
     """Evaluate the atypical mass xi = 1 - sum_{feasible (f,g)} P_p(f) P_t(g).
 
     mode "exact" enumerates the full (f, g) grid (support-restricted for f);
     "sampled" draws blocks i.i.d. and reports the infeasible fraction with a
-    standard error; "auto" picks exact when the grid fits under grid_cap.
+    standard error; "auto" picks exact when the grid fits under GRID_CAP.
     """
     p = np.asarray(p, dtype=float)
     t = alphabet.thermal
@@ -268,12 +261,11 @@ def build_classical_plan(
     ds = len(support)
     grid = _grid_size(n, ds) * _grid_size(l, d)
     if mode == "auto":
-        mode = "exact" if grid <= grid_cap else "sampled"
+        mode = "exact" if grid <= GRID_CAP else "sampled"
     if mode == "exact":
-        if grid > grid_cap:
+        if grid > GRID_CAP:
             raise ValueError(
-                f"(f,g) grid has {grid} blocks > cap {grid_cap}; "
-                "use sampled mode (pass seed) or raise grid_cap"
+                f"(f,g) grid has {grid} blocks > cap {GRID_CAP}; use sampled mode (pass seed)"
             )
         xi = _xi_exact(p, t, n, l, h, support)
         return ExtractionPlan(
@@ -378,7 +370,6 @@ def run_pipeline(
     margin: float = 0.0,
     plan_mode: str = "auto",
     seed: int = 0,
-    samples: int = DEFAULT_SAMPLES,
     success: float = 1.0,
 ) -> ProtocolOutcome:
     """The step every protocol shares: choose the shift on p_est (on p_true
@@ -392,9 +383,7 @@ def run_pipeline(
     as low fidelity and a negative details["converse_slack"].
     """
     h = choose_shift(p_true if p_est is None else p_est, alphabet, n_eff, margin_nats=margin, l=l)
-    plan = build_classical_plan(
-        p_true, alphabet, n_eff, l, h, mode=plan_mode, seed=seed, samples=samples
-    )
+    plan = build_classical_plan(p_true, alphabet, n_eff, l, h, mode=plan_mode, seed=seed)
     return _plan_outcome(
         plan, n, target, copies, details, success, enforce_converse=p_est is None
     )
@@ -451,7 +440,6 @@ class UniversalParams:
     k: int
     m: int
     eps: float
-    delta_prime: float
     r: float
     c: float = 1.0
     margin_factor: float = 2.0
@@ -468,11 +456,14 @@ class UniversalParams:
         split.  When the Hoeffding m exceeds q/2 the protocol cannot afford it;
         m is capped at ceil(q/2) and the confidence radius r is recomputed from
         the actual m (honest degradation: larger error bar, smaller budget).
+        Raises ValueError from n ~ 3.57e8 on, where 2/eps overflows a float.
         """
         d = ctx.dim
         k = max(1, int(math.log(n) / (3 * math.log(d))))
         q = n // k
         eps = math.exp(-n ** (1.0 / 3.0))
+        if not eps or not math.isfinite(2.0 / eps):
+            raise ValueError(f"schedule at n = {n}: 2/eps = 2 e^(n^(1/3)) is not a finite float")
         delta_prime = n ** (-1.0 / 6.0)
         alpha_k = ctx.continuity_constant(k)
         r_sched = delta_prime / (3.0 * alpha_k)
@@ -483,8 +474,7 @@ class UniversalParams:
         else:
             m = m_cap  # r: the radius at which the Hoeffding formula gives exactly m
             r = math.sqrt((d ** k * math.log(2) + math.log(2.0 / eps)) / (2 * m))
-        return cls(n=n, k=k, m=m, eps=eps, delta_prime=delta_prime, r=r, c=c,
-                   margin_factor=margin_factor)
+        return cls(n=n, k=k, m=m, eps=eps, r=r, c=c, margin_factor=margin_factor)
 
 
 def protocol_description_hash(ctx: ThermalContext, params: UniversalParams) -> str:
@@ -516,7 +506,6 @@ def universal_protocol(
     params: UniversalParams,
     seed: int = 0,
     mode: str = "sampled",
-    samples: int = DEFAULT_SAMPLES,
 ) -> ProtocolOutcome:
     """State-agnostic pipeline: Schur-pinch k-copy blocks, type-measure m of
     them, estimate the pinched relative entropy, choose the shift with the
@@ -542,9 +531,7 @@ def universal_protocol(
         eps_meas = 0.0
         n_eff = q
     elif mode == "sampled":
-        oracle = SamplingOracle(distribution=tuple(p_k), seed=seed, mode="sampled")
-        emp = sample_types(oracle, m, seed=1)
-        p_hat = emp.p_hat
+        p_hat = sample_types(p_k, m, seed).p_hat
         m_used = m
         margin = params.margin_factor * ctx.continuity_constant(k) * params.r
         eps_meas = params.eps / 2.0
@@ -552,9 +539,7 @@ def universal_protocol(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    d_hat = classical_relative_entropy(
-        np.where(p_hat > 0, p_hat, 0.0), alphabet.thermal
-    )
+    d_hat = classical_relative_entropy(p_hat, alphabet.thermal)
     l = math.ceil(params.c * n_eff ** 1.5)
     return run_pipeline(
         alphabet, p_k, n_eff, l, params.n,
@@ -583,7 +568,6 @@ def universal_protocol(
         margin=max(margin, 0.0),
         plan_mode="auto" if mode == "exact" else "sampled",
         seed=seed,
-        samples=samples,
         success=1.0 - eps_meas,
     )
 
@@ -606,18 +590,11 @@ class BlockPartition:
         """(N, d) count rows l of the grid points l/M, in lexicographic order."""
         return compositions(self.M, self.d)
 
-    def assign(self, p) -> tuple:
-        vec, _ = self._assign_with_flag(p)
-        return vec
-
-    def is_boundary(self, p, tol: float = 1e-12) -> bool:
-        _, boundary = self._assign_with_flag(p, tol)
-        return boundary
-
-    def _assign_with_flag(self, p, tol: float = 1e-12):
-        """The first grid point within tol of the nearest, and whether another is."""
+    def nearest(self, p) -> tuple:
+        """(point, boundary): the first grid point within 1e-12 of the nearest,
+        and whether another grid point is."""
         dist = 0.5 * np.abs(self.grid / self.M - np.asarray(p, dtype=float)).sum(axis=1)
-        near = np.flatnonzero(dist <= dist.min() + tol)
+        near = np.flatnonzero(dist <= dist.min() + 1e-12)
         return tuple(int(c) for c in self.grid[near[0]]), len(near) > 1
 
     def assign_types(self, F: np.ndarray, n: int) -> np.ndarray:
@@ -646,7 +623,7 @@ def measure_and_prepare_protocol(M: int, ctx: ThermalContext, n: int, p):
     d = ctx.dim
     t = ctx.gibbs_probabilities()
     partition = BlockPartition(M=M, d=d)
-    boundary = partition.is_boundary(p)
+    dominant, boundary = partition.nearest(p)
 
     # types in colexicographic order, the order each block's mass is summed in
     F = compositions(n, d)[:, ::-1]
@@ -666,7 +643,6 @@ def measure_and_prepare_protocol(M: int, ctx: ThermalContext, n: int, p):
     battery = BatterySpec(levels=levels, beta=beta)
     gibbs_dev = abs(battery.gibbs_weight_sum() - 1.0)
 
-    dominant = partition.assign(p)
     w_dom = levels.get(dominant, 0.0)
     mean_w = sum(mass_p.get(blk, 0.0) * w for blk, w in levels.items())
     sanov = _sanov_exponent(partition, dominant, t) if d == 2 else None

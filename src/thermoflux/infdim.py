@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -22,8 +22,8 @@ from thermoflux.extraction import ProtocolOutcome, WorkAlphabet, run_pipeline
 from thermoflux.typeclass import compositions, strings_of_type
 
 TAIL_SLACK = 1e-9
-DEFAULT_D_CAP = 4
-DEFAULT_XI_MIN = 0.05
+D_CAP = 4  # largest copy count tried for identification
+XI_MIN = 0.05  # l1 separation the identification statistics must reach
 
 
 class NormalizationError(ValueError):
@@ -114,68 +114,34 @@ class TailState:
 
 @dataclass(frozen=True)
 class CutoffSchedule:
-    """Rule n -> d_n; the default d_n = ceil(n^{1/(1+eps/2)}) makes
-    Tr[rho_{d_n}]^n -> 1 for any tail exponent 2+eps."""
+    """Rule n -> d_n = ceil(n^{1/(1+eps/2)}), which makes Tr[rho_{d_n}]^n -> 1
+    for any tail exponent 2+eps."""
 
-    epsilon: float = None
-    constant: int = None  # constant schedule d_n = constant (decay demo)
-
-    def __post_init__(self):
-        if (self.epsilon is None) == (self.constant is None):
-            raise ValueError("give exactly one of epsilon or constant")
+    epsilon: float
 
     def __call__(self, n: int) -> int:
-        if self.constant is not None:
-            return self.constant
         return max(1, math.ceil(n ** (1.0 / (1.0 + self.epsilon / 2.0))))
 
 
 @dataclass(frozen=True)
 class InfiniteContext:
-    """beta and a non-decreasing level rule i -> E_i with certified finite Z.
-
-    The default ladder E_i = (i-1) delta_e has the closed-form
-    Z = 1/(1 - e^{-beta delta_e}); general rules use partial sums with the
-    integral-test remainder (e^{-beta E_i} decreasing).
-    """
+    """beta and the ladder E_i = (i-1) delta_e, i = 1, 2, ..., whose partition
+    function has the closed form Z = 1/(1 - e^{-beta delta_e})."""
 
     beta: float
     delta_e: float = 1.0
-    level_rule: object = None  # optional callable i -> E_i (1-based)
 
     def energy(self, i: int) -> float:
-        if self.level_rule is not None:
-            return float(self.level_rule(i))
         return (i - 1) * self.delta_e
 
     def energies(self, d: int) -> np.ndarray:
-        if self.level_rule is None:
-            return np.arange(d) * self.delta_e
-        return np.array([self.energy(i) for i in range(1, d + 1)])
+        return np.arange(d) * self.delta_e
 
-    def partition_function(self, tol: float = 1e-14, max_terms: int = 10 ** 6) -> float:
-        if self.level_rule is None:
-            x = math.exp(-self.beta * self.delta_e)
-            if x >= 1.0:
-                raise ValueError("beta * delta_e must be > 0 for finite Z")
-            return 1.0 / (1.0 - x)
-        prev_e = -math.inf
-        total = 0.0
-        for i in range(1, max_terms + 1):
-            e = self.energy(i)
-            if e < prev_e:
-                raise ValueError("level rule must be non-decreasing")
-            prev_e = e
-            w = math.exp(-self.beta * e)
-            total += w
-            if i > 1:
-                gap = e - self.energy(i - 1)
-                if gap > 0:
-                    # integral-test remainder for the monotone tail
-                    rem = w * math.exp(-self.beta * gap) / (1 - math.exp(-self.beta * gap))
-                    if rem <= tol * total:
-                        return total + 0.5 * rem
-        raise ValueError("partition function did not certify convergence")
+    def partition_function(self) -> float:
+        x = math.exp(-self.beta * self.delta_e)
+        if x >= 1.0:
+            raise ValueError("beta * delta_e must be > 0 for finite Z")
+        return 1.0 / (1.0 - x)
 
     def gibbs_head(self, d: int) -> np.ndarray:
         """First d Gibbs weights e^{-beta E_i} / Z (subnormalized)."""
@@ -254,7 +220,6 @@ class CandidateSet:
     """Finite set S of TailState values for the semiuniversal protocol."""
 
     states: tuple
-    xi_min: float = DEFAULT_XI_MIN
 
     def __post_init__(self):
         if not self.states:
@@ -303,60 +268,26 @@ def _l1_distance(a, b) -> float:
     return float(np.abs(_spectrum([x - y for x, y in zip(a, b)])).sum())
 
 
-@dataclass(frozen=True)
-class DistinguishabilityReport:
-    d_tilde: int  # None when inconclusive
-    xi_tilde: float
-    equivalent_pairs: tuple  # index pairs with coinciding pinched statistics
-    inconclusive_pairs: tuple  # pairs that differ but not by >= xi_min by d_cap
-    pair_distances: dict = field(default_factory=dict)
+def distinguishing_dimension(S: CandidateSet) -> int | None:
+    """d-tilde: the smallest d <= D_CAP at which every distinguishable pair of
+    candidates is l1-separated by >= XI_MIN on the type-pinched d-copy
+    truncation, or None when some pair never is.
 
-    @property
-    def succeeded(self) -> bool:
-        return self.d_tilde is not None and not self.inconclusive_pairs
-
-
-def distinguishing_dimension(S: CandidateSet, d_cap: int = DEFAULT_D_CAP) -> DistinguishabilityReport:
-    """Smallest d <= d_cap at which every distinguishable pair of candidates is
-    l1-separated by >= S.xi_min on the type-pinched d-copy truncation.
-
-    Pairs whose pinched statistics coincide at every tested d are flagged
-    protocol-equivalent (identical extractable-work target); pairs that differ
-    but never reach the threshold by d_cap are reported inconclusive, never
-    silently dropped.
+    Pairs whose pinched statistics coincide (within 1e-12) at every d <= D_CAP
+    are protocol-equivalent (identical extractable-work target) and are not
+    required to separate.
     """
     k = len(S.states)
-    per_d = {}
-    for d in range(1, d_cap + 1):
-        mats = [_type_blocks(st, d, d) for st in S.states] if k > 1 else []
-        dist = {}
-        for i in range(k):
-            for j in range(i + 1, k):
-                dist[(i, j)] = _l1_distance(mats[i], mats[j])
-        per_d[d] = dist
-
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    equivalent = tuple(
-        p for p in pairs if all(per_d[d][p] <= 1e-12 for d in per_d)
-    )
-    active = [p for p in pairs if p not in equivalent]
-    d_tilde = None
-    xi_tilde = math.inf
-    for d in range(1, d_cap + 1):
-        if all(per_d[d][p] >= S.xi_min for p in active):
-            d_tilde = d
-            xi_tilde = min((per_d[d][p] for p in active), default=math.inf)
-            break
-    inconclusive = tuple(
-        p for p in active if d_tilde is None
-    )
-    return DistinguishabilityReport(
-        d_tilde=d_tilde,
-        xi_tilde=0.0 if not active else (xi_tilde if d_tilde else 0.0),
-        equivalent_pairs=equivalent,
-        inconclusive_pairs=inconclusive,
-        pair_distances=per_d,
-    )
+    dist = np.zeros((D_CAP, len(pairs)))
+    for d in range(1, D_CAP + 1):
+        blocks = [_type_blocks(st, d, d) for st in S.states] if pairs else []
+        dist[d - 1] = [_l1_distance(blocks[i], blocks[j]) for i, j in pairs]
+    active = ~(dist <= 1e-12).all(axis=0)
+    for d in range(1, D_CAP + 1):
+        if (dist[d - 1, active] >= XI_MIN).all():
+            return d
+    return None
 
 
 def _pinched_letter_distribution(rho: TailState, d: int) -> np.ndarray:
@@ -376,7 +307,6 @@ def semiuniversal_protocol(
     seed: int = 0,
     schedule: CutoffSchedule = None,
     id_samples: int = 100,
-    d_cap: int = DEFAULT_D_CAP,
 ) -> ProtocolOutcome:
     """Identify the source among the finite candidate set with a constant
     sampling budget, then run the state-aware truncated classical protocol for
@@ -391,14 +321,13 @@ def semiuniversal_protocol(
     up as low fidelity and a negative details["converse_slack"].
     """
     rho_true = S.states[true_index]
-    report = distinguishing_dimension(S, d_cap=d_cap)
     if len(S.states) == 1:
         d_tilde, budget = 0, 0
         identified = 0
     else:
-        if not report.succeeded:
-            raise ValueError("candidate set not distinguishable within d_cap")
-        d_tilde = report.d_tilde
+        d_tilde = distinguishing_dimension(S)
+        if d_tilde is None:
+            raise ValueError(f"candidate set not distinguishable within {D_CAP} copies")
         budget = id_samples * d_tilde
         if budget > n / 10:
             raise ValueError("identification budget exceeds n/10")
@@ -433,7 +362,7 @@ def semiuniversal_protocol(
             1.0,
             (len(S.states) - 1)
             * width_exp
-            * math.exp(-id_samples * (S.xi_min / 2.0) ** 2 / 2.0),
+            * math.exp(-id_samples * (XI_MIN / 2.0) ** 2 / 2.0),
         )
     return run_pipeline(
         alphabet, head_true / success_mass, n_run, l, n,

@@ -147,8 +147,8 @@ class TransferProbe:
     """The predicate of feasible_rows for (N, d) rows F, G and the shifts that
     move a target counts from letter j to letter i, away from a committed h.
 
-    Keeps T = F + G - h, its count of negative entries and S = sum_c ln T_c!
-    per row, so a probe reads only columns i and j:
+    Keeps T = F + G - h, its count of negative entries, the matrix of ln T_c!
+    and its row sum S, so a probe reads only columns i and j:
     ln|Freq(T')| = ln(sum T)! - (S - ln T_i! - ln T_j! + ln(T_i+a)! + ln(T_j-a)!).
     """
 
@@ -158,12 +158,13 @@ class TransferProbe:
         self.commit(np.zeros(self.F.shape[1], dtype=np.int64))
 
     def commit(self, h) -> None:
-        """Make h the committed shift; T, its negative count and S are rebuilt."""
+        """Make h the committed shift; T, its negative count, ln T! and S are rebuilt."""
         self.h = np.asarray(h)
         self.T = self.F + self.G - self.h
         self.neg = (self.T < 0).sum(axis=1)
         self.log_total = gammaln(self.T.sum(axis=1) + 1.0)
-        self.S = _log_fact(self.T).sum(axis=1)
+        self.log_fact = _log_fact(self.T)
+        self.S = self.log_fact.sum(axis=1)
 
     def moved(self, i: int, j: int, a: int) -> np.ndarray:
         """The committed h with h_i - a and h_j + a."""
@@ -176,7 +177,7 @@ class TransferProbe:
         """Row-wise feasibility of the shift moved(i, j, a), for letters i != j."""
         ti, tj = self.T[:, i], self.T[:, j]
         neg = self.neg - (ti < 0) - (tj < 0) + (ti + a < 0) + (tj - a < 0)
-        rest = self.S - _log_fact(ti) - _log_fact(tj)
+        rest = self.S - self.log_fact[:, i] - self.log_fact[:, j]
         rhs = self.log_total - (rest + _log_fact(ti + a) + _log_fact(tj - a))
         h = self.moved(i, j, a)
         return _decide(self.lhs, rhs, neg == 0, lambda r: _exact_feasible(self.F[r], self.G[r], h))

@@ -7,7 +7,6 @@ import pytest
 
 from thermoflux.estimation import (
     EmpiricalDistribution,
-    SamplingOracle,
     classical_relative_entropy,
     hoeffding_sample_size,
     sample_types,
@@ -15,25 +14,17 @@ from thermoflux.estimation import (
 
 
 class TestSamplingOracle:
-    def test_invalid_distribution_rejected(self):
-        with pytest.raises(ValueError):
-            SamplingOracle(distribution=(0.7, 0.7))
+    """sample_types: the seeded i.i.d. source behind the type measurement."""
 
     def test_same_seed_reproduces_counts(self):
-        oracle = SamplingOracle(distribution=(0.6, 0.4), seed=42)
-        a = sample_types(oracle, 100, seed=1)
-        b = sample_types(oracle, 100, seed=1)
+        a = sample_types(np.array([0.6, 0.4]), 100, seed=42)
+        b = sample_types(np.array([0.6, 0.4]), 100, seed=42)
         assert a.counts == b.counts
+        assert a.m == sum(a.counts) == 100
 
     def test_different_call_seeds_differ(self):
-        oracle = SamplingOracle(distribution=(0.6, 0.4), seed=42)
-        draws = {sample_types(oracle, 1000, seed=s).counts for s in range(5)}
+        draws = {sample_types(np.array([0.6, 0.4]), 1000, seed=s).counts for s in range(5)}
         assert len(draws) > 1
-
-    def test_exact_mode_returns_true_distribution(self):
-        oracle = SamplingOracle(distribution=(0.6, 0.4), seed=0, mode="exact")
-        emp = sample_types(oracle, 50)
-        assert np.allclose(emp.p_hat, [0.6, 0.4])
 
 
 class TestEmpiricalDistribution:

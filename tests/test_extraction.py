@@ -131,6 +131,14 @@ class TestPinnedShifts:
             "d2441cbe77ee5f56e073003db57faf2e49ab44487929495367ecc17c9f815e5b"
         )
 
+    def test_universal_sampled_type_stream(self):
+        """A mixed pinched distribution, so the type draw consumes the seeded
+        stream on every letter (the ground state draws from one letter)."""
+        params = UniversalParams.from_schedule(10_000, QUBIT)
+        rho = DensityMatrix(np.array([[0.8, 0.25], [0.25, 0.2]]))
+        out = universal_protocol(rho, QUBIT, params, seed=3, mode="sampled")
+        assert repr(out.details["d_hat"]) == "0.17926015401107112"
+
 
 def _oracle_checkpoint_blocks(n_eff, p_est, l, t):
     """The typical-shell corner blocks as (f, g) tuple pairs, built one letter
@@ -434,6 +442,12 @@ class TestUniversalParams:
         assert ks == sorted(ks)
         assert ks[0] >= 1
 
+    def test_largest_n_whose_eps_is_representable(self):
+        assert UniversalParams.from_schedule(350_000_000, QUBIT).m == 19_444_444
+        for n in (360_000_000, 420_000_000):  # 2/eps overflows; from ~4.13e8 eps is 0
+            with pytest.raises(ValueError, match=f"n = {n}:"):
+                UniversalParams.from_schedule(n, QUBIT)
+
 
 class TestUniversalProtocol:
     def test_thermal_input_extracts_nothing(self):
@@ -539,7 +553,7 @@ class TestBlockPartition:
         points = list(rng.dirichlet(np.ones(d), size=15))
         points += [(grid[a] + grid[b]) / (2 * M) for a, b in pairs]  # exact midpoints
         for p in points:
-            assert (partition.assign(p), partition.is_boundary(p)) == _sequential_nearest(M, d, p)
+            assert partition.nearest(p) == _sequential_nearest(M, d, p)
 
     @pytest.mark.parametrize("d", (2, 3))
     @pytest.mark.parametrize("M", (1, 2, 3, 5, 8, 16))
@@ -549,7 +563,7 @@ class TestBlockPartition:
             F = compositions(n, d)[:, ::-1]
             blocks = [tuple(int(c) for c in partition.grid[i]) for i in partition.assign_types(F, n)]
             assert blocks == [_sequential_nearest(M, d, f / n)[0] for f in F]
-            assert blocks == [partition.assign(f / n) for f in F]
+            assert blocks == [partition.nearest(f / n)[0] for f in F]
 
 
 class TestTomographicProtocol:

@@ -93,12 +93,9 @@ class TestCutoffSchedule:
 
     def test_constant_schedule_decays_geometrically(self):
         rho = TailState(epsilon=2.0)
-        sched = CutoffSchedule(constant=3)
-        rows = schedule_success_curve(rho, sched, [10, 100, 1000, 10000])
-        success = [r[2] for r in rows]
+        success = [math.exp(log_success_probability(rho, 3, n)) for n in (10, 100, 1000, 10000)]
         assert success[-1] < 1e-6
-        ratio = success[1] / success[0]
-        assert rows[1][2] == pytest.approx(rho.head_mass(3) ** 100)
+        assert success[1] == pytest.approx(rho.head_mass(3) ** 100)
 
     def test_finite_support_state_constant_one(self):
         rho = TailState(coefficients=(0.6, 0.4))
@@ -133,21 +130,18 @@ class TestRenormalizedFreeEnergy:
 class TestDistinguishingDimension:
     def test_ground_versus_thermal_single_copy(self):
         ground = TailState(coefficients=(1.0,))
-        rep = distinguishing_dimension(CandidateSet(states=(ground, geometric_state(1.0))))
-        assert rep.d_tilde == 1
-        assert rep.succeeded
-        assert rep.xi_tilde > 0.3
+        assert distinguishing_dimension(CandidateSet(states=(ground, geometric_state(1.0)))) == 1
 
     def test_coherent_pair_flagged_equivalent(self):
         """States differing only by the sign of an off-diagonal coherence have
-        identical pinched statistics at every copy count."""
+        identical pinched statistics at every copy count, so they need not
+        separate."""
         blk_plus = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]])
         blk_minus = 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]])
         plus = TailState(coefficients=(0.5, 0.5), coherent_block=blk_plus)
         minus = TailState(coefficients=(0.5, 0.5), coherent_block=blk_minus)
-        rep = distinguishing_dimension(CandidateSet(states=(plus, minus)))
-        assert rep.equivalent_pairs == ((0, 1),)
-        assert not rep.inconclusive_pairs
+        assert distinguishing_dimension(CandidateSet(states=(plus, minus))) == 1
+        assert distinguishing_dimension(CandidateSet(states=(plus, minus, EPS[1]))) == 1
 
     def test_three_diagonal_states_separate_at_one(self):
         s = CandidateSet(states=(
@@ -155,9 +149,15 @@ class TestDistinguishingDimension:
             TailState(coefficients=(0.5, 0.5)),
             TailState(coefficients=(0.2, 0.3, 0.5)),
         ))
-        rep = distinguishing_dimension(s)
-        assert rep.d_tilde == 1
-        assert rep.xi_tilde > 0
+        assert distinguishing_dimension(s) == 1
+
+    def test_pair_that_never_separates_is_inconclusive(self):
+        near = CandidateSet(states=(
+            TailState(coefficients=(0.5, 0.5)), TailState(coefficients=(0.5001, 0.4999)),
+        ))
+        assert distinguishing_dimension(near) is None
+        with pytest.raises(ValueError, match="not distinguishable"):
+            semiuniversal_protocol(near, 0, LADDER, 10_000, seed=1)
 
 
 def _dense_pinched_power(rho, d, n):
@@ -211,19 +211,18 @@ class TestTypeBlocks:
     @pytest.mark.parametrize("pair", [(EPS[0], EPS[1]), (EPS[1], GEO_WARM), (EPS[0], GEO_WARM)])
     def test_distinguishing_report_equals_the_dense_route(self, pair, monkeypatch):
         S = CandidateSet(states=pair)
-        report = distinguishing_dimension(S)
+        d_tilde = distinguishing_dimension(S)
         monkeypatch.setattr(infdim, "_type_blocks", _dense_pinched_power)
         monkeypatch.setattr(infdim, "_l1_distance", _dense_l1)
-        assert report == distinguishing_dimension(S)
-        assert report.pair_distances[4]
+        assert d_tilde is not None
+        assert d_tilde == distinguishing_dimension(S)
 
     def test_singleton_builds_no_matrices(self, monkeypatch):
         def forbidden(*args):
             raise AssertionError("a matrix was built for a one-candidate set")
 
         monkeypatch.setattr(infdim, "_type_blocks", forbidden)
-        report = distinguishing_dimension(CandidateSet(states=(EPS[2],)))
-        assert report.pair_distances == {d: {} for d in range(1, infdim.DEFAULT_D_CAP + 1)}
+        assert distinguishing_dimension(CandidateSet(states=(EPS[2],))) == 1
 
 
 class TestSemiuniversalProtocol:
@@ -276,24 +275,8 @@ class TestInfiniteContext:
             1.0 / (1.0 - math.exp(-1.0)), abs=1e-12
         )
 
-    def test_general_rule_matches_ladder(self):
-        general = InfiniteContext(beta=1.0, level_rule=lambda i: i - 1)
-        assert general.partition_function() == pytest.approx(
-            LADDER.partition_function(), rel=1e-9
-        )
-
-    def test_superlinear_spectrum_converges(self):
-        quad = InfiniteContext(beta=1.0, level_rule=lambda i: (i - 1) ** 2)
-        z = quad.partition_function()
-        direct = sum(math.exp(-((i - 1) ** 2)) for i in range(1, 50))
-        assert z == pytest.approx(direct, rel=1e-9)
-
     @pytest.mark.parametrize("delta_e", [1.0, 0.5, 0.1, 1 / 3, 2.75])
     @pytest.mark.parametrize("d", [1, 2, 17, 1000, 10_000])
     def test_vectorised_ladder_equals_per_level_energies(self, delta_e, d):
         ctx = InfiniteContext(beta=1.0, delta_e=delta_e)
         assert np.array_equal(ctx.energies(d), np.array([ctx.energy(i) for i in range(1, d + 1)]))
-
-    def test_custom_level_rule_energies(self):
-        quad = InfiniteContext(beta=1.0, level_rule=lambda i: (i - 1) ** 2)
-        assert np.array_equal(quad.energies(5), [0.0, 1.0, 4.0, 9.0, 16.0])
