@@ -2,7 +2,8 @@
 perfbench workloads: `extraction.choose_shift` on a qubit k = 4 Schur-pinched
 alphabet (n_eff = 2500) and on truncated ladders (d_n = 12, 27, 16, 32, the
 cutoffs of the semiuniversal ops), and `infdim.distinguishing_dimension` on
-the three two-candidate sets of the semiuniversal workload (d <= 4 copies).
+the three two-candidate sets of the semiuniversal workload (d <= 4 copies),
+uncached.
 
     python bench/shift_layer.py [--out BENCH_shift.json] [--repeats R]
 
@@ -84,7 +85,7 @@ def measure(repeats: int) -> list:
             "cell": name,
             "d_cap": infdim.D_CAP,
             "d_tilde": infdim.distinguishing_dimension(S),
-            "seconds": median_seconds(lambda: infdim.distinguishing_dimension(S), repeats),
+            "seconds": median_seconds(lambda: infdim.distinguishing_dimension.__wrapped__(S), repeats),
             "repeats": repeats,
         })
     return entries

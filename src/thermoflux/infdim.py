@@ -192,11 +192,13 @@ def renormalized_free_energy(rho: TailState, ctx_inf: InfiniteContext, d: int) -
     return direct
 
 
+@functools.lru_cache(maxsize=64)
 def renormalized_free_energy_limit(
     rho: TailState, ctx_inf: InfiniteContext, tol: float = 1e-10, d_max: int = 200_000
 ) -> float:
     """Certified limit D(rho||tau): partial sum of p_i ln(p_i/t_i) with a
-    monotone remainder bound once both tails are in their asymptotic regime."""
+    monotone remainder bound once both tails are in their asymptotic regime.
+    Cached by its arguments (all frozen)."""
     d = 1000
     prev = None
     while d <= d_max:
@@ -268,10 +270,11 @@ def _l1_distance(a, b) -> float:
     return float(np.abs(_spectrum([x - y for x, y in zip(a, b)])).sum())
 
 
+@functools.lru_cache(maxsize=64)
 def distinguishing_dimension(S: CandidateSet) -> int | None:
     """d-tilde: the smallest d <= D_CAP at which every distinguishable pair of
     candidates is l1-separated by >= XI_MIN on the type-pinched d-copy
-    truncation, or None when some pair never is.
+    truncation, or None when some pair never is.  Cached by the (frozen) set.
 
     Pairs whose pinched statistics coincide (within 1e-12) at every d <= D_CAP
     are protocol-equivalent (identical extractable-work target) and are not

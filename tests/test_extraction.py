@@ -17,11 +17,13 @@ from thermoflux.core import (
 )
 from thermoflux.estimation import classical_relative_entropy
 from thermoflux.extraction import (
+    XI_TAIL,
     BlockPartition,
     ConverseViolationError,
     UniversalParams,
     WorkAlphabet,
     _checkpoint_blocks,
+    _mass_core,
     _round_counts,
     _shell_widths,
     build_classical_plan,
@@ -37,7 +39,13 @@ from thermoflux.extraction import (
 from thermoflux.infdim import InfiniteContext, TailState
 from thermoflux.pinching import schur_pinched_distribution
 from thermoflux.schur import build_schur_basis
-from thermoflux.typeclass import ShiftFunction, compositions, feasible_rows
+from thermoflux.typeclass import (
+    ShiftFunction,
+    compositions,
+    feasible_grid,
+    feasible_rows,
+    log_type_prob_rows,
+)
 
 QUBIT = ThermalContext(levels=(0, 1), beta=1.0)
 ALPHABET = WorkAlphabet.from_context(QUBIT)
@@ -352,15 +360,59 @@ class TestExactXiGrid:
         assert plan.xi == pytest.approx(_xi_oracle(p, alphabet.thermal, n, l, h), abs=1e-12)
 
     @pytest.mark.parametrize("levels, n, diag, xi", [
-        ((0, 1), 200, [0.9, 0.1], "0.0014418342493294212"),
-        ((0, 1), 300, [0.95, 0.05], "0.003129466655304891"),
-        ((0, 1, 2), 18, [0.9, 0.05, 0.05], "0.0018097928746447778"),
+        ((0, 1), 200, [0.9, 0.1], "0.0014418342493293101"),
+        ((0, 1), 300, [0.95, 0.05], "0.00312946665530478"),
+        ((0, 1, 2), 18, [0.9, 0.05, 0.05], "0.0018097928746449998"),
     ])
     def test_pinned_state_aware_xi(self, levels, n, diag, xi):
         """Exact xi of three state-aware plans, to the last bit."""
         ctx = ThermalContext(levels=levels, beta=1.0)
         out = state_aware_protocol(DensityMatrix.from_diagonal(diag), ctx, n, k=1, plan_mode="exact")
         assert repr(out.xi) == xi
+
+
+@st.composite
+def _mass_core_plans(draw):
+    """A full-support source whose rarest letter has p^n < XI_TAIL: a qubit at
+    n in {50, 100, 200} or a qutrit at n in {10, 11, 12}, letters in drawn
+    order, and a second distribution q the shift is chosen on, so that xi
+    ranges over [0, 1]."""
+    if draw(st.booleans()):
+        n, rare = draw(st.sampled_from((50, 100, 200))), draw(st.floats(0.01, 0.3))
+        p = [1.0 - rare, rare]
+    else:
+        n, rare = draw(st.sampled_from((10, 11, 12))), draw(st.floats(0.001, 0.012))
+        mid = draw(st.floats(0.05, 0.6))
+        p = [1.0 - rare - mid, mid, rare]
+    p = draw(st.permutations(p))
+    q = draw(st.lists(st.floats(0.01, 1.0), min_size=len(p), max_size=len(p)))
+    return tuple(p), n, tuple(x / sum(q) for x in q)
+
+
+class TestMassCore:
+    @settings(max_examples=30)
+    @given(_mass_core_plans())
+    def test_dropped_rows_bound_xi(self, plan_input):
+        """Each side drops at least one row, of summed mass <= XI_TAIL, and the
+        exact xi lies within [xi_full, xi_full + 2 XI_TAIL] up to rounding, with
+        xi_full summed with math.fsum over the feasible pairs of the full grid."""
+        p, n, q = plan_input
+        alphabet = WorkAlphabet(energies=range(len(p)), beta=1.0)
+        l = math.ceil(n ** 1.5)
+        h = choose_shift(np.array(q), alphabet, n, margin_nats=0.0, l=l)
+        F, G = compositions(n, len(p)), compositions(l, len(p))
+        log_pf, log_pg = log_type_prob_rows(F, p), log_type_prob_rows(G, alphabet.thermal)
+        for log_w in (log_pf, log_pg):
+            dropped = np.delete(np.exp(log_w), _mass_core(log_w))
+            assert len(dropped) >= 1
+            assert math.fsum(dropped) <= XI_TAIL
+        success = []
+        for lo, feas in feasible_grid(F, G, h.shifts):
+            fi, gi = np.nonzero(feas)
+            success.append(np.exp(log_pf[lo + fi] + log_pg[gi]))
+        xi_full = min(max(1.0 - math.fsum(np.concatenate(success)), 0.0), 1.0)
+        xi = build_classical_plan(np.array(p), alphabet, n, l, h, mode="exact").xi
+        assert xi_full - 1e-15 <= xi <= xi_full + 2 * XI_TAIL + 1e-15
 
 
 class TestStringwiseOracle:

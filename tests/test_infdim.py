@@ -1,5 +1,6 @@
 """Tests for truncated infinite-dimensional systems."""
 
+import dataclasses
 import itertools
 import math
 
@@ -280,3 +281,19 @@ class TestInfiniteContext:
     def test_vectorised_ladder_equals_per_level_energies(self, delta_e, d):
         ctx = InfiniteContext(beta=1.0, delta_e=delta_e)
         assert np.array_equal(ctx.energies(d), np.array([ctx.energy(i) for i in range(1, d + 1)]))
+
+
+class TestCachedLayers:
+    @pytest.mark.parametrize("func, args", [
+        (distinguishing_dimension, (CandidateSet(states=(EPS[0], GEO_WARM)),)),
+        (renormalized_free_energy_limit, (EPS[0], LADDER)),
+        (renormalized_free_energy_limit, (GEO_COLD, LADDER)),
+    ], ids=["d_tilde eps1|geo0.5", "limit eps1", "limit geo2"])
+    def test_cache_hit_equals_a_fresh_computation(self, func, args):
+        """Both are cached by their frozen arguments: an equal, separately built
+        argument hits the cache and returns bit for bit the uncached value."""
+        func(*args)
+        hits = func.cache_info().hits
+        cached = func(*[dataclasses.replace(a) for a in args])
+        assert func.cache_info().hits == hits + 1
+        assert repr(cached) == repr(func.__wrapped__(*args))
