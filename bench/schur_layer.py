@@ -1,5 +1,7 @@
-"""Schur layer timings: the uncached basis build, and schur_pinching + apply
-on a cached basis, for qubits k = 4..8 and qutrits k = 3..5.
+"""Schur layer timings for qubits k = 4..8 and qutrits k = 3..5: the uncached
+basis build; schur_pinching + apply on the cached basis; the Schur-pinched
+distribution on the cached basis; and D(apply(channel, rho^k) || tau^k) with
+its pinching and thermal state, on a validated rho^k.
 
     python bench/schur_layer.py [--out BENCH_schur.json] [--max-k K] [--repeats R]
 
@@ -74,15 +76,24 @@ def measure(cells, repeats: int) -> list:
         ctx = core.ThermalContext(levels=tuple(range(d)), beta=1.0)
         g = np.random.default_rng(d * 100 + k).normal(size=(d, d, 2)) @ [1.0, 1j]
         rho = g @ g.conj().T
-        rho_k = core.tensor_power(rho / rho.trace().real, k)
+        rho = core.DensityMatrix(rho / rho.trace().real)
+        rho_k = core.tensor_power(rho, k)
         basis = schur.build_schur_basis(k, d)
+        channel = pinching.schur_pinching(ctx, k, basis)
         entries.append({
             "d": d,
             "k": k,
             "dim": d ** k,
             "build_s": median_seconds(lambda: schur._schur_basis.__wrapped__(k, d), repeats),
             "pinch_apply_s": median_seconds(
-                lambda: pinching.apply(pinching.schur_pinching(ctx, k, basis), rho_k), repeats
+                lambda: pinching.apply(pinching.schur_pinching(ctx, k, basis), rho_k.entries), repeats
+            ),
+            "pinched_dist_s": median_seconds(
+                lambda: pinching.schur_pinched_distribution(ctx, k, rho, basis), repeats
+            ),
+            "rel_entropy_s": median_seconds(
+                lambda: core.relative_entropy(pinching.apply(channel, rho_k), core.thermal_state(ctx, k)),
+                repeats,
             ),
             "repeats": repeats,
         })

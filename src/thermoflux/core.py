@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -51,30 +51,45 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _validate_state(entries: np.ndarray) -> np.ndarray:
+def _is_diagonal(a: np.ndarray) -> bool:
+    """Every nonzero entry of a lies on its diagonal."""
+    return np.count_nonzero(a) == np.count_nonzero(a.diagonal())
+
+
+def _validate_state(entries: np.ndarray) -> tuple:
+    """The frozen state and its ascending spectrum, or ValueError.  A diagonal
+    matrix that passes the Hermitian check has the real part of its diagonal
+    as its spectrum (eigvalsh reads only that), so it skips the eigensolver."""
     entries = np.asarray(entries, dtype=complex)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {entries.shape}")
     herm_dev = np.max(np.abs(entries - entries.conj().T))
     if herm_dev > HERMITIAN_TOL:
         raise ValueError(f"matrix not Hermitian: max |A - A^dag| = {herm_dev:g}")
-    evals = np.linalg.eigvalsh(entries)
+    if _is_diagonal(entries):
+        evals = np.sort(entries.diagonal().real)
+    else:
+        evals = np.linalg.eigvalsh(entries)
     if evals.min() < -PSD_TOL:
         raise ValueError(f"matrix not PSD: min eigenvalue {evals.min():g}")
     tr = float(entries.trace().real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"trace must be 1, got {tr:.12g}")
-    return _frozen(entries)
+    return _frozen(entries), _frozen(evals)
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian PSD trace-1 complex matrix."""
+    """Hermitian PSD trace-1 complex matrix.  spectrum holds the ascending
+    eigenvalues the validation computed, so entropies need no second solve."""
 
     entries: np.ndarray
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _validate_state(self.entries))
+        entries, spectrum = _validate_state(self.entries)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def dim(self) -> int:
@@ -216,30 +231,32 @@ def relative_entropy(rho, sigma) -> float:
     """Umegaki relative entropy D(rho||sigma) = Tr[rho ln rho - rho ln sigma], in nats.
 
     Raises SupportViolationError when rho has mass >= 1e-9 outside supp(sigma)
-    (the D = +inf case).
+    (the D = +inf case).  A DensityMatrix rho brings its spectrum; a diagonal
+    sigma has eigenvalues diag(sigma), eigenvectors the standard basis, and
+    weights <v_i|rho|v_i> = rho_ii, so neither is decomposed again.
     """
     r = _entries(rho)
     s = _entries(sigma)
     if r.shape != s.shape:
         raise DimensionMismatchError(f"shape mismatch {r.shape} vs {s.shape}")
-    rvals, rvecs = np.linalg.eigh(r)
-    svals, svecs = np.linalg.eigh(s)
+    rvals = rho.spectrum if isinstance(rho, DensityMatrix) else np.linalg.eigvalsh(r)
+    if _is_diagonal(s):
+        svals = s.diagonal().real
+        weights = r.diagonal().real
+    else:
+        svals, svecs = np.linalg.eigh(s)
+        weights = np.einsum("ij,ij->j", svecs.conj(), r @ svecs).real  # <v_i|rho|v_i>
     # mass of rho in the kernel of sigma
     kernel = svals <= KERNEL_TOL
-    if np.any(kernel):
-        kvecs = svecs[:, kernel]
-        mass = float(np.einsum("ij,jk,ki->", kvecs.conj().T, r, kvecs).real)
-        if mass >= SUPPORT_TOL:
-            raise SupportViolationError(
-                f"rho has mass {mass:g} outside supp(sigma); D = +inf"
-            )
+    mass = float(weights[kernel].sum())
+    if mass >= SUPPORT_TOL:
+        raise SupportViolationError(
+            f"rho has mass {mass:g} outside supp(sigma); D = +inf"
+        )
     term1 = float(np.sum(_xlogx(np.clip(rvals, 0.0, None))))
     # Tr[rho ln sigma] over the support of sigma
     supp = ~kernel
-    logs = np.log(svals[supp])
-    vecs = svecs[:, supp]
-    weights = np.einsum("ij,ij->j", vecs.conj(), r @ vecs).real  # <v_i|rho|v_i>
-    term2 = float(np.dot(weights, logs))
+    term2 = float(np.dot(weights[supp], np.log(svals[supp])))
     return term1 - term2
 
 

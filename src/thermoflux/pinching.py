@@ -7,7 +7,7 @@ quantitative pinching inequality / relative-entropy loss checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -16,42 +16,14 @@ from thermoflux.core import (
     DimensionMismatchError,
     HamiltonianOperator,
     ThermalContext,
+    _check_cap,
     _entries,
+    _frozen,
     relative_entropy,
 )
 from thermoflux.schur import SchurBasis, build_schur_basis
 
 PROJ_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class ProjectorFamily:
-    """A complete family of mutually orthogonal Hermitian projectors."""
-
-    dim: int
-    projectors: tuple
-
-    def __post_init__(self):
-        projs = tuple(np.asarray(p, dtype=complex) for p in self.projectors)
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for p in projs:
-            if p.shape != (self.dim, self.dim):
-                raise DimensionMismatchError("projector shape mismatch")
-            if np.max(np.abs(p - p.conj().T)) > PROJ_TOL:
-                raise ValueError("projector not Hermitian")
-            if np.max(np.abs(p @ p - p)) > PROJ_TOL:
-                raise ValueError("projector not idempotent")
-            total += p
-        if np.max(np.abs(total - np.eye(self.dim))) > PROJ_TOL:
-            raise ValueError("projector family incomplete")
-        for i in range(len(projs)):
-            for j in range(i + 1, len(projs)):
-                if np.max(np.abs(projs[i] @ projs[j])) > PROJ_TOL:
-                    raise ValueError("projectors not mutually orthogonal")
-        object.__setattr__(self, "projectors", projs)
-
-    def __len__(self) -> int:
-        return len(self.projectors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +59,7 @@ class BasisFamily:
         if dev > PROJ_TOL / 2:
             raise ValueError(f"basis not unitary: ||U^dag U - I||_F = {dev:g}")
         object.__setattr__(self, "unitary", u)
-        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "groups", _frozen(groups))
 
     @property
     def dim(self) -> int:
@@ -99,13 +71,13 @@ class BasisFamily:
     @cached_property
     def mask(self) -> np.ndarray:
         """mask[a, b]: columns a and b belong to the same projector."""
-        return self.groups[:, None] == self.groups[None, :]
+        return _frozen(self.groups[:, None] == self.groups[None, :])
 
     @cached_property
     def projectors(self) -> tuple:
         u = self.unitary
         return tuple(
-            (u[:, cols] @ u[:, cols].conj().T).astype(complex)
+            _frozen((u[:, cols] @ u[:, cols].conj().T).astype(complex))
             for cols in (np.flatnonzero(self.groups == j) for j in range(len(self)))
         )
 
@@ -122,13 +94,22 @@ class PinchingChannel:
         return apply(self, rho)
 
 
+def _conjugate_masked(u: np.ndarray, r: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    return u @ ((u.conj().T @ r @ u) * mask) @ u.conj().T
+
+
 def apply(channel: PinchingChannel, rho):
-    """sum_j Pi_j rho Pi_j = U (mask o U^dag rho U) U^dag; trace preserving."""
+    """sum_j Pi_j rho Pi_j = U (mask o U^dag rho U) U^dag; trace preserving.
+    A real U (the Schur basis, the identity) maps Re rho and Im rho apart, in
+    real products."""
     r = _entries(rho)
     if r.shape[0] != channel.dim:
         raise DimensionMismatchError(f"state dim {r.shape[0]} vs channel dim {channel.dim}")
-    u = channel.family.unitary
-    out = u @ ((u.conj().T @ r @ u) * channel.family.mask) @ u.conj().T
+    u, mask = channel.family.unitary, channel.family.mask
+    if np.isrealobj(u):
+        out = _conjugate_masked(u, r.real, mask) + 1j * _conjugate_masked(u, r.imag, mask)
+    else:
+        out = _conjugate_masked(u, r, mask)
     if isinstance(rho, DensityMatrix):
         return DensityMatrix(out)
     return out
@@ -146,14 +127,17 @@ def energy_pinching(ctx: ThermalContext, n: int) -> PinchingChannel:
     ))
 
 
-def schur_pinching(ctx: ThermalContext, n: int, basis: SchurBasis = None) -> PinchingChannel:
-    """Pinching onto the energy eigenspaces of H_lambda (x) I within each Schur
-    block: the Schur change of basis, each column labelled by its block and the
-    energy of its Weyl vector."""
-    if basis is None:
-        basis = build_schur_basis(n, ctx.dim)
-    if basis.n != n or basis.d != ctx.dim:
+def _per_basis(cached, fresh, ctx: ThermalContext, k: int, basis: SchurBasis):
+    """cached(ctx, k) -> (basis, value) holds the value for the basis that
+    build_schur_basis caches for (k, d); any other basis gets fresh(ctx, basis)."""
+    _check_cap(ctx.dim ** k)
+    if basis is not None and (basis.n != k or basis.d != ctx.dim):
         raise DimensionMismatchError("basis does not match (n, d)")
+    own, value = cached(ctx, k)
+    return value if basis is None or basis is own else fresh(ctx, basis)
+
+
+def _schur_pinching(ctx: ThermalContext, basis: SchurBasis) -> PinchingChannel:
     groups = []
     labels = []
     for b in basis.blocks:
@@ -162,12 +146,26 @@ def schur_pinching(ctx: ThermalContext, n: int, basis: SchurBasis = None) -> Pin
         index = {e: len(labels) + j for j, e in enumerate(levels)}
         labels += [(b.diagram.rows, e) for e in levels]
         groups += [index[e] for e in energies for _ in range(b.sym_dim)]
-    bound = (n + 1) ** (2 * (ctx.dim - 1))
+    bound = (basis.n + 1) ** (2 * (ctx.dim - 1))
     if len(labels) > bound:
         raise RuntimeError(f"projector count {len(labels)} exceeds bound {bound}")
     return PinchingChannel(
         family=BasisFamily(unitary=basis.change_of_basis, groups=groups, labels=tuple(labels))
     )
+
+
+@lru_cache(maxsize=16)
+def _cached_schur_pinching(ctx: ThermalContext, n: int) -> tuple:
+    basis = build_schur_basis(n, ctx.dim)
+    return basis, _schur_pinching(ctx, basis)
+
+
+def schur_pinching(ctx: ThermalContext, n: int, basis: SchurBasis = None) -> PinchingChannel:
+    """Pinching onto the energy eigenspaces of H_lambda (x) I within each Schur
+    block: the Schur change of basis, each column labelled by its block and the
+    energy of its Weyl vector.  Built once per (ctx, n) on the cached basis;
+    the channel is shared and its arrays are read-only."""
+    return _per_basis(_cached_schur_pinching, _schur_pinching, ctx, n, basis)
 
 
 def mixture_realization(channel: PinchingChannel) -> list:
@@ -197,21 +195,47 @@ def relative_entropy_loss(channel: PinchingChannel, rho_tensor_k, k: int) -> flo
     return relative_entropy(r, apply(channel, r)) / k
 
 
+def _weyl_letters(ctx: ThermalContext, basis: SchurBasis) -> tuple:
+    """Copy 0 of every block as the columns of one (d^k, sum n_lambda) array,
+    the multiplicity m_lambda of each column, and each letter's exact energy."""
+    blocks = basis.blocks
+    return (
+        _frozen(np.hstack([b.weyl_basis for b in blocks])),
+        _frozen(np.repeat([b.sym_dim for b in blocks], [b.weyl_dim for b in blocks])),
+        tuple(e for b in blocks for e in b.energy_labels(ctx) for _ in range(b.sym_dim)),
+    )
+
+
+@lru_cache(maxsize=16)
+def _cached_weyl_letters(ctx: ThermalContext, k: int) -> tuple:
+    basis = build_schur_basis(k, ctx.dim)
+    return basis, _weyl_letters(ctx, basis)
+
+
 def schur_pinched_distribution(ctx: ThermalContext, k: int, rho, basis: SchurBasis = None):
     """Diagonal of rho^{x k} in the Schur eigenbasis, with per-letter exact energies.
 
     Returns (probs, energies): the classical super-letter statistics that the
     Schur-pinched k-copy block presents to the downstream type machinery.
     Letter order: blocks in diagram order, Weyl index major, multiplicity minor.
-    """
-    if basis is None:
-        basis = build_schur_basis(k, ctx.dim)
-    from thermoflux.core import tensor_power
 
-    u = basis.change_of_basis
-    rk = _entries(tensor_power(rho, k))
-    probs = np.clip(np.einsum("ij,ij->j", u.conj(), rk @ u).real, 0.0, None)
-    energies = tuple(
-        e for b in basis.blocks for e in b.energy_labels(ctx) for _ in range(b.sym_dim)
-    )
+    Only copy 0 is read: q_w = <w|rho^{x k}|w> for the sum n_lambda Weyl
+    vectors w, with rho applied to one tensor axis at a time (no d^k x d^k
+    power), and each q_w is repeated for its m_lambda copies, which are thus
+    bitwise equal.  Rounding moves q_w by at most (k (d + 2) + d^k) 2^-53
+    (|w| = 1 and ||rho||_F <= 1), which is below the floor k d^k 2^-52 for
+    d >= 2.  Values below the floor (2.7e-13 for a qutrit at k = 5) are set to
+    exactly 0 before normalising: a letter of zero mass always is, and a
+    snapped letter's true mass is below twice the floor.
+    """
+    weyl, repeats, energies = _per_basis(_cached_weyl_letters, _weyl_letters, ctx, k, basis)
+    r, d = _entries(rho), ctx.dim
+    if r.shape != (d, d):
+        raise DimensionMismatchError(f"state shape {r.shape} vs single-system dim {d}")
+    x = weyl.reshape((d,) * k + (-1,))
+    for _ in range(k):  # rho on the last tensor axis, which then moves to the front
+        x = np.tensordot(r, x, axes=([1], [k - 1]))
+    q = np.einsum("ac,ac->c", weyl, x.reshape(weyl.shape)).real
+    q[q < k * d ** k * 2.0 ** -52] = 0.0
+    probs = np.repeat(q, repeats)
     return probs / probs.sum(), energies

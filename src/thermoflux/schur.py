@@ -191,36 +191,6 @@ def _yor_generators(rows: tuple):
     return gens
 
 
-def _adjacent_decomposition(perm: tuple) -> list:
-    """Factor perm into adjacent transpositions: perm = a_{ops[0]} o a_{ops[1]} o ...
-
-    (a_k swaps 0-based slots k and k+1; composition is (p o q)(j) = p[q[j]].)
-    """
-    p = list(perm)
-    ops = []
-    # bubble-sort to the identity; each swap is a right-multiplication by a_k
-    changed = True
-    while changed:
-        changed = False
-        for j in range(len(p) - 1):
-            if p[j] > p[j + 1]:
-                p[j], p[j + 1] = p[j + 1], p[j]
-                ops.append(j)
-                changed = True
-    ops.reverse()
-    return ops
-
-
-def yor_matrix(diagram: YoungDiagram, perm: tuple) -> np.ndarray:
-    """u_lambda(pi) in Young's orthogonal form; perm is 0-based one-line notation."""
-    gens = _yor_generators(diagram.rows)
-    m = gens[0].shape[0] if gens else 1
-    u = np.eye(m)
-    for k in _adjacent_decomposition(perm):
-        u = u @ gens[k]
-    return u
-
-
 def _perm_index_map(perm: tuple, n: int, d: int) -> np.ndarray:
     """V_pi as an index permutation: V_pi |i_1..i_n> = |i_{pi^{-1}(1)}..i_{pi^{-1}(n)}>.
 
@@ -234,21 +204,6 @@ def _perm_index_map(perm: tuple, n: int, d: int) -> np.ndarray:
     for j in range(n):
         axes[perm[j]] = j
     return np.transpose(idx, axes=axes).ravel()
-
-
-def permutation_operator(perm, n: int, d: int) -> np.ndarray:
-    """Unitary matrix of the permutation action on (C^d)^{x n}.
-
-    perm: sequence with perm[j] = image of tensor slot j (0-based).
-    """
-    perm = tuple(int(x) for x in perm)
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"not a permutation of 0..{n-1}: {perm}")
-    _check_cap(d ** n)
-    src = _perm_index_map(perm, n, d)
-    op = np.zeros((d ** n, d ** n))
-    op[np.arange(d ** n), src] = 1.0
-    return op
 
 
 @dataclass(frozen=True)

@@ -21,3 +21,4 @@ def test_schur_layer_bench_writes_its_report(tmp_path):
         assert entry["repeats"] >= 5
         assert entry["dim"] == entry["d"] ** entry["k"]
         assert entry["build_s"] > 0 and entry["pinch_apply_s"] > 0
+        assert entry["pinched_dist_s"] > 0 and entry["rel_entropy_s"] > 0

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermoflux.core import (
     DensityMatrix,
@@ -47,6 +49,29 @@ class TestDensityMatrix:
         rho = DensityMatrix.from_diagonal([0.5, 0.5])
         with pytest.raises(ValueError):
             rho.entries[0, 0] = 1.0
+
+    def test_diagonal_with_small_negative_entry_rejected(self):
+        with pytest.raises(ValueError, match="PSD"):
+            DensityMatrix(np.diag([0.5 + 1e-6, 0.5, -1e-6]))
+
+    def test_diagonal_with_imaginary_part_rejected(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(np.diag([0.5 + 1e-6j, 0.5]))
+
+    def test_off_diagonal_state_with_nonnegative_diagonal_still_decomposed(self):
+        """The diagonal fast path must not take a matrix with off-diagonal
+        entries: this one has diagonal (0.5, 0.5) and eigenvalues 1.1, -0.1."""
+        with pytest.raises(ValueError, match="PSD"):
+            DensityMatrix(np.array([[0.5, 0.6], [0.6, 0.5]]))
+
+    @pytest.mark.parametrize("entries", [
+        np.diag([0.1, 0.6, 0.0, 0.3]),
+        np.array([[0.7, 0.2j], [-0.2j, 0.3]]),
+    ], ids=["diagonal", "dense"])
+    def test_spectrum_is_the_ascending_eigenvalues(self, entries):
+        rho = DensityMatrix(entries)
+        assert np.allclose(rho.spectrum, np.linalg.eigvalsh(entries), atol=1e-15)
+        assert not rho.spectrum.flags.writeable
 
 
 class TestThermalContext:
@@ -138,6 +163,47 @@ class TestRelativeEntropy:
                 + a[1] * relative_entropy(r2, tau)
                 + 1e-12
             )
+
+
+def _random_unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+class TestDiagonalSigma:
+    """A diagonal sigma skips eigh; rotating both states by one unitary gives
+    the same D through the dense route, which decomposes the rotated sigma."""
+
+    @settings(max_examples=40)
+    @given(d=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1), pure=st.booleans())
+    def test_matches_the_eigh_route(self, d, seed, pure):
+        rng = np.random.default_rng(seed)
+        if pure:
+            v = rng.normal(size=d) + 1j * rng.normal(size=d)
+            r = np.outer(v, v.conj()) / np.vdot(v, v).real
+        else:
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            r = g @ g.conj().T / np.trace(g @ g.conj().T).real
+        s = np.diag(rng.dirichlet(np.ones(d)))
+        u = _random_unitary(rng, d)
+        fast = relative_entropy(DensityMatrix(r), DensityMatrix(s))
+        dense = relative_entropy(u @ r @ u.conj().T, u @ s @ u.conj().T)
+        assert fast == pytest.approx(dense, abs=1e-12)
+        assert relative_entropy(r, s) == pytest.approx(fast, abs=1e-12)
+
+    @pytest.mark.parametrize("rotate", [False, True], ids=["diagonal", "rotated"])
+    def test_kernel_mass_raises_on_both_routes(self, rotate):
+        u = _random_unitary(np.random.default_rng(2), 3) if rotate else np.eye(3)
+        s = u @ np.diag([0.5, 0.5, 0.0]) @ u.conj().T
+        # the rotated route reads the kernel mass to within ~1e-16
+        edge = 1.001e-9 if rotate else 1e-9
+        for mass, raises in ((edge, True), (1e-6, True), (1e-11, False)):
+            r = u @ np.diag([0.5, 0.5 - mass, mass]) @ u.conj().T
+            if raises:
+                with pytest.raises(SupportViolationError):
+                    relative_entropy(r, s)
+            else:
+                assert math.isfinite(relative_entropy(r, s))
 
 
 class TestTensorAlgebra:

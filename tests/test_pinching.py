@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thermoflux import schur
 from thermoflux.core import (
     DensityMatrix,
+    DimensionMismatchError,
     ThermalContext,
     relative_entropy,
     tensor_power,
@@ -18,7 +20,6 @@ from thermoflux.pinching import (
     PROJ_TOL,
     BasisFamily,
     PinchingChannel,
-    ProjectorFamily,
     apply,
     energy_pinching,
     mixture_realization,
@@ -27,6 +28,9 @@ from thermoflux.pinching import (
     schur_pinched_distribution,
     schur_pinching,
 )
+from thermoflux.schur import build_schur_basis
+
+from oracles import ProjectorFamily
 
 QUBIT = ThermalContext(levels=(0, 1), beta=1.0)
 PLUS = DensityMatrix.pure(np.array([1.0, 1.0]) / math.sqrt(2))
@@ -173,7 +177,94 @@ def _random_state(rng, dim):
     return rho / rho.trace().real
 
 
+def _random_pure(rng, dim):
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return np.outer(v, v.conj()) / np.vdot(v, v).real
+
+
+def _dense_pinched(basis, rho, k):
+    """diag(U^T rho^{x k} U): the Schur-basis diagonal through the d^k x d^k power."""
+    u = basis.change_of_basis
+    return np.einsum("ij,ij->j", u, tensor_power(rho, k) @ u).real
+
+
+DENSE_CASES = [(2, k) for k in range(1, 9)] + [(3, k) for k in range(1, 6)]
+
+
+class TestCopyZeroLetters:
+    @settings(max_examples=60)
+    @given(case=st.sampled_from(DENSE_CASES), seed=st.integers(0, 2 ** 32 - 1), pure=st.booleans())
+    def test_matches_dense_route_with_bitwise_equal_copies(self, case, seed, pure):
+        d, k = case
+        rng = np.random.default_rng(seed)
+        rho = _random_pure(rng, d) if pure else _random_state(rng, d)
+        basis = build_schur_basis(k, d)
+        probs, _ = schur_pinched_distribution(QUBIT if d == 2 else QUTRIT, k, DensityMatrix(rho), basis)
+        dense = _dense_pinched(basis, rho, k)
+        assert np.max(np.abs(probs - dense)) <= 1e-12
+        assert np.all(probs[dense >= 1e-10] > 0.0)  # the zero floor snaps no real letter
+        offset = 0
+        for b in basis.blocks:
+            copies = probs[offset:offset + b.weyl_dim * b.sym_dim].reshape(b.weyl_dim, b.sym_dim)
+            assert np.array_equal(copies, np.repeat(copies[:, :1], b.sym_dim, axis=1))
+            offset += b.weyl_dim * b.sym_dim
+
+    @settings(max_examples=40)
+    @given(case=st.sampled_from([(2, 4), (2, 5), (2, 6), (3, 3), (3, 4)]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_pure_state_letters_outside_symmetric_block_are_exact_zeros(self, case, seed):
+        """rho^{x k} of a pure state lives in the symmetric block (k,), the
+        first block; every other letter is snapped to exactly 0.0."""
+        d, k = case
+        rho = _random_pure(np.random.default_rng(seed), d)
+        basis = build_schur_basis(k, d)
+        probs, _ = schur_pinched_distribution(QUBIT if d == 2 else QUTRIT, k, DensityMatrix(rho), basis)
+        assert basis.blocks[0].diagram.rows == (k,)
+        assert np.all(probs[basis.blocks[0].weyl_dim:] == 0.0)
+        assert np.all(probs[_dense_pinched(basis, rho, k) >= 1e-10] > 0.0)
+
+
+class TestSchurCaches:
+    def test_one_pinching_per_context_and_k(self):
+        channel = schur_pinching(QUTRIT, 3)
+        assert schur_pinching(QUTRIT, 3) is channel
+        assert schur_pinching(QUTRIT, 3, build_schur_basis(3, 3)) is channel
+        assert schur_pinching(ThermalContext(levels=(0, 1, 3), beta=1.0), 3) is not channel
+        fam = channel.family
+        for arr in (fam.unitary, fam.groups, fam.mask, *fam.projectors):
+            assert not arr.flags.writeable
+
+    def test_one_letter_table_per_context_and_k(self):
+        rho = DensityMatrix(_random_state(np.random.default_rng(4), 3))
+        _, energies = schur_pinched_distribution(QUTRIT, 3, rho)
+        assert schur_pinched_distribution(QUTRIT, 3, rho, build_schur_basis(3, 3))[1] is energies
+        assert schur_pinched_distribution(QUTRIT, 3, PLUS_QUTRIT)[1] is energies
+
+    def test_equal_but_distinct_basis_gives_the_same_values(self):
+        fresh = schur._schur_basis.__wrapped__(4, 2)
+        assert fresh is not build_schur_basis(4, 2)
+        rho = DensityMatrix(_random_state(np.random.default_rng(5), 2))
+        probs, energies = schur_pinched_distribution(QUBIT, 4, rho)
+        fresh_probs, fresh_energies = schur_pinched_distribution(QUBIT, 4, rho, fresh)
+        assert fresh_energies is not energies and fresh_energies == energies
+        assert np.array_equal(fresh_probs, probs)
+        cached, own = schur_pinching(QUBIT, 4), schur_pinching(QUBIT, 4, fresh)
+        assert own is not cached
+        assert own.family.labels == cached.family.labels
+        assert np.array_equal(own.family.groups, cached.family.groups)
+        rk = tensor_power(rho, 4).entries
+        assert np.array_equal(apply(own, rk), apply(cached, rk))
+
+    def test_mismatched_basis_rejected(self):
+        basis = build_schur_basis(3, 2)
+        with pytest.raises(DimensionMismatchError):
+            schur_pinching(QUBIT, 4, basis)
+        with pytest.raises(DimensionMismatchError):
+            schur_pinched_distribution(QUBIT, 4, PLUS, basis)
+
+
 QUTRIT = ThermalContext(levels=(0, 1, 2), beta=1.0)
+PLUS_QUTRIT = DensityMatrix.pure(np.ones(3))
 
 
 class TestBasisFamily:
@@ -189,6 +280,14 @@ class TestBasisFamily:
         direct = sum(p @ rho @ p for p in channel.family.projectors)
         assert len(channel.family.projectors) == len(channel.family)
         assert np.max(np.abs(apply(channel, rho) - direct)) <= 1e-12
+
+    def test_real_basis_on_complex_state_matches_complex_products(self):
+        channel = schur_pinching(QUTRIT, 3)
+        rho = _random_state(np.random.default_rng(12), 27)
+        u = channel.family.unitary.astype(complex)
+        want = u @ ((u.conj().T @ rho @ u) * channel.family.mask) @ u.conj().T
+        assert np.max(np.abs(apply(channel, rho) - want)) <= 1e-13
+        assert isinstance(apply(channel, DensityMatrix(rho)), DensityMatrix)
 
     def test_materialised_projectors_form_a_family(self):
         fam = schur_pinching(QUTRIT, 3).family

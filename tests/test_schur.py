@@ -18,12 +18,12 @@ from thermoflux.schur import (
     enumerate_young_diagrams,
     hook_length_dimension,
     irrep_dimensions,
-    permutation_operator,
     standard_tableaux,
     weyl_dimension,
-    yor_matrix,
 )
 from thermoflux.typeclass import compositions, strings_of_type
+
+from oracles import permutation_operator, yor_matrix
 
 QUBIT = ThermalContext(levels=(0, 1), beta=1.0)
 

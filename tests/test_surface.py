@@ -14,11 +14,7 @@ PACKAGE = ROOT / "src" / "thermoflux"
 CALLER_DIRS = ("src", "demos", "bench", "perfbench")
 
 # Reference implementations that tests compare the fast paths against.
-REFERENCE_CHECKS = {
-    "ProjectorFamily",  # validating constructor for BasisFamily's projectors
-    "yor_matrix",  # Young's orthogonal form of any permutation
-    "permutation_operator",  # dense action of a permutation on the tensor power
-}
+ORACLES = ROOT / "tests" / "oracles.py"
 
 
 def _caller_sources() -> dict:
@@ -41,7 +37,6 @@ def _public_definitions() -> list:
 
 SOURCES = _caller_sources()
 DEFINITIONS = _public_definitions()
-CHECKED = [(p, n) for p, n in DEFINITIONS if n.name not in REFERENCE_CHECKS]
 
 
 def _referenced_elsewhere(path: Path, node, sources=SOURCES) -> bool:
@@ -55,15 +50,20 @@ def _referenced_elsewhere(path: Path, node, sources=SOURCES) -> bool:
     return False
 
 
-@pytest.mark.parametrize("path, node", CHECKED, ids=[f"{p.stem}.{n.name}" for p, n in CHECKED])
+@pytest.mark.parametrize("path, node", DEFINITIONS, ids=[f"{p.stem}.{n.name}" for p, n in DEFINITIONS])
 def test_public_definition_has_a_caller(path, node):
     assert _referenced_elsewhere(path, node), (
         f"{path.name}: {node.name} is referenced only by its own definition or by tests"
     )
 
 
-def test_reference_checks_exist():
-    assert REFERENCE_CHECKS <= {node.name for _, node in DEFINITIONS}
+def test_reference_implementations_live_in_tests():
+    oracles = {
+        node.name for node in ast.parse(ORACLES.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert {"ProjectorFamily", "yor_matrix", "permutation_operator"} <= oracles
+    assert not oracles & {node.name for _, node in DEFINITIONS}
 
 
 def test_a_definition_only_tests_call_is_caught():
