@@ -7,7 +7,7 @@ quantitative pinching inequality / relative-entropy loss checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +38,9 @@ class BasisFamily:
     and E = U^dag U - I, Pi_j^2 - Pi_j = U_j E_jj U_j^dag and
     Pi_i Pi_j = U_i E_ij U_j^dag have norm <= ||U_j||^2 eps <= (1 + eps) eps,
     and sum_j Pi_j - I = U U^dag - I has the spectrum of E.  Pi_j is Hermitian
-    by construction.  The dense projectors are materialised only when read.
+    by construction.  U is real (the Schur basis, the identity), so apply maps
+    Re rho and Im rho apart in real products.  The dense projectors are built
+    on each read and not kept.
     """
 
     unitary: np.ndarray
@@ -47,7 +49,9 @@ class BasisFamily:
 
     def __post_init__(self):
         u = np.asarray(self.unitary)
-        groups = np.asarray(self.groups, dtype=np.intp)
+        if np.any(np.imag(u)):
+            raise ValueError("unitary must be real")
+        u, groups = u.real, np.array(self.groups, dtype=np.intp)
         if u.ndim != 2 or u.shape[0] != u.shape[1] or groups.shape != (u.shape[0],):
             raise DimensionMismatchError(f"unitary {u.shape} and groups {groups.shape} mismatch")
         count = int(groups.max()) + 1
@@ -55,7 +59,7 @@ class BasisFamily:
             raise ValueError("groups must number the projectors 0..J-1, each non-empty")
         if self.labels is not None and len(self.labels) != count:
             raise ValueError(f"{len(self.labels)} labels for {count} projectors")
-        dev = float(np.linalg.norm(u.conj().T @ u - np.eye(len(u))))
+        dev = float(np.linalg.norm(u.T @ u - np.eye(len(u))))
         if dev > PROJ_TOL / 2:
             raise ValueError(f"basis not unitary: ||U^dag U - I||_F = {dev:g}")
         object.__setattr__(self, "unitary", u)
@@ -73,11 +77,11 @@ class BasisFamily:
         """mask[a, b]: columns a and b belong to the same projector."""
         return _frozen(self.groups[:, None] == self.groups[None, :])
 
-    @cached_property
+    @property
     def projectors(self) -> tuple:
         u = self.unitary
         return tuple(
-            _frozen((u[:, cols] @ u[:, cols].conj().T).astype(complex))
+            _frozen((u[:, cols] @ u[:, cols].T).astype(complex))
             for cols in (np.flatnonzero(self.groups == j) for j in range(len(self)))
         )
 
@@ -95,21 +99,17 @@ class PinchingChannel:
 
 
 def _conjugate_masked(u: np.ndarray, r: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    return u @ ((u.conj().T @ r @ u) * mask) @ u.conj().T
+    return u @ ((u.T @ r @ u) * mask) @ u.T
 
 
 def apply(channel: PinchingChannel, rho):
-    """sum_j Pi_j rho Pi_j = U (mask o U^dag rho U) U^dag; trace preserving.
-    A real U (the Schur basis, the identity) maps Re rho and Im rho apart, in
-    real products."""
+    """sum_j Pi_j rho Pi_j = U (mask o U^T rho U) U^T; trace preserving.
+    The real U maps Re rho and Im rho apart, in real products."""
     r = _entries(rho)
     if r.shape[0] != channel.dim:
         raise DimensionMismatchError(f"state dim {r.shape[0]} vs channel dim {channel.dim}")
     u, mask = channel.family.unitary, channel.family.mask
-    if np.isrealobj(u):
-        out = _conjugate_masked(u, r.real, mask) + 1j * _conjugate_masked(u, r.imag, mask)
-    else:
-        out = _conjugate_masked(u, r, mask)
+    out = _conjugate_masked(u, r.real, mask) + 1j * _conjugate_masked(u, r.imag, mask)
     if isinstance(rho, DensityMatrix):
         return DensityMatrix(out)
     return out
@@ -127,14 +127,22 @@ def energy_pinching(ctx: ThermalContext, n: int) -> PinchingChannel:
     ))
 
 
-def _per_basis(cached, fresh, ctx: ThermalContext, k: int, basis: SchurBasis):
-    """cached(ctx, k) -> (basis, value) holds the value for the basis that
-    build_schur_basis caches for (k, d); any other basis gets fresh(ctx, basis)."""
+def _schur_basis(ctx: ThermalContext, k: int, basis: SchurBasis) -> SchurBasis:
+    """basis, checked against (k, d), or by default the cached build_schur_basis(k, d)."""
     _check_cap(ctx.dim ** k)
-    if basis is not None and (basis.n != k or basis.d != ctx.dim):
+    if basis is None:
+        return build_schur_basis(k, ctx.dim)
+    if basis.n != k or basis.d != ctx.dim:
         raise DimensionMismatchError("basis does not match (n, d)")
-    own, value = cached(ctx, k)
-    return value if basis is None or basis is own else fresh(ctx, basis)
+    return basis
+
+
+def _kept(basis: SchurBasis, build, ctx: ThermalContext):
+    """build(ctx, basis), kept on the basis per ctx.levels (build reads no beta)."""
+    key = (build.__name__, ctx.levels)
+    if key not in basis.by_levels:
+        basis.by_levels[key] = build(ctx, basis)
+    return basis.by_levels[key]
 
 
 def _schur_pinching(ctx: ThermalContext, basis: SchurBasis) -> PinchingChannel:
@@ -154,31 +162,20 @@ def _schur_pinching(ctx: ThermalContext, basis: SchurBasis) -> PinchingChannel:
     )
 
 
-@lru_cache(maxsize=16)
-def _cached_schur_pinching(ctx: ThermalContext, n: int) -> tuple:
-    basis = build_schur_basis(n, ctx.dim)
-    return basis, _schur_pinching(ctx, basis)
-
-
 def schur_pinching(ctx: ThermalContext, n: int, basis: SchurBasis = None) -> PinchingChannel:
     """Pinching onto the energy eigenspaces of H_lambda (x) I within each Schur
     block: the Schur change of basis, each column labelled by its block and the
-    energy of its Weyl vector.  Built once per (ctx, n) on the cached basis;
-    the channel is shared and its arrays are read-only."""
-    return _per_basis(_cached_schur_pinching, _schur_pinching, ctx, n, basis)
+    energy of its Weyl vector.  Built once per basis and ctx.levels (on the
+    cached basis by default) and kept on the basis; its arrays are read-only."""
+    return _kept(_schur_basis(ctx, n, basis), _schur_pinching, ctx)
 
 
 def mixture_realization(channel: PinchingChannel) -> list:
     """Unitaries U_k = sum_j exp(2 pi i j k / J) Pi_j whose uniform mixture is the pinching."""
     projs = channel.family.projectors
     J = len(projs)
-    out = []
-    for k in range(1, J + 1):
-        u = np.zeros((channel.dim, channel.dim), dtype=complex)
-        for j, p in enumerate(projs, start=1):
-            u += np.exp(2j * np.pi * j * k / J) * p
-        out.append(u)
-    return out
+    return [sum(np.exp(2j * np.pi * j * k / J) * p for j, p in enumerate(projs, start=1))
+            for k in range(1, J + 1)]
 
 
 def pinching_inequality_check(channel: PinchingChannel, rho_tensor_k, multiplier: float):
@@ -195,21 +192,9 @@ def relative_entropy_loss(channel: PinchingChannel, rho_tensor_k, k: int) -> flo
     return relative_entropy(r, apply(channel, r)) / k
 
 
-def _weyl_letters(ctx: ThermalContext, basis: SchurBasis) -> tuple:
-    """Copy 0 of every block as the columns of one (d^k, sum n_lambda) array,
-    the multiplicity m_lambda of each column, and each letter's exact energy."""
-    blocks = basis.blocks
-    return (
-        _frozen(np.hstack([b.weyl_basis for b in blocks])),
-        _frozen(np.repeat([b.sym_dim for b in blocks], [b.weyl_dim for b in blocks])),
-        tuple(e for b in blocks for e in b.energy_labels(ctx) for _ in range(b.sym_dim)),
-    )
-
-
-@lru_cache(maxsize=16)
-def _cached_weyl_letters(ctx: ThermalContext, k: int) -> tuple:
-    basis = build_schur_basis(k, ctx.dim)
-    return basis, _weyl_letters(ctx, basis)
+def _letter_energies(ctx: ThermalContext, basis: SchurBasis) -> tuple:
+    """The exact energy of each Schur basis column: its Weyl vector's."""
+    return tuple(e for b in basis.blocks for e in b.energy_labels(ctx) for _ in range(b.sym_dim))
 
 
 def schur_pinched_distribution(ctx: ThermalContext, k: int, rho, basis: SchurBasis = None):
@@ -228,7 +213,8 @@ def schur_pinched_distribution(ctx: ThermalContext, k: int, rho, basis: SchurBas
     exactly 0 before normalising: a letter of zero mass always is, and a
     snapped letter's true mass is below twice the floor.
     """
-    weyl, repeats, energies = _per_basis(_cached_weyl_letters, _weyl_letters, ctx, k, basis)
+    basis = _schur_basis(ctx, k, basis)
+    (weyl, repeats), energies = basis.weyl_letters, _kept(basis, _letter_energies, ctx)
     r, d = _entries(rho), ctx.dim
     if r.shape != (d, d):
         raise DimensionMismatchError(f"state shape {r.shape} vs single-system dim {d}")

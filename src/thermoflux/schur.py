@@ -33,13 +33,13 @@ tableaux sorted by their row word.  build_schur_basis caches the basis by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from thermoflux.core import ThermalContext, _check_cap
+from thermoflux.core import ThermalContext, _check_cap, _frozen
 from thermoflux.typeclass import compositions, strings_of_type
 
 GS_SKIP = 1e-6  # Gram-Schmidt residual norm below which an image vector adds nothing
@@ -239,6 +239,24 @@ class SchurBasis:
     @property
     def dim(self) -> int:
         return self.d ** self.n
+
+    def __getstate__(self):  # the cached values below are rebuilt, not pickled
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
+    def weyl_letters(self) -> tuple:
+        """Copy 0 of the blocks as one read-only (d^n, sum n_lambda) array; m_lambda per column."""
+        blocks = self.blocks
+        return (
+            _frozen(np.hstack([b.weyl_basis for b in blocks])),
+            _frozen(np.repeat([b.sym_dim for b in blocks], [b.weyl_dim for b in blocks])),
+        )
+
+    @cached_property
+    def by_levels(self) -> dict:
+        """Values derived from this basis and a level spectrum, kept as long as the
+        basis: thermoflux.pinching's Schur pinchings and letter energies."""
+        return {}
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Tests for pinching channels and their quantitative guarantees."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -229,16 +230,21 @@ class TestSchurCaches:
         channel = schur_pinching(QUTRIT, 3)
         assert schur_pinching(QUTRIT, 3) is channel
         assert schur_pinching(QUTRIT, 3, build_schur_basis(3, 3)) is channel
+        assert schur_pinching(ThermalContext(levels=(0, 1, 2), beta=2.5), 3) is channel
         assert schur_pinching(ThermalContext(levels=(0, 1, 3), beta=1.0), 3) is not channel
         fam = channel.family
         for arr in (fam.unitary, fam.groups, fam.mask, *fam.projectors):
             assert not arr.flags.writeable
+        assert "projectors" not in vars(fam)  # the dense projectors are not kept
 
     def test_one_letter_table_per_context_and_k(self):
         rho = DensityMatrix(_random_state(np.random.default_rng(4), 3))
         _, energies = schur_pinched_distribution(QUTRIT, 3, rho)
         assert schur_pinched_distribution(QUTRIT, 3, rho, build_schur_basis(3, 3))[1] is energies
         assert schur_pinched_distribution(QUTRIT, 3, PLUS_QUTRIT)[1] is energies
+        hot = ThermalContext(levels=(0, 1, 2), beta=0.1)
+        assert schur_pinched_distribution(hot, 3, rho)[1] is energies
+        assert build_schur_basis(3, 3).weyl_letters is build_schur_basis(3, 3).weyl_letters
 
     def test_equal_but_distinct_basis_gives_the_same_values(self):
         fresh = schur._schur_basis.__wrapped__(4, 2)
@@ -254,6 +260,17 @@ class TestSchurCaches:
         assert np.array_equal(own.family.groups, cached.family.groups)
         rk = tensor_power(rho, 4).entries
         assert np.array_equal(apply(own, rk), apply(cached, rk))
+
+    def test_kept_values_stay_out_of_the_basis_pickle(self):
+        """Outputs that carry a basis pickle the same before and after its
+        letters and pinchings are computed and kept on it."""
+        basis = schur._schur_basis.__wrapped__(3, 2)
+        before = pickle.dumps(basis)
+        schur_pinched_distribution(QUBIT, 3, PLUS, basis)
+        apply(schur_pinching(QUBIT, 3, basis), np.eye(8) / 8)
+        assert {"weyl_letters", "by_levels"} <= set(vars(basis))
+        assert pickle.dumps(basis) == before
+        assert np.array_equal(pickle.loads(before).weyl_letters[0], basis.weyl_letters[0])
 
     def test_mismatched_basis_rejected(self):
         basis = build_schur_basis(3, 2)
@@ -308,6 +325,17 @@ class TestBasisFamily:
     def test_groups_must_number_every_projector(self):
         with pytest.raises(ValueError):
             BasisFamily(unitary=np.eye(3), groups=[0, 2, 2])
+
+    def test_complex_unitary_rejected(self):
+        with pytest.raises(ValueError):
+            BasisFamily(unitary=np.diag([1.0, 1j]), groups=[0, 1])
+        fam = BasisFamily(unitary=np.eye(2, dtype=complex), groups=[0, 1])
+        assert not np.iscomplexobj(fam.unitary)
+
+    def test_callers_groups_stay_writeable(self):
+        groups = np.array([0, 0, 1], dtype=np.intp)
+        fam = BasisFamily(unitary=np.eye(3), groups=groups)
+        assert groups.flags.writeable and not fam.groups.flags.writeable
 
 
 class TestRandomStateBounds:
