@@ -42,9 +42,9 @@ def median_seconds(fn, repeats: int) -> float:
     return statistics.median(times)
 
 
-def commit() -> str:
+def commit(root: Path = ROOT) -> str:
     def git(*args):
-        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True).stdout.strip()
+        return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True).stdout.strip()
 
     head = git("rev-parse", "--short", "HEAD") or "unknown"
     return head + ("+dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
@@ -66,8 +66,8 @@ def machine() -> dict:
     }
 
 
-def src_lines() -> int:
-    return sum(len(p.read_text().splitlines()) for p in sorted((ROOT / "src" / "thermoflux").glob("*.py")))
+def src_lines(root: Path = ROOT) -> int:
+    return sum(len(p.read_text().splitlines()) for p in sorted((root / "src" / "thermoflux").glob("*.py")))
 
 
 def measure(cells, repeats: int) -> list:

@@ -6,6 +6,7 @@ grouping is never tolerance-based), and every entropic quantity is in nats.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -56,17 +57,22 @@ def _is_diagonal(a: np.ndarray) -> bool:
     return np.count_nonzero(a) == np.count_nonzero(a.diagonal())
 
 
-def _validate_state(entries: np.ndarray) -> tuple:
-    """The frozen state and its ascending spectrum, or ValueError.  A diagonal
-    matrix that passes the Hermitian check has the real part of its diagonal
-    as its spectrum (eigvalsh reads only that), so it skips the eigensolver."""
+def _validate_state(entries: np.ndarray, evals=None) -> tuple:
+    """The frozen state and its ascending spectrum (evals when given), or
+    ValueError.  A diagonal matrix that passes the Hermitian check has the real
+    part of its diagonal as its spectrum (eigvalsh reads only that), so it
+    skips the eigensolver."""
     entries = np.asarray(entries, dtype=complex)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {entries.shape}")
+    if not np.isfinite(entries).all():
+        raise ValueError("matrix has a NaN or infinite entry")
     herm_dev = np.max(np.abs(entries - entries.conj().T))
     if herm_dev > HERMITIAN_TOL:
         raise ValueError(f"matrix not Hermitian: max |A - A^dag| = {herm_dev:g}")
-    if _is_diagonal(entries):
+    if evals is not None:
+        evals = np.asarray(evals, dtype=float)
+    elif _is_diagonal(entries):
         evals = np.sort(entries.diagonal().real)
     else:
         evals = np.linalg.eigvalsh(entries)
@@ -81,13 +87,14 @@ def _validate_state(entries: np.ndarray) -> tuple:
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian PSD trace-1 complex matrix.  spectrum holds the ascending
-    eigenvalues the validation computed, so entropies need no second solve."""
+    eigenvalues the validation computed, so entropies need no second solve; a
+    caller that knows them exactly (tensor_power) passes them instead."""
 
     entries: np.ndarray
-    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+    spectrum: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        entries, spectrum = _validate_state(self.entries)
+        entries, spectrum = _validate_state(self.entries, self.spectrum)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "spectrum", spectrum)
 
@@ -261,14 +268,15 @@ def relative_entropy(rho, sigma) -> float:
 
 
 def tensor_power(rho, n: int):
-    """n-fold Kronecker power."""
+    """n-fold Kronecker power.  A DensityMatrix power takes its spectrum from the
+    sorted n-fold Kronecker power of rho.spectrum, with no eigensolver."""
     r = _entries(rho)
     _check_cap(r.shape[0] ** n)
     out = r
     for _ in range(n - 1):
         out = np.kron(out, r)
     if isinstance(rho, DensityMatrix):
-        return DensityMatrix(out)
+        return DensityMatrix(out, np.sort(functools.reduce(np.kron, [rho.spectrum] * n)))
     return out
 
 

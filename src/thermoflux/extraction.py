@@ -31,7 +31,7 @@ from thermoflux.core import (
 )
 from thermoflux.estimation import classical_relative_entropy, hoeffding_sample_size, sample_types
 from thermoflux.pinching import apply as pinch_apply
-from thermoflux.pinching import energy_pinching, schur_pinched_distribution
+from thermoflux.pinching import energy_pinching, schur_pinched_letters
 from thermoflux.schur import build_schur_basis
 from thermoflux.typeclass import (
     GRID_CHUNK,
@@ -46,7 +46,7 @@ from thermoflux.typeclass import (
     strings_of_type,
 )
 
-PROTOCOL_VERSION = "1"
+PROTOCOL_VERSION = "2"
 CONVERSE_TOL = 1e-8
 GRID_CAP = 4_000_000
 DEFAULT_SAMPLES = 400
@@ -61,17 +61,19 @@ class ConverseViolationError(AssertionError):
 class WorkAlphabet:
     """Classical letters with exact energies: the alphabet the type machinery runs on.
 
-    For a k-copy Schur-pinched block the letters are the d^k Schur basis states;
-    for plain classical protocols they are the d energy eigenstates.
+    For a k-copy Schur-pinched block the letters are the Weyl vectors, each
+    standing for its m_lambda multiplicity copies; for plain classical
+    protocols they are the d energy eigenstates, each of multiplicity 1.
     """
 
     energies: tuple  # Fractions
     beta: float
+    multiplicities: tuple = None  # equal-energy copies per letter; default all 1
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "energies", tuple(Fraction(e) for e in self.energies)
-        )
+        object.__setattr__(self, "energies", tuple(Fraction(e) for e in self.energies))
+        mult = (1,) * self.d if self.multiplicities is None else self.multiplicities
+        object.__setattr__(self, "multiplicities", tuple(int(m) for m in mult))
 
     @property
     def d(self) -> int:
@@ -79,7 +81,7 @@ class WorkAlphabet:
 
     @property
     def thermal(self) -> np.ndarray:
-        w = np.exp(-self.beta * np.array([float(e) for e in self.energies]))
+        w = np.exp(-self.beta * np.array([float(e) for e in self.energies])) * self.multiplicities
         return w / w.sum()
 
     @classmethod
@@ -122,8 +124,8 @@ def _round_counts(total: int, weights: np.ndarray) -> tuple:
     """Deterministic largest-remainder rounding of total*weights to integer counts.
 
     Remainders are compared to 9 decimals, so weights that are equal in exact
-    arithmetic (multiplicity copies of one Weyl vector, say) tie and the
-    lowest index wins, whatever their last bits.
+    arithmetic (degenerate eigenvalues of one energy subspace, say) tie and
+    the lowest index wins, whatever their last bits.
     """
     raw = total * np.asarray(weights, dtype=float)
     base = np.floor(raw).astype(int)
@@ -199,7 +201,7 @@ def choose_shift(
     if budget_w <= 0:
         return zero
 
-    probe = TransferProbe(*_checkpoint_blocks(n_eff, p_est, l, t))
+    probe = TransferProbe(*_checkpoint_blocks(n_eff, p_est, l, t), alphabet.multiplicities)
 
     energies = [float(e) for e in alphabet.energies]
     pairs = []
@@ -257,7 +259,6 @@ def build_classical_plan(
     standard error; "auto" picks exact when the full grid fits under GRID_CAP.
     """
     p = np.asarray(p, dtype=float)
-    t = alphabet.thermal
     d = alphabet.d
     if len(p) != d:
         raise ValueError("distribution length does not match alphabet")
@@ -271,25 +272,15 @@ def build_classical_plan(
             raise ValueError(
                 f"(f,g) grid has {grid} blocks > cap {GRID_CAP}; use sampled mode (pass seed)"
             )
-        xi = _xi_exact(p, t, n, l, h, support)
-        return ExtractionPlan(
-            alphabet=alphabet, n=n, l=l, h=h, p=tuple(p), xi=xi, xi_mode="exact"
-        )
-    if mode == "sampled":
+        xi, stderr = _xi_exact(p, alphabet, n, l, h, support), 0.0
+    elif mode == "sampled":
         if seed is None:
             raise ValueError("sampled mode requires a seed")
-        xi, stderr = _xi_sampled(p, t, n, l, h, seed, samples)
-        return ExtractionPlan(
-            alphabet=alphabet,
-            n=n,
-            l=l,
-            h=h,
-            p=tuple(p),
-            xi=xi,
-            xi_mode="sampled",
-            xi_stderr=stderr,
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+        xi, stderr = _xi_sampled(p, alphabet, n, l, h, seed, samples)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return ExtractionPlan(alphabet=alphabet, n=n, l=l, h=h, p=tuple(p), xi=xi, xi_mode=mode,
+                          xi_stderr=stderr)
 
 
 def _mass_core(log_w) -> np.ndarray:
@@ -303,12 +294,12 @@ def _mass_core(log_w) -> np.ndarray:
     return np.sort(order[dropped:])
 
 
-def _xi_exact(p, t, n, l, h, support) -> float:
+def _xi_exact(p, alphabet, n, l, h, support) -> float:
     """1 - the P_p x P_t mass of the feasible (f, g) pairs.  Every pair that
     carries mass is decided exactly; the rows outside each side's mass core
     (summed mass <= XI_TAIL per side) count as failures, so the result is an
     upper bound on the full-grid xi, above it by at most 2 XI_TAIL."""
-    d = len(t)
+    t, d = alphabet.thermal, alphabet.d
     # f rows restricted to the support of p, embedded into d coordinates
     f_sub = compositions(n, len(support))
     f_rows = np.zeros((len(f_sub), d), dtype=np.int64)
@@ -319,16 +310,16 @@ def _xi_exact(p, t, n, l, h, support) -> float:
     kf, kg = _mass_core(log_pf), _mass_core(log_pg)
     pf, pg = np.exp(log_pf[kf]), np.exp(log_pg[kg])
     success = 0.0
-    for lo, feas in feasible_grid(f_rows[kf], g_rows[kg], h.shifts):
+    for lo, feas in feasible_grid(f_rows[kf], g_rows[kg], h.shifts, alphabet.multiplicities):
         success += pf[lo:lo + len(feas)] @ (feas @ pg)
     return float(min(max(1.0 - success, 0.0), 1.0))
 
 
-def _xi_sampled(p, t, n, l, h, seed, samples):
+def _xi_sampled(p, alphabet, n, l, h, seed, samples):
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 977]))
     fs = rng.multinomial(n, p, size=samples)
-    gs = rng.multinomial(l, t, size=samples)
-    xi = int((~feasible_rows(fs, gs, h.shifts)).sum()) / samples
+    gs = rng.multinomial(l, alphabet.thermal, size=samples)
+    xi = int((~feasible_rows(fs, gs, h.shifts, alphabet.multiplicities)).sum()) / samples
     stderr = math.sqrt(max(xi * (1 - xi), 1.0 / samples) / samples)
     return xi, stderr
 
@@ -530,7 +521,8 @@ def universal_protocol(
     """State-agnostic pipeline: Schur-pinch k-copy blocks, type-measure m of
     them, estimate the pinched relative entropy, choose the shift with the
     continuity-bound margin, and run the classical plan on the q - m remaining
-    blocks.
+    blocks, all on the sum n_lambda Weyl letters with their multiplicities m_lambda
+    (the copies of a Weyl vector are equiprobable and of equal energy).
 
     source: DensityMatrix (its description is used only to produce measurement
     statistics and to evaluate the realized performance — the protocol itself
@@ -541,8 +533,8 @@ def universal_protocol(
     if m >= q:
         raise ValueError("schedule leaves no execution blocks (m >= q)")
     basis = build_schur_basis(k, ctx.dim)
-    p_k, energies = schur_pinched_distribution(ctx, k, source, basis)
-    alphabet = WorkAlphabet(energies=energies, beta=ctx.beta)
+    p_k, energies, mult = schur_pinched_letters(ctx, k, source, basis)
+    alphabet = WorkAlphabet(energies=energies, beta=ctx.beta, multiplicities=mult)
 
     if mode == "exact":
         p_hat = p_k
@@ -796,6 +788,8 @@ def simulate_plan_stringwise(plan: ExtractionPlan) -> dict:
     """
     d = plan.alphabet.d
     n, l = plan.n, plan.l
+    if set(plan.alphabet.multiplicities) != {1}:
+        raise ValueError("the string-level simulation reads letters of multiplicity 1 only")
     _check_cap(d ** (n + l))
     p = np.asarray(plan.p, dtype=float)
     t = plan.alphabet.thermal

@@ -193,28 +193,23 @@ def relative_entropy_loss(channel: PinchingChannel, rho_tensor_k, k: int) -> flo
 
 
 def _letter_energies(ctx: ThermalContext, basis: SchurBasis) -> tuple:
-    """The exact energy of each Schur basis column: its Weyl vector's."""
-    return tuple(e for b in basis.blocks for e in b.energy_labels(ctx) for _ in range(b.sym_dim))
+    """Exact energies of the Weyl vectors and of the Schur basis columns (their Weyl vector's)."""
+    weyl = tuple(e for b in basis.blocks for e in b.energy_labels(ctx))
+    return weyl, tuple(e for e, m in zip(weyl, basis.weyl_letters[1]) for _ in range(m))
 
 
-def schur_pinched_distribution(ctx: ThermalContext, k: int, rho, basis: SchurBasis = None):
-    """Diagonal of rho^{x k} in the Schur eigenbasis, with per-letter exact energies.
+def _copy0_masses(ctx: ThermalContext, k: int, rho, basis: SchurBasis):
+    """(basis, q, m): q_w = <w|rho^{x k}|w> for the sum n_lambda Weyl vectors w of
+    copy 0 (unnormalised, snapped to the floor) and m_lambda per w.
 
-    Returns (probs, energies): the classical super-letter statistics that the
-    Schur-pinched k-copy block presents to the downstream type machinery.
-    Letter order: blocks in diagram order, Weyl index major, multiplicity minor.
-
-    Only copy 0 is read: q_w = <w|rho^{x k}|w> for the sum n_lambda Weyl
-    vectors w, with rho applied to one tensor axis at a time (no d^k x d^k
-    power), and each q_w is repeated for its m_lambda copies, which are thus
-    bitwise equal.  Rounding moves q_w by at most (k (d + 2) + d^k) 2^-53
-    (|w| = 1 and ||rho||_F <= 1), which is below the floor k d^k 2^-52 for
-    d >= 2.  Values below the floor (2.7e-13 for a qutrit at k = 5) are set to
-    exactly 0 before normalising: a letter of zero mass always is, and a
-    snapped letter's true mass is below twice the floor.
+    rho is applied to one tensor axis at a time (no d^k x d^k power).  Rounding
+    moves q_w by at most (k (d + 2) + d^k) 2^-53 (|w| = 1 and ||rho||_F <= 1),
+    which is below the floor k d^k 2^-52 for d >= 2.  Values below the floor
+    (2.7e-13 for a qutrit at k = 5) are set to exactly 0: a letter of zero mass
+    always is, and a snapped letter's true mass is below twice the floor.
     """
     basis = _schur_basis(ctx, k, basis)
-    (weyl, repeats), energies = basis.weyl_letters, _kept(basis, _letter_energies, ctx)
+    weyl, repeats = basis.weyl_letters
     r, d = _entries(rho), ctx.dim
     if r.shape != (d, d):
         raise DimensionMismatchError(f"state shape {r.shape} vs single-system dim {d}")
@@ -223,5 +218,23 @@ def schur_pinched_distribution(ctx: ThermalContext, k: int, rho, basis: SchurBas
         x = np.tensordot(r, x, axes=([1], [k - 1]))
     q = np.einsum("ac,ac->c", weyl, x.reshape(weyl.shape)).real
     q[q < k * d ** k * 2.0 ** -52] = 0.0
+    return basis, q, repeats
+
+
+def schur_pinched_letters(ctx: ThermalContext, k: int, rho, basis: SchurBasis = None):
+    """The Schur-pinched k-copy block as sum n_lambda Weyl letters: (probs,
+    energies, multiplicities), letter w of block lambda carrying the mass
+    m_lambda q_w of its m_lambda equiprobable, equal-energy copies.  Letter
+    order: blocks in diagram order, Weyl index within."""
+    basis, q, repeats = _copy0_masses(ctx, k, rho, basis)
+    probs = q * repeats
+    return probs / probs.sum(), _kept(basis, _letter_energies, ctx)[0], repeats
+
+
+def schur_pinched_distribution(ctx: ThermalContext, k: int, rho, basis: SchurBasis = None):
+    """Diagonal of rho^{x k} in the Schur eigenbasis with per-letter exact energies: each
+    Weyl letter's q_w repeated, bitwise, for its m_lambda copies.  Letter order:
+    blocks in diagram order, Weyl index major, multiplicity minor."""
+    basis, q, repeats = _copy0_masses(ctx, k, rho, basis)
     probs = np.repeat(q, repeats)
-    return probs / probs.sum(), energies
+    return probs / probs.sum(), _kept(basis, _letter_energies, ctx)[1]

@@ -3,9 +3,11 @@
 Multinomial type counts and log-probabilities, composition enumeration, and the
 injection-feasibility counting inequality (row-wise, over a whole (f, g) grid,
 or per two-letter transfer from a committed shift).  A type is an int row of
-occupation counts.  Feasibility decisions within the floating-point slack are
-re-checked in exact big-integer arithmetic so the predicate never flips due to
-rounding.
+occupation counts; a letter of multiplicity m_c stands for m_c equivalent
+letters, so a class of type f holds |Freq(f)| prod_c m_c^{f_c} strings
+(multiplicities default to 1).  Feasibility decisions within the floating-point
+slack are re-checked in exact big-integer arithmetic so the predicate never
+flips due to rounding.
 """
 
 from __future__ import annotations
@@ -84,8 +86,22 @@ def strings_of_type(f) -> np.ndarray:
     return idx
 
 
-def _exact_feasible(f, g, h) -> bool:
-    return exact_freq_count(f) * exact_freq_count(g) <= exact_freq_count(np.add(f, g) - h)
+def _exact_feasible(f, g, h, m) -> bool:
+    """The predicate in big integers for zero-sum h and T = f+g-h >= 0, divided by
+    n! l! prod g_c!: prod T_c!/g_c! prod m^h <= C(n+l, n) prod f_c!, each T_c!/g_c! a
+    falling factorial and each m_c^{h_c} an integer on one side; no l!-sized integer is divided."""
+    f, g, h, m = (np.asarray(x).tolist() for x in (f, g, h, m))
+    n, l = sum(f), sum(g)
+    lhs = math.prod(mc ** hc for mc, hc in zip(m, h) if hc > 0)
+    rhs = math.comb(n + l, n) * math.prod(map(math.factorial, f)) * math.prod(
+        mc ** -hc for mc, hc in zip(m, h) if hc < 0)
+    for x, y in ((a + b - c, b) for a, b, c in zip(f, g, h)):
+        lhs, rhs = (lhs * math.perm(x, x - y), rhs) if x >= y else (lhs, rhs * math.perm(y, y - x))
+    return lhs <= rhs
+
+
+def _multiplicities(m, d: int) -> np.ndarray:
+    return np.ones(d, dtype=np.int64) if m is None else np.asarray(m, dtype=np.int64)
 
 
 def _decide(lhs, rhs, ok, exact) -> np.ndarray:
@@ -100,19 +116,21 @@ def _decide(lhs, rhs, ok, exact) -> np.ndarray:
     return feas
 
 
-def feasible_rows(F, G, h) -> np.ndarray:
-    """Row-wise |Freq(n,f)| |Freq(l,g)| <= |Freq(n+l, f+g-h)| for (N, d) rows F, G
-    and one shift h; False where f+g-h has a negative entry."""
+def feasible_rows(F, G, h, m=None) -> np.ndarray:
+    """Row-wise |Freq(n,f)| |Freq(l,g)| prod_c m_c^{h_c} <= |Freq(n+l, f+g-h)| for
+    (N, d) rows F, G, one zero-sum shift h and letter multiplicities m (default
+    1); False where f+g-h has a negative entry."""
     F, G = np.atleast_2d(F), np.atleast_2d(G)
+    m = _multiplicities(m, F.shape[1])
     target = F + G - np.asarray(h)
-    lhs = log_multinomial_rows(F) + log_multinomial_rows(G)
+    lhs = log_multinomial_rows(F) + log_multinomial_rows(G) + np.asarray(h) @ np.log(m)
     ok = (target >= 0).all(axis=1)
     rhs = np.zeros(len(target))
     rhs[ok] = log_multinomial_rows(target[ok])
-    return _decide(lhs, rhs, ok, lambda i: _exact_feasible(F[i], G[i], h))
+    return _decide(lhs, rhs, ok, lambda i: _exact_feasible(F[i], G[i], h, m))
 
 
-def feasible_grid(F, G, h):
+def feasible_grid(F, G, h, m=None):
     """The predicate of feasible_rows over the whole grid F x G of (Nf, d) rows
     of n letters and (Ng, d) rows of l letters.  Yields (lo, feas) for blocks of
     about GRID_CHUNK pairs, feas[i, j] deciding (F[lo + i], G[j]).
@@ -120,7 +138,7 @@ def feasible_grid(F, G, h):
     ln|Freq(f+g-h)| = ln(n+l-sum h)! - sum_i ln (f_i+g_i-h_i)!, read from one
     table of ln x!, one coordinate column at a time.
     """
-    h = np.asarray(h)
+    h, m = np.asarray(h), _multiplicities(m, F.shape[1])
     top = F.max(axis=0) + G.max(axis=0) - h
     total = int(F[0].sum() + G[0].sum() - h.sum())
     log_fact = gammaln(np.arange(max(total, int(top.max()), 0) + 1) + 1.0)
@@ -134,8 +152,8 @@ def feasible_grid(F, G, h):
             target = f[:, i, None] + (G[:, i] - h[i])
             ok &= target >= 0
             rhs -= log_fact[np.maximum(target, 0)]
-        lhs = log_mf[lo:lo + step, None] + log_mg
-        yield lo, _decide(lhs, rhs, ok, lambda a, b: _exact_feasible(f[a], G[b], h))
+        lhs = log_mf[lo:lo + step, None] + log_mg + h @ np.log(m)
+        yield lo, _decide(lhs, rhs, ok, lambda a, b: _exact_feasible(f[a], G[b], h, m))
 
 
 def _log_fact(x) -> np.ndarray:
@@ -144,16 +162,19 @@ def _log_fact(x) -> np.ndarray:
 
 
 class TransferProbe:
-    """The predicate of feasible_rows for (N, d) rows F, G and the shifts that
-    move a target counts from letter j to letter i, away from a committed h.
+    """The predicate of feasible_rows for (N, d) rows F, G, letter
+    multiplicities m and the shifts that move a target counts from letter j to
+    letter i, away from a committed h.
 
     Keeps T = F + G - h, its count of negative entries, the matrix of ln T_c!
     and its row sum S, so a probe reads only columns i and j:
     ln|Freq(T')| = ln(sum T)! - (S - ln T_i! - ln T_j! + ln(T_i+a)! + ln(T_j-a)!).
     """
 
-    def __init__(self, F, G):
+    def __init__(self, F, G, m=None):
         self.F, self.G = np.atleast_2d(F), np.atleast_2d(G)
+        self.m = _multiplicities(m, self.F.shape[1])
+        self.log_m = np.log(self.m)
         self.lhs = log_multinomial_rows(self.F) + log_multinomial_rows(self.G)
         self.commit(np.zeros(self.F.shape[1], dtype=np.int64))
 
@@ -179,8 +200,9 @@ class TransferProbe:
         neg = self.neg - (ti < 0) - (tj < 0) + (ti + a < 0) + (tj - a < 0)
         rest = self.S - self.log_fact[:, i] - self.log_fact[:, j]
         rhs = self.log_total - (rest + _log_fact(ti + a) + _log_fact(tj - a))
-        h = self.moved(i, j, a)
-        return _decide(self.lhs, rhs, neg == 0, lambda r: _exact_feasible(self.F[r], self.G[r], h))
+        h, m = self.moved(i, j, a), self.m
+        lhs = self.lhs + h @ self.log_m
+        return _decide(lhs, rhs, neg == 0, lambda r: _exact_feasible(self.F[r], self.G[r], h, m))
 
 
 def injection_feasible(f, g, h) -> bool:

@@ -65,6 +65,15 @@ class TestDensityMatrix:
             DensityMatrix(np.array([[0.5, 0.6], [0.6, 0.5]]))
 
     @pytest.mark.parametrize("entries", [
+        np.diag([np.nan, 1.0]),
+        np.array([[0.5, np.inf], [np.inf, 0.5]]),
+        np.array([[0.5, 0.1], [0.1, -np.inf]]),
+    ], ids=["nan-diagonal", "inf-off-diagonal", "inf-diagonal"])
+    def test_non_finite_entry_rejected(self, entries):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            DensityMatrix(entries)
+
+    @pytest.mark.parametrize("entries", [
         np.diag([0.1, 0.6, 0.0, 0.3]),
         np.array([[0.7, 0.2j], [-0.2j, 0.3]]),
     ], ids=["diagonal", "dense"])
@@ -217,6 +226,25 @@ class TestTensorAlgebra:
         z = sum(math.exp(-float(e)) for e in ham.exact_levels())
         diag = np.array([math.exp(-float(e)) / z for e in ham.exact_levels()])
         assert np.allclose(tau3.diagonal(), diag, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from((2, 3)), k=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
+           rank=st.integers(1, 3))
+    def test_tensor_power_spectrum_is_the_kronecker_power(self, d, k, seed, rank):
+        """The spectrum tensor_power takes from rho.spectrum matches eigvalsh of
+        the d^k x d^k power; rank-deficient states put zeros among the products."""
+        g = np.random.default_rng(seed).normal(size=(d, min(rank, d), 2)) @ [1.0, 1j]
+        rho = DensityMatrix(g @ g.conj().T / np.vdot(g, g).real)
+        power = tensor_power(rho, k)
+        assert np.max(np.abs(power.spectrum - np.linalg.eigvalsh(power.entries))) <= 1e-12
+        assert np.all(np.diff(power.spectrum) >= 0) and not power.spectrum.flags.writeable
+
+    def test_tensor_power_keeps_the_state_checks(self):
+        """A power is still checked: a Hermitian, trace-1 matrix with a negative
+        eigenvalue raises on its Kronecker spectrum."""
+        bad = np.array([[1.2, 0.0], [0.0, -0.2]])
+        with pytest.raises(ValueError, match="PSD"):
+            tensor_power(DensityMatrix(np.eye(2) / 2, spectrum=np.linalg.eigvalsh(bad)), 3)
 
     def test_dim_cap_enforced(self, monkeypatch):
         monkeypatch.setenv("THERMOFLUX_DIM_CAP", "8")

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from thermoflux.core import (
     DensityMatrix,
@@ -41,7 +43,9 @@ from thermoflux.pinching import schur_pinched_distribution
 from thermoflux.schur import build_schur_basis
 from thermoflux.typeclass import (
     ShiftFunction,
+    TransferProbe,
     compositions,
+    exact_freq_count,
     feasible_grid,
     feasible_rows,
     log_type_prob_rows,
@@ -127,8 +131,8 @@ class TestPinnedShifts:
         assert h.shifts == (-14, 0, 0, 0, 0, 0, 4, 8, 2) + (0,) * 11
 
     @pytest.mark.parametrize("mode, h, xi, rate", [
-        ("exact", (-599, -1, 1, 22, 577) + (0,) * 11, 0.0025, 0.2375),
-        ("sampled", (-52, 1, 0, 0, 51) + (0,) * 11, 0.0, 0.0205),
+        ("exact", (-599, -1, 1, 22, 577) + (0,) * 4, 0.0, 0.2375),
+        ("sampled", (-52, 1, 0, 0, 51) + (0,) * 4, 0.0, 0.0205),
     ])
     def test_universal_qubit_outcome(self, mode, h, xi, rate):
         params = UniversalParams.from_schedule(10_000, QUBIT)
@@ -136,7 +140,7 @@ class TestPinnedShifts:
                                  seed=3, mode=mode)
         assert (out.details["h"], out.xi, out.rate_nats) == (h, xi, rate)
         assert out.details["protocol_hash"] == (
-            "d2441cbe77ee5f56e073003db57faf2e49ab44487929495367ecc17c9f815e5b"
+            "f1b4f88c240b12451cbf6e84fe5cbb6e81368d40b9488def049449f4e62e21d1"
         )
 
     def test_universal_sampled_type_stream(self):
@@ -145,7 +149,7 @@ class TestPinnedShifts:
         params = UniversalParams.from_schedule(10_000, QUBIT)
         rho = DensityMatrix(np.array([[0.8, 0.25], [0.25, 0.2]]))
         out = universal_protocol(rho, QUBIT, params, seed=3, mode="sampled")
-        assert repr(out.details["d_hat"]) == "0.17926015401107112"
+        assert repr(out.details["d_hat"]) == "0.1862655785984911"
 
 
 def _oracle_checkpoint_blocks(n_eff, p_est, l, t):
@@ -196,7 +200,7 @@ def _oracle_choose_shift(p_est, alphabet, n_eff, margin_nats, l) -> tuple:
             return cand
 
         def feasible(a):
-            return bool(feasible_rows(F, G, with_amount(a)).all())
+            return bool(feasible_rows(F, G, with_amount(a), alphabet.multiplicities).all())
 
         if amax <= 0:
             continue
@@ -217,9 +221,10 @@ def _oracle_choose_shift(p_est, alphabet, n_eff, margin_nats, l) -> tuple:
 @st.composite
 def _shift_searches(draw):
     """choose_shift inputs: up to 12 letters on a ladder or at random energies,
-    p with zero letters, n_eff <= 500, l and margin at random.  One draw in four
-    puts all of p on a highest letter: moving all of it down to a lowest letter
-    is then an exact tie at the cap min T[:, j]."""
+    with multiplicities 1 or from {1, 2, 3, 5}, p with zero letters,
+    n_eff <= 500, l and margin at random.  One draw in four puts all of p on a
+    highest letter: moving all of it down to a lowest letter is then an exact
+    tie at the cap min T[:, j] when the multiplicities are 1."""
     d = draw(st.integers(2, 12))
     if draw(st.booleans()):
         energies = [Fraction(i, 2) for i in range(d)]
@@ -234,7 +239,9 @@ def _shift_searches(draw):
     n_eff = draw(st.integers(1, 500))
     l = draw(st.integers(1, max(1, math.ceil(n_eff ** 1.5))))
     margin = draw(st.sampled_from((0.0, 0.0, 0.01, 0.1)))
-    return WorkAlphabet(energies=energies, beta=draw(st.sampled_from((0.5, 1.0, 2.0)))), p, n_eff, l, margin
+    mult = draw(st.one_of(st.none(), st.lists(st.sampled_from((1, 2, 3, 5)), min_size=d, max_size=d)))
+    beta = draw(st.sampled_from((0.5, 1.0, 2.0)))
+    return WorkAlphabet(energies=energies, beta=beta, multiplicities=mult), p, n_eff, l, margin
 
 
 class TestShiftSearchOracle:
@@ -416,6 +423,12 @@ class TestMassCore:
 
 
 class TestStringwiseOracle:
+    def test_grouped_letters_rejected(self):
+        alphabet = WorkAlphabet(energies=(0, 1), beta=1.0, multiplicities=(1, 2))
+        plan = build_classical_plan(np.array([0.8, 0.2]), alphabet, 2, 2, ShiftFunction((0, 0)), mode="exact")
+        with pytest.raises(ValueError, match="multiplicity 1"):
+            simulate_plan_stringwise(plan)
+
     def test_matches_distribution_level(self):
         plan = build_classical_plan(
             np.array([0.8, 0.2]), ALPHABET, 4, 2, ShiftFunction((-1, 1)), mode="exact"
@@ -501,6 +514,36 @@ class TestUniversalParams:
                 UniversalParams.from_schedule(n, QUBIT)
 
 
+def _certified_rows(F, G, h, m):
+    """(decision, uncertain) per row of the grouped predicate from full
+    log-multinomials; a row is uncertain when its gap is within 2^-40 of the
+    summed magnitude of its terms, far above the rounding of those terms."""
+    T = F + G - h
+    ok = (T >= 0).all(axis=1)
+    terms = [gammaln(F.sum(axis=1) + 1), -gammaln(F + 1).sum(axis=1), gammaln(G.sum(axis=1) + 1),
+             -gammaln(G + 1).sum(axis=1), np.full(len(F), h @ np.log(m)),
+             -gammaln(T.sum(axis=1) + 1), gammaln(np.maximum(T, 0) + 1).sum(axis=1)]
+    gap = sum(terms)
+    uncertain = ok & (np.abs(gap) <= 2.0 ** -40 * (1.0 + sum(np.abs(t) for t in terms)))
+    return ok & (gap <= 0), uncertain
+
+
+def _cancelled_count_inequality(f, g, h, m) -> bool:
+    """The grouped predicate in big integers with the bath-size factorials
+    cancelled: n! l! prod m^h prod T_c! <= (n+l)! prod f_c! prod g_c! (T = f+g-h)
+    is prod m^h prod T_c!/g_c! <= C(n+l, n) prod f_c!, each T_c!/g_c! a falling
+    factorial of at most n + |h_c| factors on one side."""
+    lhs, rhs = 1, math.comb(int(sum(f)) + int(sum(g)), int(sum(f)))
+    for fc, gc, hc, mc in zip(*(np.asarray(x).tolist() for x in (f, g, h, m))):
+        tc = fc + gc - hc
+        if tc < 0:
+            return False
+        rhs *= math.factorial(fc)
+        lhs, rhs = (lhs * math.perm(tc, tc - gc), rhs) if tc >= gc else (lhs, rhs * math.perm(gc, gc - tc))
+        lhs, rhs = (lhs * mc ** hc, rhs) if hc > 0 else (lhs, rhs * mc ** -hc)
+    return lhs <= rhs
+
+
 class TestUniversalProtocol:
     def test_thermal_input_extracts_nothing(self):
         params = UniversalParams.from_schedule(1000, QUBIT)
@@ -516,13 +559,51 @@ class TestUniversalProtocol:
 
     def test_protocol_hash_is_state_independent(self):
         params = UniversalParams.from_schedule(1000, QUBIT)
-        ground = DensityMatrix.pure(np.array([1.0, 0.0]))
-        h1 = universal_protocol(ground, QUBIT, params, seed=2).details["protocol_hash"]
-        h2 = universal_protocol(thermal_state(QUBIT), QUBIT, params, seed=2).details[
-            "protocol_hash"
+        states = [
+            DensityMatrix.pure(np.array([1.0, 0.0])),
+            DensityMatrix.pure(np.array([1.0, 1.0])),
+            DensityMatrix(np.array([[0.8, 0.25], [0.25, 0.2]])),
+            thermal_state(QUBIT),
         ]
-        assert h1 == h2
-        assert h1 == protocol_description_hash(QUBIT, params)
+        hashes = {universal_protocol(rho, QUBIT, params, seed=2, mode=mode).details["protocol_hash"]
+                  for rho in states for mode in ("sampled", "exact")}
+        assert hashes == {protocol_description_hash(QUBIT, params)}
+
+    def test_exact_plus_state_at_1e5_is_fast_and_decided_exactly(self, monkeypatch):
+        """Exact mode, qubit |+>, n = 1e5 (k = 5, 12 Weyl letters): the run
+        takes under 5 s, and every row of every shift probe it makes agrees
+        with an oracle that decides in floats only where the gap exceeds a
+        generous error bound, and in big integers elsewhere."""
+        params = UniversalParams.from_schedule(100_000, QUBIT)
+        plus = DensityMatrix.pure(np.array([1.0, 1.0]))
+        start = time.perf_counter()
+        h = universal_protocol(plus, QUBIT, params, mode="exact").details["h"]
+        assert time.perf_counter() - start < 5.0
+        probes, feasible = [], TransferProbe.feasible
+
+        def recorded(probe, i, j, a):
+            probes.append((probe, probe.moved(i, j, a), feasible(probe, i, j, a)))
+            return probes[-1][2]
+
+        monkeypatch.setattr(TransferProbe, "feasible", recorded)
+        assert universal_protocol(plus, QUBIT, params, mode="exact").details["h"] == h
+        assert len(probes) > 100 and any(h)
+        for probe, shift, got in probes:
+            want, uncertain = _certified_rows(probe.F, probe.G, shift, probe.m)
+            for r in np.flatnonzero(uncertain):
+                want[r] = _cancelled_count_inequality(probe.F[r], probe.G[r], shift, probe.m)
+            assert np.array_equal(got, want)
+
+    def test_cancelled_count_inequality_is_the_predicate(self):
+        m = (1, 2, 3)
+        for n, l in [(1, 1), (3, 2), (4, 4)]:
+            for f, g in itertools.product(compositions(n, 3), compositions(l, 3)):
+                for h in [(0, 0, 0), (1, -1, 0), (-1, 0, 1), (2, 0, -2), (0, 3, -3)]:
+                    target = np.add(f, g) - h
+                    want = min(target) >= 0 and (
+                        exact_freq_count(f) * exact_freq_count(g) * math.prod(Fraction(b) ** c for b, c in zip(m, h))
+                        <= exact_freq_count(target))
+                    assert _cancelled_count_inequality(f, g, h, m) == want
 
     def test_fidelity_bound(self):
         ground = DensityMatrix.pure(np.array([1.0, 0.0]))

@@ -27,8 +27,11 @@ from thermoflux.pinching import (
     pinching_inequality_check,
     relative_entropy_loss,
     schur_pinched_distribution,
+    schur_pinched_letters,
     schur_pinching,
 )
+from thermoflux.estimation import classical_relative_entropy
+from thermoflux.extraction import WorkAlphabet
 from thermoflux.schur import build_schur_basis
 
 from oracles import ProjectorFamily
@@ -223,6 +226,35 @@ class TestCopyZeroLetters:
         assert basis.blocks[0].diagram.rows == (k,)
         assert np.all(probs[basis.blocks[0].weyl_dim:] == 0.0)
         assert np.all(probs[_dense_pinched(basis, rho, k) >= 1e-10] > 0.0)
+
+
+class TestWeylLetters:
+    """The sum n_lambda Weyl letters with multiplicities lose nothing against
+    the d^k Schur basis letters."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.sampled_from(DENSE_CASES), seed=st.integers(0, 2 ** 32 - 1), pure=st.booleans())
+    def test_relative_entropy_and_expansion_match_the_schur_letters(self, case, seed, pure):
+        d, k = case
+        ctx = QUBIT if d == 2 else QUTRIT
+        rng = np.random.default_rng(seed)
+        rho = DensityMatrix(_random_pure(rng, d) if pure else _random_state(rng, d))
+        probs, energies, mult = schur_pinched_letters(ctx, k, rho)
+        full, full_energies = schur_pinched_distribution(ctx, k, rho)
+        basis = build_schur_basis(k, d)
+        assert len(probs) == len(energies) == sum(b.weyl_dim for b in basis.blocks)
+        assert mult.tolist() == [b.sym_dim for b in basis.blocks for _ in range(b.weyl_dim)]
+        assert np.max(np.abs(np.repeat(probs / mult, mult) - full)) <= 1e-15
+        assert full_energies == tuple(np.repeat(np.array(energies, dtype=object), mult))
+        grouped = classical_relative_entropy(
+            probs, WorkAlphabet(energies=energies, beta=1.0, multiplicities=mult).thermal)
+        flat = classical_relative_entropy(full, WorkAlphabet(energies=full_energies, beta=1.0).thermal)
+        assert abs(grouped - flat) <= 1e-12
+
+    def test_letters_are_kept_once_per_basis(self):
+        _, energies, mult = schur_pinched_letters(QUTRIT, 3, PLUS_QUTRIT)
+        assert schur_pinched_letters(QUTRIT, 3, thermal_state(QUTRIT))[1] is energies
+        assert not mult.flags.writeable and mult.tolist() == [1] * 10 + [2] * 8 + [1]
 
 
 class TestSchurCaches:

@@ -2,17 +2,20 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thermoflux.schur import build_schur_basis
 from thermoflux.typeclass import (
     ShiftFunction,
     TransferProbe,
     compositions,
     exact_freq_count,
+    feasible_grid,
     feasible_rows,
     injection_feasible,
     log_multinomial_rows,
@@ -211,6 +214,133 @@ class TestTransferProbe:
         assert probe.h.tolist() == [-4, 1, 3]
         assert np.array_equal(probe.S, fresh.S) and np.array_equal(probe.T, F + G - probe.h)
         assert probe.feasible(0, 1, 2).tolist() == feasible_rows(F, G, probe.moved(0, 1, 2)).tolist()
+
+
+def _grouped_oracle(f, g, h, m) -> bool:
+    """|Freq(f)| |Freq(g)| prod_c m_c^{h_c} <= |Freq(f+g-h)| in exact rationals."""
+    target = [a + b - c for a, b, c in zip(f, g, h)]
+    if min(target) < 0:
+        return False
+    weight = math.prod(Fraction(int(mc)) ** int(hc) for mc, hc in zip(m, h))
+    return exact_freq_count(f) * exact_freq_count(g) * weight <= exact_freq_count(target)
+
+
+@st.composite
+def _grouped_blocks(draw):
+    """_blocks with letter multiplicities from {1, 2, 3, 5}, and one more tie:
+    f = (a, 0, ..), g = (s - a, 0, ..) and h = (1, -1, 0, ..) give
+    |Freq(f+g-h)| = s against (m_0 / m_1)^1, equal for s = m_0 / m_1."""
+    h, rows, ties = draw(_blocks())
+    d = len(h)
+    m = draw(st.lists(st.sampled_from((1, 2, 3, 5)), min_size=d, max_size=d))
+    if d >= 2:
+        s = m[0] // m[1] if m[0] % m[1] == 0 else m[0]
+        a = draw(st.integers(0, s))
+        f, g, hh = [0] * d, [0] * d, [0] * d
+        f[0], g[0], hh[0], hh[1] = a, s - a, 1, -1
+        ties.append((f, g, tuple(hh)))
+    return h, rows, ties, m
+
+
+def _class_sizes(m, n: int) -> np.ndarray:
+    """The number of strings of n letters of the expanded alphabet (letter g
+    written out as m_g distinct letters) in each grouped type class, found by
+    enumerating every string; indexed by the grouped type's base-(n + 1) code."""
+    code = (n + 1) ** np.repeat(np.arange(len(m)), m)
+    tails = np.zeros(1, dtype=np.int64)
+    for _ in range(n - 1):
+        tails = (tails[:, None] + code).ravel()
+    return sum(np.bincount(first + tails, minlength=(n + 1) ** len(m)) for first in code)
+
+
+class TestGroupedPredicate:
+    """Letters of multiplicity m_g: a grouped class holds |Freq(f)| prod m_g^{f_g}
+    strings, and all three kernel forms decide the grouped predicate."""
+
+    def test_class_sizes_and_predicate_match_string_enumeration(self):
+        """The qubit k = 3 Weyl letters (m = 1, 1, 1, 1, 2, 2; 8 expanded
+        letters): every grouped class of n <= 8 strings, and every (f, g) pair
+        of n, l <= 4 letters under each one-count transfer h, against the
+        union-level inequality |class f| |class g| <= |class f+g-h|."""
+        m = build_schur_basis(3, 2).weyl_letters[1]
+        d = len(m)
+        sizes, size_of = {}, {}
+        for n in range(1, 9):
+            sizes[n] = _class_sizes(m, n)
+            assert sizes[n].sum() == 8 ** n
+            F = compositions(n, d)
+            size_of[n] = lambda rows, n=n: sizes[n][rows @ (n + 1) ** np.arange(d)]
+            assert size_of[n](F).tolist() == [exact_freq_count(f) * math.prod(m ** f) for f in F]
+        shifts = [np.eye(d, dtype=np.int64)[i] - np.eye(d, dtype=np.int64)[j]
+                  for i in range(d) for j in range(d) if i != j]
+        for n, l in itertools.product(range(1, 5), repeat=2):
+            F, G = compositions(n, d), compositions(l, d)
+            pf, pg = np.repeat(F, len(G), axis=0), np.tile(G, (len(F), 1))
+            probe = TransferProbe(pf, pg, m)
+            for h in shifts:
+                target = pf + pg - h
+                ok = (target >= 0).all(axis=1)
+                want = np.zeros(len(pf), dtype=bool)
+                want[ok] = size_of[n](pf[ok]) * size_of[l](pg[ok]) <= size_of[n + l](target[ok])
+                grid = np.vstack([feas for _, feas in feasible_grid(F, G, h, m)]).ravel()
+                i, j = int(np.flatnonzero(h == -1)[0]), int(np.flatnonzero(h == 1)[0])
+                assert np.array_equal(feasible_rows(pf, pg, h, m), want)
+                assert np.array_equal(grid, want)
+                assert np.array_equal(probe.feasible(i, j, 1), want)
+
+    @settings(max_examples=200)
+    @given(_grouped_blocks(), st.data())
+    def test_three_forms_agree_with_bigint_oracle(self, block, data):
+        h, rows, ties, m = block
+        F = np.array([f for f, _ in rows])
+        G = np.array([g for _, g in rows])
+        want = [_grouped_oracle(f, g, h, m) for f, g in zip(F, G)]
+        assert feasible_rows(F, G, h, m).tolist() == want
+        Fn, Gl = F[F.sum(axis=1) == F[0].sum()], G[G.sum(axis=1) == G[0].sum()]  # one n, one l
+        grid = np.vstack([feas for _, feas in feasible_grid(Fn, Gl, h, m)])
+        assert grid.tolist() == [[_grouped_oracle(f, g, h, m) for g in Gl] for f in Fn]
+        for f, g, hh in ties:
+            assert feasible_rows([f], [g], hh, m)[0] == _grouped_oracle(f, g, hh, m)
+            assert next(feasible_grid(np.array([f]), np.array([g]), hh, m))[1][0, 0] == (
+                _grouped_oracle(f, g, hh, m))
+        if len(h) < 2:
+            return
+        probe = TransferProbe(F, G, m)
+        probe.commit(h)
+        i, j = data.draw(st.permutations(range(len(h))))[:2]
+        a = data.draw(st.integers(-6, 12))
+        moved = probe.moved(i, j, a)
+        assert probe.feasible(i, j, a).tolist() == [_grouped_oracle(f, g, moved, m) for f, g in zip(F, G)]
+        for f, g, hh in ties:  # each tie's hh is a transfer from h = 0
+            i, j = (int(np.argmin(hh)), int(np.argmax(hh))) if any(hh) else (1, 0)
+            probe = TransferProbe([f], [g], m)
+            assert probe.moved(i, j, max(hh)).tolist() == list(hh)
+            assert probe.feasible(i, j, max(hh))[0] == _grouped_oracle(f, g, hh, m)
+
+    def test_exact_ties_are_feasible(self):
+        """|Freq((1, 1))| = 2 = 2^1 and |Freq((4, 1))| = 5 = 5^1: one count moved
+        off a letter of multiplicity 2 or 5.  With no bath, the same move off a
+        letter of multiplicity 3 is a tie only for m = 1."""
+        assert feasible_rows([(1, 0)], [(1, 0)], (1, -1), (2, 1)).tolist() == [True]
+        assert TransferProbe([(1, 0)], [(1, 0)], (2, 1)).feasible(1, 0, 1).tolist() == [True]
+        grid = next(feasible_grid(np.array([(1, 0)]), np.array([(4, 0)]), (1, -1), (5, 1)))[1]
+        assert grid.tolist() == [[True]]
+        assert feasible_rows([(1, 0)] * 2, [(0, 0)] * 2, (1, -1)).tolist() == [True, True]
+        assert feasible_rows([(1, 0)], [(0, 0)], (1, -1), (3, 1)).tolist() == [False]
+
+
+    @pytest.mark.parametrize("m, want", [((100_001, 1, 1), False), ((200_000, 2, 1), True),
+                                         ((200_001, 2, 1), False)])
+    def test_near_ties_are_decided_exactly(self, m, want):
+        """f = (1, 0, 0), g = (49999, 0, 50000), h = (1, -1, 0): |Freq(f+g-h)| /
+        |Freq(g)| = 100000, so the predicate reads m_0 / m_1 <= 100000.  The
+        float gap, at most 1e-5 nats, lies inside the slack window (about 1.4e-4
+        at |lhs| ~ 7e4), so each form decides in big integers, with the power of
+        m_0 on the left and of m_1 on the right."""
+        F, G, h = np.array([(1, 0, 0)]), np.array([(49_999, 0, 50_000)]), (1, -1, 0)
+        assert feasible_rows(F, G, h, m).tolist() == [want]
+        assert next(feasible_grid(F, G, h, m))[1].tolist() == [[want]]
+        assert TransferProbe(F, G, m).feasible(1, 0, 1).tolist() == [want]
 
 
 class TestTypeProbability:
