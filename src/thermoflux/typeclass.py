@@ -142,7 +142,7 @@ def feasible_grid(F, G, h, m=None):
     top = F.max(axis=0) + G.max(axis=0) - h
     total = int(F[0].sum() + G[0].sum() - h.sum())
     log_fact = gammaln(np.arange(max(total, int(top.max()), 0) + 1) + 1.0)
-    log_mf, log_mg = log_multinomial_rows(F), log_multinomial_rows(G)
+    log_mf, log_mg = log_multinomial_rows(F), log_multinomial_rows(G) + h @ np.log(m)
     step = max(1, GRID_CHUNK // len(G))
     for lo in range(0, len(F), step):
         f = F[lo:lo + step]
@@ -152,7 +152,7 @@ def feasible_grid(F, G, h, m=None):
             target = f[:, i, None] + (G[:, i] - h[i])
             ok &= target >= 0
             rhs -= log_fact[np.maximum(target, 0)]
-        lhs = log_mf[lo:lo + step, None] + log_mg + h @ np.log(m)
+        lhs = log_mf[lo:lo + step, None] + log_mg
         yield lo, _decide(lhs, rhs, ok, lambda a, b: _exact_feasible(f[a], G[b], h, m))
 
 
