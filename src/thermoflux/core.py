@@ -65,8 +65,9 @@ def _validate_state(entries: np.ndarray, evals=None) -> tuple:
     entries = np.asarray(entries, dtype=complex)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {entries.shape}")
-    herm_dev = np.max(np.abs(entries - entries.conj().T))
-    if not np.isfinite(herm_dev):  # a non-finite entry leaves its own entry of A - A^dag non-finite
+    with np.errstate(invalid="ignore"):  # a non-finite entry makes its own entry of A - A^dag so
+        herm_dev = np.max(np.abs(entries - entries.conj().T))
+    if not np.isfinite(herm_dev):
         raise ValueError("matrix has a NaN or infinite entry")
     if herm_dev > HERMITIAN_TOL:
         raise ValueError(f"matrix not Hermitian: max |A - A^dag| = {herm_dev:g}")
