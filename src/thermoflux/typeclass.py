@@ -166,8 +166,8 @@ class TransferProbe:
     multiplicities m and the shifts that move a target counts from letter j to
     letter i, away from a committed h.
 
-    Keeps T = F + G - h, its count of negative entries, the matrix of ln T_c!
-    and its row sum S, so a probe reads only columns i and j:
+    Keeps T = F + G - h, its count of negative entries, the matrix of ln T_c!,
+    its row sum S and the left side with h ln m, so a probe reads only columns i and j:
     ln|Freq(T')| = ln(sum T)! - (S - ln T_i! - ln T_j! + ln(T_i+a)! + ln(T_j-a)!).
     """
 
@@ -179,8 +179,9 @@ class TransferProbe:
         self.commit(np.zeros(self.F.shape[1], dtype=np.int64))
 
     def commit(self, h) -> None:
-        """Make h the committed shift; T, its negative count, ln T! and S are rebuilt."""
+        """Make h the committed shift; T, its negative count, ln T!, S and lhs_h are rebuilt."""
         self.h = np.asarray(h)
+        self.lhs_h = self.lhs + self.h @ self.log_m
         self.T = self.F + self.G - self.h
         self.neg = (self.T < 0).sum(axis=1)
         self.log_total = gammaln(self.T.sum(axis=1) + 1.0)
@@ -201,7 +202,8 @@ class TransferProbe:
         rest = self.S - self.log_fact[:, i] - self.log_fact[:, j]
         rhs = self.log_total - (rest + _log_fact(ti + a) + _log_fact(tj - a))
         h, m = self.moved(i, j, a), self.m
-        lhs = self.lhs + h @ self.log_m
+        step = a * (self.log_m[j] - self.log_m[i])  # 0.0 between letters of one multiplicity
+        lhs = self.lhs_h + step if step else self.lhs_h
         return _decide(lhs, rhs, neg == 0, lambda r: _exact_feasible(self.F[r], self.G[r], h, m))
 
 
