@@ -65,7 +65,7 @@ def _validate_state(entries: np.ndarray, evals=None) -> tuple:
     entries = np.asarray(entries, dtype=complex)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {entries.shape}")
-    with np.errstate(invalid="ignore"):  # a non-finite entry makes its own entry of A - A^dag so
+    with np.errstate(invalid="ignore"):  # a non-finite entry leaves A - A^dag non-finite there
         herm_dev = np.max(np.abs(entries - entries.conj().T))
     if not np.isfinite(herm_dev):
         raise ValueError("matrix has a NaN or infinite entry")
