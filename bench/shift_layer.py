@@ -1,9 +1,9 @@
 """Shift search, candidate identification and exact universal runs at the sizes
 of the perfbench workloads: `extraction.choose_shift` on a qubit k = 4
-Schur-pinched alphabet of d^k letters (n_eff = 2500), on the Weyl-letter
-alphabets (with multiplicities) that `universal_protocol` runs on for the same
-state at k = 4..8, and on truncated ladders (d_n = 12, 27, 16, 32, the cutoffs
-of the semiuniversal ops); `infdim.distinguishing_dimension` on the three
+Schur-pinched alphabet of d^k letters (n_eff = 2500), on truncated ladders
+(d_n = 12, 27, 16, 32, the cutoffs of the semiuniversal ops) and on the
+Weyl-letter alphabets (with multiplicities) that `universal_protocol` runs on
+for the same state at k = 4..10; `infdim.distinguishing_dimension` on the three
 two-candidate sets of the semiuniversal workload (d <= 4 copies), uncached;
 and exact-mode `universal_protocol` for the qubit |+> and ground states at
 n = 1e5, each in a child process stopped after UNIVERSAL_TIMEOUT seconds.
@@ -13,10 +13,12 @@ n = 1e5, each in a child process stopped after UNIVERSAL_TIMEOUT seconds.
 
 Each entry is the median wall time of R >= 5 repeats.  The file also records
 the commit (with "+dirty" when the working tree differs from it), the machine
-and the line count of src/thermoflux/*.py.  With --baseline DIR, a checkout
-of another commit, the universal_protocol rows are measured on DIR/src as
-well, each entry then naming its commit and line count: a before/after pair.
-A run that does not finish in time is recorded with seconds null.
+and the line count of src/thermoflux/*.py.  The choose_shift rows run in one
+child process per tree, after one untimed call per cell.  With --baseline DIR,
+a checkout of another commit, the choose_shift and universal_protocol rows are
+measured on DIR/src as well, each entry then naming its commit and line count:
+a before/after pair, the baseline's entry first.  A universal run that does not
+finish in time is recorded with seconds null.
 """
 
 from __future__ import annotations
@@ -55,10 +57,22 @@ LADDER_CELLS = (
 ID_SETS = (("eps1|eps2", (EPS1, EPS2)), ("eps2|geo0.5", (EPS2, GEO_WARM)), ("eps1|geo0.5", (EPS1, GEO_WARM)))
 QUBIT = core.ThermalContext(levels=(0, 1), beta=1.0)
 MIXED = core.DensityMatrix(np.array([[0.8, 0.25], [0.25, 0.2]], dtype=complex))
-WEYL_KS = (4, 5, 6, 7, 8)
+WEYL_KS = (4, 5, 6, 7, 8, 9, 10)
 # (name, state vector, n): exact-mode universal_protocol rows
 UNIVERSAL_CELLS = (("qubit |+> exact", "1,1", 100_000), ("qubit ground exact", "1,0", 100_000))
 UNIVERSAL_TIMEOUT = 300.0  # seconds per child, its untimed first call included
+SHIFT_TIMEOUT = 600.0  # seconds for the child that times one tree's choose_shift rows
+# Child process for one tree's choose_shift rows: thermoflux is imported from
+# that tree's src/ before this script puts its own on the path, then the rows
+# are printed as JSON.
+SHIFT_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import thermoflux
+sys.path.insert(0, sys.argv[2])
+import shift_layer
+print(json.dumps(shift_layer.shift_entries(int(sys.argv[3]), int(sys.argv[4]))))
+"""
 # Child process for one universal row: one untimed call (the Schur basis build),
 # then the median of R timed calls, printed as JSON.
 UNIVERSAL_CHILD = """
@@ -92,7 +106,7 @@ def _weyl_letters(k: int):
 
 def _shift_entry(name, p, alphabet, n_eff, margin, repeats) -> dict:
     l = math.ceil(n_eff ** 1.5)
-    h = extraction.choose_shift(p, alphabet, n_eff, margin_nats=margin, l=l)
+    h = extraction.choose_shift(p, alphabet, n_eff, margin_nats=margin, l=l)  # untimed first call
     return {
         "layer": "choose_shift",
         "cell": name,
@@ -119,7 +133,8 @@ def _universal_entry(root: Path, cell, repeats: int) -> dict:
     return {**entry, **json.loads(run.stdout), "status": "finished"}
 
 
-def measure(repeats: int, max_k: int, baseline: Path = None) -> list:
+def shift_entries(repeats: int, max_k: int) -> list:
+    """The choose_shift rows, on the thermoflux this process imported."""
     p, alphabet = _qubit_k4()
     entries = [_shift_entry("qubit k=4", p, alphabet, 2500, 0.01, repeats)]
     for name, state, n_eff, d_n in LADDER_CELLS:
@@ -128,6 +143,20 @@ def measure(repeats: int, max_k: int, baseline: Path = None) -> list:
         entries.append(_shift_entry(f"ladder {name}", head / head.sum(), alphabet, n_eff, 0.0, repeats))
     for k in (k for k in WEYL_KS if k <= max_k):
         entries.append(_shift_entry(f"qubit k={k} Weyl letters", *_weyl_letters(k), 2500, 0.01, repeats))
+    return entries
+
+
+def _tree_shift_entries(root: Path, repeats: int, max_k: int) -> list:
+    args = [sys.executable, "-c", SHIFT_CHILD, str(root / "src"), str(ROOT / "bench"), str(repeats), str(max_k)]
+    run = subprocess.run(args, capture_output=True, text=True, timeout=SHIFT_TIMEOUT, check=True)
+    tree = {"commit": commit(root), "src_lines": src_lines(root)}
+    return [{**entry, **tree} for entry in json.loads(run.stdout)]
+
+
+def measure(repeats: int, max_k: int, baseline: Path = None) -> list:
+    roots = (baseline, ROOT) if baseline else (ROOT,)
+    trees = [_tree_shift_entries(root, repeats, max_k) for root in roots]
+    entries = [entry for cell in zip(*trees) for entry in cell]
     for name, states in ID_SETS:
         S = infdim.CandidateSet(states=states)
         entries.append({
@@ -139,7 +168,7 @@ def measure(repeats: int, max_k: int, baseline: Path = None) -> list:
             "repeats": repeats,
         })
     for cell in UNIVERSAL_CELLS:
-        for root in (baseline, ROOT) if baseline else (ROOT,):
+        for root in roots:
             entries.append(_universal_entry(root, cell, repeats))
     return entries
 
@@ -148,8 +177,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default=str(ROOT / "BENCH_shift.json"))
     parser.add_argument("--repeats", type=int, default=MIN_REPEATS)
-    parser.add_argument("--max-k", type=int, default=8, help="leave out Weyl-letter rows with more copies")
-    parser.add_argument("--baseline", type=Path, help="checkout whose src/ the universal rows also run on")
+    parser.add_argument("--max-k", type=int, default=10, help="leave out Weyl-letter rows with more copies")
+    parser.add_argument("--baseline", type=Path,
+                        help="checkout whose src/ the choose_shift and universal rows also run on")
     args = parser.parse_args(argv)
     if args.repeats < MIN_REPEATS:
         parser.error(f"--repeats must be at least {MIN_REPEATS}")

@@ -79,10 +79,14 @@ class WorkAlphabet:
     def d(self) -> int:
         return len(self.energies)
 
-    @property
+    @cached_property
     def thermal(self) -> np.ndarray:
+        """Gibbs weights of the letters, m_c e^{-beta E_c} normalised; computed
+        once per alphabet and read-only."""
         w = np.exp(-self.beta * np.array([float(e) for e in self.energies])) * self.multiplicities
-        return w / w.sum()
+        out = w / w.sum()
+        out.flags.writeable = False
+        return out
 
     @classmethod
     def from_context(cls, ctx: ThermalContext) -> "WorkAlphabet":
@@ -178,12 +182,19 @@ def choose_shift(
     feasibility on deterministic typical-shell checkpoint blocks.
 
     Search: greedy level transfers over letter pairs in decreasing energy-gap
-    order (ties by lexicographic pair index), binary-searching the largest
-    feasible transfer amount for each pair.  A transfer of a from letter j is
-    capped at the smallest checkpoint target count of j, beyond which a target
-    goes negative; below it ln|Freq(target)| is concave in a, so the feasible
-    amounts form an interval from 0.  Returns h = 0 when the budget is
-    exhausted or no positive-work transfer is feasible.
+    order (ties by lexicographic pair index), committing the largest feasible
+    transfer amount for each pair.  A transfer of a from letter j is capped at
+    the smallest checkpoint target count of j (the probe's cap[j]), beyond
+    which a target goes negative.  Below it each row's right side
+    ln|Freq(target)| is concave in a and its left side linear in a, so the
+    feasible amounts form an interval from 0 (see TransferProbe), and any
+    order of probes finds the same largest one.  After a pair that admitted no
+    transfer, the next is probed at a = 1 first, so each pair of a run of
+    rejected pairs costs one probe, and then at the cap; otherwise the cap is
+    probed first, so each pair of a run of pairs that take their whole cap
+    costs one.  Amounts between the largest known to pass and the least known
+    to fail are bisected.  Returns h = 0 when the budget is exhausted or no
+    positive-work transfer is feasible.
     """
     p_est = np.asarray(p_est, dtype=float)
     t = alphabet.thermal
@@ -203,35 +214,28 @@ def choose_shift(
 
     probe = TransferProbe(*_checkpoint_blocks(n_eff, p_est, l, t), alphabet.multiplicities)
 
-    energies = [float(e) for e in alphabet.energies]
-    pairs = []
-    for i in range(d):
-        for j in range(d):
-            gap = energies[j] - energies[i]
-            if gap > 0:
-                pairs.append((gap, i, j))
-    pairs.sort(key=lambda x: (-x[0], x[1], x[2]))
+    energies = np.array([float(e) for e in alphabet.energies])
+    gaps = energies - energies[:, None]  # gaps[i, j] = E_j - E_i
+    src, dst = np.nonzero(gaps > 0)  # row-major, so a stable sort keeps ties in (i, j) order
+    order = np.argsort(-gaps[src, dst], kind="stable")
+    pairs = zip(gaps[src, dst][order].tolist(), src[order].tolist(), dst[order].tolist())
 
-    spent = 0.0
+    spent, rejecting = 0.0, False
     for gap, i, j in pairs:
-        amax = int((budget_w - spent) / gap + 1e-12)
-        amax = min(amax, n_eff, int(probe.T[:, j].min()))
+        amax = min(int((budget_w - spent) / gap + 1e-12), n_eff, int(probe.cap[j]))
         if amax <= 0:
             continue
-        if probe.feasible(i, j, amax).all():
-            best = amax
-        else:
-            lo, hi = 0, amax  # feasible(lo) holds (current h passed before)
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if probe.feasible(i, j, mid).all():
-                    lo = mid
-                else:
-                    hi = mid
-            best = lo
-        if best > 0:
-            probe.commit(probe.moved(i, j, best))
-            spent += best * gap
+        lo, hi = 0, amax + 1  # feasible(lo) holds; hi is the least amount known to fail, or amax + 1
+        for a in (1, amax) if rejecting else (amax,):
+            if lo < a < hi:
+                lo, hi = (a, hi) if probe.feasible(i, j, a).all() else (lo, a)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if probe.feasible(i, j, mid).all() else (lo, mid)
+        rejecting = lo == 0
+        if lo:
+            probe.commit(probe.moved(i, j, lo))
+            spent += lo * gap
     return ShiftFunction(tuple(probe.h))
 
 

@@ -120,13 +120,15 @@ def feasible_rows(F, G, h, m=None) -> np.ndarray:
     """Row-wise |Freq(n,f)| |Freq(l,g)| prod_c m_c^{h_c} <= |Freq(n+l, f+g-h)| for
     (N, d) rows F, G, one zero-sum shift h and letter multiplicities m (default
     1); False where f+g-h has a negative entry."""
-    F, G = np.atleast_2d(F), np.atleast_2d(G)
+    F, G, h = np.atleast_2d(F), np.atleast_2d(G), np.asarray(h)
     m = _multiplicities(m, F.shape[1])
-    target = F + G - np.asarray(h)
-    lhs = log_multinomial_rows(F) + log_multinomial_rows(G) + np.asarray(h) @ np.log(m)
+    target = F + G - h
+    log_fact = _log_fact(G)
+    lhs = log_multinomial_rows(F) + (gammaln(G.sum(axis=1) + 1.0) - log_fact.sum(axis=1)) + h @ np.log(m)
+    moved = target != G  # elsewhere f_c = h_c, and ln T_c! = ln G_c! is kept
+    log_fact[moved] = _log_fact(target[moved])
+    rhs = gammaln(target.sum(axis=1) + 1.0) - log_fact.sum(axis=1)
     ok = (target >= 0).all(axis=1)
-    rhs = np.zeros(len(target))
-    rhs[ok] = log_multinomial_rows(target[ok])
     return _decide(lhs, rhs, ok, lambda i: _exact_feasible(F[i], G[i], h, m))
 
 
@@ -161,32 +163,62 @@ def _log_fact(x) -> np.ndarray:
     return gammaln(np.maximum(x, 0) + 1.0)
 
 
+def _log_fact_by_row0(X) -> np.ndarray:
+    """ln X! for an (N, d) array of counts, evaluated at row 0 and at the
+    entries that differ from it only (a checkpoint row differs from row 0 in two)."""
+    idx = np.flatnonzero(X != X[0])
+    out = np.tile(gammaln(X[0] + 1.0), len(X))
+    out[idx] = gammaln(X.ravel()[idx] + 1.0)
+    return out.reshape(X.shape)
+
+
 class TransferProbe:
     """The predicate of feasible_rows for (N, d) rows F, G, letter
     multiplicities m and the shifts that move a target counts from letter j to
-    letter i, away from a committed h.
+    letter i, away from a committed zero-sum h.
 
-    Keeps T = F + G - h, its count of negative entries, the matrix of ln T_c!,
-    its row sum S and the left side with h ln m, so a probe reads only columns i and j:
+    Keeps T = F + G - h, the rows with a negative entry and their count, the
+    column minima cap (a transfer of more than cap[j] off letter j makes some
+    target negative), the matrix of ln T_c!, its row sum S and the left side
+    with h ln m, so a probe reads only columns i and j:
     ln|Freq(T')| = ln(sum T)! - (S - ln T_i! - ln T_j! + ln(T_i+a)! + ln(T_j-a)!).
+
+    For a committed h that every row passes, the rows that pass moved(i, j, a)
+    form an interval 0 <= a <= a* up to cap[j]: each row's right side is concave
+    in a (ln x! is convex) and its left side is linear in a.  Every decision
+    goes through _decide, so the interval is that of the exact predicate.
     """
 
     def __init__(self, F, G, m=None):
         self.F, self.G = np.atleast_2d(F), np.atleast_2d(G)
-        self.m = _multiplicities(m, self.F.shape[1])
+        d = self.F.shape[1]
+        self.m = _multiplicities(m, d)
         self.log_m = np.log(self.m)
-        self.lhs = log_multinomial_rows(self.F) + log_multinomial_rows(self.G)
-        self.commit(np.zeros(self.F.shape[1], dtype=np.int64))
+        self.h = np.zeros(d, dtype=np.int64)
+        self.T = self.F + self.G
+        log_fact = _log_fact_by_row0(np.hstack([self.F, self.G, self.T]))
+        self.lhs = (gammaln(self.F.sum(axis=1) + 1.0) - log_fact[:, :d].sum(axis=1)) + (
+            gammaln(self.G.sum(axis=1) + 1.0) - log_fact[:, d:2 * d].sum(axis=1))
+        self.log_fact = log_fact[:, 2 * d:].copy()
+        self.log_total = gammaln(self.T.sum(axis=1) + 1.0)  # sum T is fixed by zero-sum h
+        self.cap = self.T.min(axis=0)
+        self.commit(self.h)
 
     def commit(self, h) -> None:
-        """Make h the committed shift; T, its negative count, ln T!, S and lhs_h are rebuilt."""
-        self.h = np.asarray(h)
-        self.lhs_h = self.lhs + self.h @ self.log_m
-        self.T = self.F + self.G - self.h
+        """Make the zero-sum h the committed shift.  T, ln T! and cap are
+        recomputed in the columns where h changes only (two, for a transfer);
+        S is the row sum of the updated ln T!, bitwise what a probe committed
+        straight to h holds."""
+        h = np.asarray(h)
+        for c in np.flatnonzero(h != self.h):
+            self.T[:, c] += self.h[c] - h[c]
+            self.log_fact[:, c] = _log_fact(self.T[:, c])
+            self.cap[c] = self.T[:, c].min()
+        self.h = h
         self.neg = (self.T < 0).sum(axis=1)
-        self.log_total = gammaln(self.T.sum(axis=1) + 1.0)
-        self.log_fact = _log_fact(self.T)
+        self.neg_rows = np.flatnonzero(self.neg)
         self.S = self.log_fact.sum(axis=1)
+        self.lhs_h = self.lhs + h @ self.log_m
 
     def moved(self, i: int, j: int, a: int) -> np.ndarray:
         """The committed h with h_i - a and h_j + a."""
@@ -198,13 +230,16 @@ class TransferProbe:
     def feasible(self, i: int, j: int, a: int) -> np.ndarray:
         """Row-wise feasibility of the shift moved(i, j, a), for letters i != j."""
         ti, tj = self.T[:, i], self.T[:, j]
-        neg = self.neg - (ti < 0) - (tj < 0) + (ti + a < 0) + (tj - a < 0)
+        ok = (ti >= -a) & (tj >= a)  # columns i and j of the target stay non-negative
+        r = self.neg_rows  # and, on rows with a negative entry, no other column is negative
+        if r.size:
+            ok[r] &= self.neg[r] - (ti[r] < 0) - (tj[r] < 0) == 0
         rest = self.S - self.log_fact[:, i] - self.log_fact[:, j]
         rhs = self.log_total - (rest + _log_fact(ti + a) + _log_fact(tj - a))
         h, m = self.moved(i, j, a), self.m
         step = a * (self.log_m[j] - self.log_m[i])  # 0.0 between letters of one multiplicity
         lhs = self.lhs_h + step if step else self.lhs_h
-        return _decide(lhs, rhs, neg == 0, lambda r: _exact_feasible(self.F[r], self.G[r], h, m))
+        return _decide(lhs, rhs, ok, lambda r: _exact_feasible(self.F[r], self.G[r], h, m))
 
 
 def injection_feasible(f, g, h) -> bool:

@@ -570,15 +570,18 @@ class TestUniversalProtocol:
         assert hashes == {protocol_description_hash(QUBIT, params)}
 
     def test_exact_plus_state_at_1e5_is_fast_and_decided_exactly(self, monkeypatch):
-        """Exact mode, qubit |+>, n = 1e5 (k = 5, 12 Weyl letters): the run
-        takes under 5 s, and every row of every shift probe it makes agrees
-        with an oracle that decides in floats only where the gap exceeds a
-        generous error bound, and in big integers elsewhere."""
+        """Exact mode, qubit |+> and a full-rank mixed state, n = 1e5 (k = 5, 12
+        Weyl letters): each run takes under 5 s, and every row of every shift
+        probe the two make agrees with an oracle that decides in floats only
+        where the gap exceeds a generous error bound, and in big integers
+        elsewhere."""
         params = UniversalParams.from_schedule(100_000, QUBIT)
-        plus = DensityMatrix.pure(np.array([1.0, 1.0]))
-        start = time.perf_counter()
-        h = universal_protocol(plus, QUBIT, params, mode="exact").details["h"]
-        assert time.perf_counter() - start < 5.0
+        states = (DensityMatrix.pure(np.array([1.0, 1.0])), DensityMatrix(np.array([[0.8, 0.25], [0.25, 0.2]])))
+        shifts = []
+        for rho in states:
+            start = time.perf_counter()
+            shifts.append(universal_protocol(rho, QUBIT, params, mode="exact").details["h"])
+            assert time.perf_counter() - start < 5.0
         probes, feasible = [], TransferProbe.feasible
 
         def recorded(probe, i, j, a):
@@ -586,8 +589,10 @@ class TestUniversalProtocol:
             return probes[-1][2]
 
         monkeypatch.setattr(TransferProbe, "feasible", recorded)
-        assert universal_protocol(plus, QUBIT, params, mode="exact").details["h"] == h
-        assert len(probes) > 100 and any(h)
+        for rho, h in zip(states, shifts):
+            assert universal_protocol(rho, QUBIT, params, mode="exact").details["h"] == h
+            assert any(h)
+        assert len(probes) > 100
         for probe, shift, got in probes:
             want, uncertain = _certified_rows(probe.F, probe.G, shift, probe.m)
             for r in np.flatnonzero(uncertain):

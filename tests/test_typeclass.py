@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from thermoflux.schur import build_schur_basis
 from thermoflux.typeclass import (
@@ -214,6 +215,38 @@ class TestTransferProbe:
         assert probe.h.tolist() == [-4, 1, 3]
         assert np.array_equal(probe.S, fresh.S) and np.array_equal(probe.T, F + G - probe.h)
         assert probe.feasible(0, 1, 2).tolist() == feasible_rows(F, G, probe.moved(0, 1, 2)).tolist()
+
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_chain_of_commits_matches_feasible_rows_and_a_fresh_commit(self, data):
+        """Rows of unequal n and l and letter multiplicities: after a chain of
+        commits (targets may go negative), the probe's state is bitwise that of
+        a probe committed straight to h and of a from-scratch evaluation, and
+        its probes decide as feasible_rows does."""
+        d = data.draw(st.integers(2, 5))
+        counts = st.lists(st.integers(0, 15), min_size=d, max_size=d)
+        rows = data.draw(st.lists(st.tuples(counts, counts), min_size=1, max_size=8))
+        m = data.draw(st.lists(st.sampled_from((1, 2, 3)), min_size=d, max_size=d))
+        F, G = np.array([f for f, _ in rows]), np.array([g for _, g in rows])
+        probe = TransferProbe(F, G, m)
+        for _ in range(data.draw(st.integers(1, 5))):
+            i, j = data.draw(st.permutations(range(d)))[:2]
+            probe.commit(probe.moved(i, j, data.draw(st.integers(-4, 8))))
+        fresh = TransferProbe(F, G, m)
+        fresh.commit(probe.h)
+        T = F + G - probe.h
+        assert np.array_equal(probe.T, T) and np.array_equal(fresh.T, T)
+        assert np.array_equal(probe.cap, T.min(axis=0)) and np.array_equal(fresh.cap, T.min(axis=0))
+        for p in (probe, fresh):
+            assert np.array_equal(p.log_fact, gammaln(np.maximum(T, 0) + 1.0))
+            assert np.array_equal(p.S, gammaln(np.maximum(T, 0) + 1.0).sum(axis=1))
+            assert np.array_equal(p.neg, (T < 0).sum(axis=1))
+            assert np.array_equal(p.lhs_h, log_multinomial_rows(F) + log_multinomial_rows(G) + probe.h @ np.log(m))
+        i, j = data.draw(st.permutations(range(d)))[:2]
+        a = data.draw(st.integers(-6, 12))
+        want = feasible_rows(F, G, probe.moved(i, j, a), m).tolist()
+        assert probe.feasible(i, j, a).tolist() == fresh.feasible(i, j, a).tolist() == want
 
 
 def _grouped_oracle(f, g, h, m) -> bool:
