@@ -143,7 +143,7 @@ class TestRenormalizedFreeEnergy:
         assert abs(value - float(closed)) <= bound
 
     def test_power_law_limit_raises_when_the_bound_misses_tol(self):
-        """epsilon = 1 needs d of about 7000 for a bound of 1e-10."""
+        """epsilon = 1 needs d = 4,726 for a bound of 1e-10."""
         with pytest.raises(ValueError, match="exceeds tol"):
             renormalized_free_energy_limit(TailState(epsilon=1.0), LADDER, 1e-10, 1000)
         assert renormalized_free_energy_limit(TailState(epsilon=1.0), LADDER, 1e-10, 10_000)[1] <= 1e-10
