@@ -27,7 +27,7 @@ for n, d_n, success in schedule_success_curve(rho, sched, [10 ** k for k in rang
 ctx = InfiniteContext(beta=1.0)
 x = math.exp(-0.5)
 geo = TailState(coefficients=tuple((1 - x) * x ** (i - 1) for i in range(1, 400)))
-limit, _ = renormalized_free_energy_limit(geo, ctx)
+limit = renormalized_free_energy_limit(geo, ctx)
 print(f"\nGeometric test state: free-energy limit {limit:.6f} nats")
 for d in (10, 50, 200):
     print(f"  truncated at d={d:3d}: {renormalized_free_energy(geo, ctx, d):.6f}")

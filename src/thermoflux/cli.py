@@ -413,7 +413,7 @@ def _cmd_infdim(args) -> int:
         rho = infdim.TailState(coefficients=tuple(coeffs))
     schedule = infdim.CutoffSchedule(epsilon=args.epsilon)
     ctx = infdim.InfiniteContext(beta=args.beta)
-    target, _ = infdim.renormalized_free_energy_limit(rho, ctx)
+    target = infdim.renormalized_free_energy_limit(rho, ctx)
     n_grid = [int(x) for x in args.n_grid.split(",")]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["n", "d_n", "success", "rate", "target"])

@@ -214,11 +214,14 @@ def choose_shift(
 
     probe = TransferProbe(*_checkpoint_blocks(n_eff, p_est, l, t), alphabet.multiplicities)
 
-    energies = np.array([float(e) for e in alphabet.energies])
-    gaps = energies - energies[:, None]  # gaps[i, j] = E_j - E_i
-    src, dst = np.nonzero(gaps > 0)  # row-major, so a stable sort keeps ties in (i, j) order
-    order = np.argsort(-gaps[src, dst], kind="stable")
-    pairs = zip(gaps[src, dst][order].tolist(), src[order].tolist(), dst[order].tolist())
+    energies = [float(e) for e in alphabet.energies]
+    pairs = []
+    for i in range(d):
+        for j in range(d):
+            gap = energies[j] - energies[i]
+            if gap > 0:
+                pairs.append((gap, i, j))
+    pairs.sort(key=lambda x: (-x[0], x[1], x[2]))
 
     spent, rejecting = 0.0, False
     for gap, i, j in pairs:

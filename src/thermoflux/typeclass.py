@@ -120,15 +120,13 @@ def feasible_rows(F, G, h, m=None) -> np.ndarray:
     """Row-wise |Freq(n,f)| |Freq(l,g)| prod_c m_c^{h_c} <= |Freq(n+l, f+g-h)| for
     (N, d) rows F, G, one zero-sum shift h and letter multiplicities m (default
     1); False where f+g-h has a negative entry."""
-    F, G, h = np.atleast_2d(F), np.atleast_2d(G), np.asarray(h)
+    F, G = np.atleast_2d(F), np.atleast_2d(G)
     m = _multiplicities(m, F.shape[1])
-    target = F + G - h
-    log_fact = _log_fact(G)
-    lhs = log_multinomial_rows(F) + (gammaln(G.sum(axis=1) + 1.0) - log_fact.sum(axis=1)) + h @ np.log(m)
-    moved = target != G  # elsewhere f_c = h_c, and ln T_c! = ln G_c! is kept
-    log_fact[moved] = _log_fact(target[moved])
-    rhs = gammaln(target.sum(axis=1) + 1.0) - log_fact.sum(axis=1)
+    target = F + G - np.asarray(h)
+    lhs = log_multinomial_rows(F) + log_multinomial_rows(G) + np.asarray(h) @ np.log(m)
     ok = (target >= 0).all(axis=1)
+    rhs = np.zeros(len(target))
+    rhs[ok] = log_multinomial_rows(target[ok])
     return _decide(lhs, rhs, ok, lambda i: _exact_feasible(F[i], G[i], h, m))
 
 
@@ -177,10 +175,10 @@ class TransferProbe:
     multiplicities m and the shifts that move a target counts from letter j to
     letter i, away from a committed zero-sum h.
 
-    Keeps T = F + G - h, the rows with a negative entry and their count, the
-    column minima cap (a transfer of more than cap[j] off letter j makes some
-    target negative), the matrix of ln T_c!, its row sum S and the left side
-    with h ln m, so a probe reads only columns i and j:
+    Keeps T = F + G - h, its count of negative entries, the column minima cap
+    (a transfer of more than cap[j] off letter j makes some target negative),
+    the matrix of ln T_c!, its row sum S and the left side with h ln m, so a
+    probe reads only columns i and j:
     ln|Freq(T')| = ln(sum T)! - (S - ln T_i! - ln T_j! + ln(T_i+a)! + ln(T_j-a)!).
 
     For a committed h that every row passes, the rows that pass moved(i, j, a)
@@ -191,18 +189,20 @@ class TransferProbe:
 
     def __init__(self, F, G, m=None):
         self.F, self.G = np.atleast_2d(F), np.atleast_2d(G)
-        d = self.F.shape[1]
+        N, d = self.F.shape
         self.m = _multiplicities(m, d)
         self.log_m = np.log(self.m)
         self.h = np.zeros(d, dtype=np.int64)
         self.T = self.F + self.G
-        log_fact = _log_fact_by_row0(np.hstack([self.F, self.G, self.T]))
-        self.lhs = (gammaln(self.F.sum(axis=1) + 1.0) - log_fact[:, :d].sum(axis=1)) + (
-            gammaln(self.G.sum(axis=1) + 1.0) - log_fact[:, d:2 * d].sum(axis=1))
-        self.log_fact = log_fact[:, 2 * d:].copy()
-        self.log_total = gammaln(self.T.sum(axis=1) + 1.0)  # sum T is fixed by zero-sum h
+        X = np.hstack([self.F, self.G, self.T])
+        log_fact = _log_fact_by_row0(X).reshape(N, 3, d)
+        log_total = gammaln(X.reshape(N, 3, d).sum(axis=2) + 1.0)  # sum T is fixed by zero-sum h
+        log_freq = log_total - log_fact.sum(axis=2)  # ln|Freq| of the rows of F, G and T
+        self.lhs = self.lhs_h = log_freq[:, 0] + log_freq[:, 1]
+        self.log_total, self.log_fact = log_total[:, 2].copy(), log_fact[:, 2].copy()
+        self.S = self.log_fact.sum(axis=1)
+        self.neg = (self.T < 0).sum(axis=1)
         self.cap = self.T.min(axis=0)
-        self.commit(self.h)
 
     def commit(self, h) -> None:
         """Make the zero-sum h the committed shift.  T, ln T! and cap are
@@ -210,13 +210,13 @@ class TransferProbe:
         S is the row sum of the updated ln T!, bitwise what a probe committed
         straight to h holds."""
         h = np.asarray(h)
-        for c in np.flatnonzero(h != self.h):
-            self.T[:, c] += self.h[c] - h[c]
-            self.log_fact[:, c] = _log_fact(self.T[:, c])
-            self.cap[c] = self.T[:, c].min()
+        cols = np.flatnonzero(h != self.h)
+        T = self.T[:, cols] + (self.h[cols] - h[cols])
+        self.T[:, cols] = T
+        self.log_fact[:, cols] = _log_fact(T)
+        self.cap[cols] = T.min(axis=0)
         self.h = h
         self.neg = (self.T < 0).sum(axis=1)
-        self.neg_rows = np.flatnonzero(self.neg)
         self.S = self.log_fact.sum(axis=1)
         self.lhs_h = self.lhs + h @ self.log_m
 
@@ -230,16 +230,13 @@ class TransferProbe:
     def feasible(self, i: int, j: int, a: int) -> np.ndarray:
         """Row-wise feasibility of the shift moved(i, j, a), for letters i != j."""
         ti, tj = self.T[:, i], self.T[:, j]
-        ok = (ti >= -a) & (tj >= a)  # columns i and j of the target stay non-negative
-        r = self.neg_rows  # and, on rows with a negative entry, no other column is negative
-        if r.size:
-            ok[r] &= self.neg[r] - (ti[r] < 0) - (tj[r] < 0) == 0
+        neg = self.neg - (ti < 0) - (tj < 0) + (ti + a < 0) + (tj - a < 0)
         rest = self.S - self.log_fact[:, i] - self.log_fact[:, j]
         rhs = self.log_total - (rest + _log_fact(ti + a) + _log_fact(tj - a))
         h, m = self.moved(i, j, a), self.m
         step = a * (self.log_m[j] - self.log_m[i])  # 0.0 between letters of one multiplicity
         lhs = self.lhs_h + step if step else self.lhs_h
-        return _decide(lhs, rhs, ok, lambda r: _exact_feasible(self.F[r], self.G[r], h, m))
+        return _decide(lhs, rhs, neg == 0, lambda r: _exact_feasible(self.F[r], self.G[r], h, m))
 
 
 def injection_feasible(f, g, h) -> bool:

