@@ -181,10 +181,11 @@ class TransferProbe:
     probe reads only columns i and j:
     ln|Freq(T')| = ln(sum T)! - (S - ln T_i! - ln T_j! + ln(T_i+a)! + ln(T_j-a)!).
 
-    For a committed h that every row passes, the rows that pass moved(i, j, a)
-    form an interval 0 <= a <= a* up to cap[j]: each row's right side is concave
-    in a (ln x! is convex) and its left side is linear in a.  Every decision
-    goes through _decide, so the interval is that of the exact predicate.
+    For a committed h that every row passes, the amounts a at which a row
+    passes moved(i, j, a) form an interval 0 <= a <= a* within cap[j]: each
+    row's right side is concave in a (ln x! is convex) and its left side is
+    linear in a.  Every decision goes through _decide, so the interval is that
+    of the exact predicate.
     """
 
     def __init__(self, F, G, m=None):
