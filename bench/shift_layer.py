@@ -17,8 +17,11 @@ and the line count of src/thermoflux/*.py.  The choose_shift rows run in one
 child process per tree, after one untimed call per cell.  With --baseline DIR,
 a checkout of another commit, the choose_shift and universal_protocol rows are
 measured on DIR/src as well, each entry then naming its commit and line count:
-a before/after pair, the baseline's entry first.  A universal run that does not
-finish in time is recorded with seconds null.
+a before/after pair, the baseline's entry first.  The two trees' choose_shift
+children run in lock-step, one timed call at a time: each repeat of a cell
+times both trees back to back, in turns that alternate which goes first, so a
+drift in the host's speed reaches both sides of a pair alike.  A universal run
+that does not finish in time is recorded with seconds null.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -61,17 +65,24 @@ WEYL_KS = (4, 5, 6, 7, 8, 9, 10)
 # (name, state vector, n): exact-mode universal_protocol rows
 UNIVERSAL_CELLS = (("qubit |+> exact", "1,1", 100_000), ("qubit ground exact", "1,0", 100_000))
 UNIVERSAL_TIMEOUT = 300.0  # seconds per child, its untimed first call included
-SHIFT_TIMEOUT = 600.0  # seconds for the child that times one tree's choose_shift rows
+SHIFT_TIMEOUT = 600.0  # seconds for a choose_shift child to exit once its input ends
 # Child process for one tree's choose_shift rows: thermoflux is imported from
-# that tree's src/ before this script puts its own on the path, then the rows
-# are printed as JSON.
+# that tree's src/ before this script puts its own on the path.  It prints the
+# rows (without times) as one JSON line, then times one call of cell c for each
+# line "c" it reads and prints the seconds.
 SHIFT_CHILD = """
-import json, sys
+import json, sys, time
 sys.path.insert(0, sys.argv[1])
 import thermoflux
 sys.path.insert(0, sys.argv[2])
 import shift_layer
-print(json.dumps(shift_layer.shift_entries(int(sys.argv[3]), int(sys.argv[4]))))
+cells = shift_layer.shift_cells(int(sys.argv[3]))
+print(json.dumps([entry for entry, _ in cells]), flush=True)
+for line in sys.stdin:
+    call = cells[int(line)][1]
+    start = time.perf_counter()
+    call()
+    print(time.perf_counter() - start, flush=True)
 """
 # Child process for one universal row: one untimed call (the Schur basis build),
 # then the median of R timed calls, printed as JSON.
@@ -104,21 +115,16 @@ def _weyl_letters(k: int):
     return p, extraction.WorkAlphabet(energies=energies, beta=1.0, multiplicities=mult)
 
 
-def _shift_entry(name, p, alphabet, n_eff, margin, repeats) -> dict:
+def _shift_cell(name, p, alphabet, n_eff, margin) -> tuple:
     l = math.ceil(n_eff ** 1.5)
-    h = extraction.choose_shift(p, alphabet, n_eff, margin_nats=margin, l=l)  # untimed first call
-    return {
-        "layer": "choose_shift",
-        "cell": name,
-        "d": alphabet.d,
-        "n_eff": n_eff,
-        "l": l,
-        "work": float(h.work(alphabet.energies)),
-        "seconds": median_seconds(
-            lambda: extraction.choose_shift(p, alphabet, n_eff, margin_nats=margin, l=l), repeats
-        ),
-        "repeats": repeats,
-    }
+
+    def call():
+        return extraction.choose_shift(p, alphabet, n_eff, margin_nats=margin, l=l)
+
+    h = call()  # untimed first call
+    entry = {"layer": "choose_shift", "cell": name, "d": alphabet.d, "n_eff": n_eff, "l": l,
+             "work": float(h.work(alphabet.energies))}
+    return entry, call
 
 
 def _universal_entry(root: Path, cell, repeats: int) -> dict:
@@ -133,30 +139,58 @@ def _universal_entry(root: Path, cell, repeats: int) -> dict:
     return {**entry, **json.loads(run.stdout), "status": "finished"}
 
 
-def shift_entries(repeats: int, max_k: int) -> list:
-    """The choose_shift rows, on the thermoflux this process imported."""
+def shift_cells(max_k: int) -> list:
+    """(row, timed call) per choose_shift cell, on the thermoflux this process
+    imported, each call made once untimed."""
     p, alphabet = _qubit_k4()
-    entries = [_shift_entry("qubit k=4", p, alphabet, 2500, 0.01, repeats)]
+    cells = [_shift_cell("qubit k=4", p, alphabet, 2500, 0.01)]
     for name, state, n_eff, d_n in LADDER_CELLS:
         head = state.diagonal(d_n)
         alphabet = extraction.WorkAlphabet.from_context(LADDER.truncated_context(d_n))
-        entries.append(_shift_entry(f"ladder {name}", head / head.sum(), alphabet, n_eff, 0.0, repeats))
+        cells.append(_shift_cell(f"ladder {name}", head / head.sum(), alphabet, n_eff, 0.0))
     for k in (k for k in WEYL_KS if k <= max_k):
-        entries.append(_shift_entry(f"qubit k={k} Weyl letters", *_weyl_letters(k), 2500, 0.01, repeats))
-    return entries
+        cells.append(_shift_cell(f"qubit k={k} Weyl letters", *_weyl_letters(k), 2500, 0.01))
+    return cells
 
 
-def _tree_shift_entries(root: Path, repeats: int, max_k: int) -> list:
-    args = [sys.executable, "-c", SHIFT_CHILD, str(root / "src"), str(ROOT / "bench"), str(repeats), str(max_k)]
-    run = subprocess.run(args, capture_output=True, text=True, timeout=SHIFT_TIMEOUT, check=True)
-    tree = {"commit": commit(root), "src_lines": src_lines(root)}
-    return [{**entry, **tree} for entry in json.loads(run.stdout)]
+def _shift_entries(roots, repeats: int, max_k: int) -> list:
+    """The choose_shift rows of every tree, one child per tree, the trees' pairs adjacent."""
+    children = [
+        subprocess.Popen([sys.executable, "-c", SHIFT_CHILD, str(root / "src"), str(ROOT / "bench"), str(max_k)],
+                         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        for root in roots
+    ]
+
+    def read(child) -> str:
+        line = child.stdout.readline()
+        if not line:
+            raise RuntimeError(f"choose_shift child exited with status {child.wait()}")
+        return line
+
+    try:
+        rows = [json.loads(read(child)) for child in children]
+        times = [[[] for _ in rows[0]] for _ in children]
+        for r in range(repeats):
+            for c in range(len(rows[0])):
+                for t in range(len(children))[:: 1 if (r + c) % 2 == 0 else -1]:
+                    children[t].stdin.write(f"{c}\n")
+                    children[t].stdin.flush()
+                    times[t][c].append(float(read(children[t])))
+    finally:
+        for child in children:
+            child.stdin.close()
+            child.wait(timeout=SHIFT_TIMEOUT)
+    trees = [
+        [{**row, "seconds": statistics.median(ts), "repeats": repeats, "commit": commit(root),
+          "src_lines": src_lines(root)} for row, ts in zip(tree_rows, tree_times)]
+        for root, tree_rows, tree_times in zip(roots, rows, times)
+    ]
+    return [entry for cell in zip(*trees) for entry in cell]
 
 
 def measure(repeats: int, max_k: int, baseline: Path = None) -> list:
     roots = (baseline, ROOT) if baseline else (ROOT,)
-    trees = [_tree_shift_entries(root, repeats, max_k) for root in roots]
-    entries = [entry for cell in zip(*trees) for entry in cell]
+    entries = _shift_entries(roots, repeats, max_k)
     for name, states in ID_SETS:
         S = infdim.CandidateSet(states=states)
         entries.append({
