@@ -6,22 +6,22 @@ Weyl-letter alphabets (with multiplicities) that `universal_protocol` runs on
 for the same state at k = 4..10; `infdim.distinguishing_dimension` on the three
 two-candidate sets of the semiuniversal workload (d <= 4 copies), uncached;
 and exact-mode `universal_protocol` for the qubit |+> and ground states at
-n = 1e5, each in a child process stopped after UNIVERSAL_TIMEOUT seconds.
+n = 1e5.
 
     python bench/shift_layer.py [--out BENCH_shift.json] [--repeats R] [--max-k K]
                                 [--baseline DIR]
 
 Each entry is the median wall time of R >= 5 repeats.  The file also records
 the commit (with "+dirty" when the working tree differs from it), the machine
-and the line count of src/thermoflux/*.py.  The choose_shift rows run in one
-child process per tree, after one untimed call per cell.  With --baseline DIR,
-a checkout of another commit, the choose_shift and universal_protocol rows are
-measured on DIR/src as well, each entry then naming its commit and line count:
-a before/after pair, the baseline's entry first.  The two trees' choose_shift
+and the line count of src/thermoflux/*.py.  The choose_shift and
+universal_protocol rows run in one child process per tree, after one untimed
+call per cell; a child still running after TREE_TIMEOUT seconds is stopped and
+the run fails.  With --baseline DIR, a checkout of another commit, those rows
+are measured on DIR/src as well, each entry then naming its commit and line
+count: a before/after pair, the baseline's entry first.  The two trees'
 children run in lock-step, one timed call at a time: each repeat of a cell
 times both trees back to back, in turns that alternate which goes first, so a
-drift in the host's speed reaches both sides of a pair alike.  A universal run
-that does not finish in time is recorded with seconds null.
+drift in the host's speed reaches both sides of a pair alike.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import math
 import statistics
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -63,45 +64,25 @@ QUBIT = core.ThermalContext(levels=(0, 1), beta=1.0)
 MIXED = core.DensityMatrix(np.array([[0.8, 0.25], [0.25, 0.2]], dtype=complex))
 WEYL_KS = (4, 5, 6, 7, 8, 9, 10)
 # (name, state vector, n): exact-mode universal_protocol rows
-UNIVERSAL_CELLS = (("qubit |+> exact", "1,1", 100_000), ("qubit ground exact", "1,0", 100_000))
-UNIVERSAL_TIMEOUT = 300.0  # seconds per child, its untimed first call included
-SHIFT_TIMEOUT = 600.0  # seconds for a choose_shift child to exit once its input ends
-# Child process for one tree's choose_shift rows: thermoflux is imported from
-# that tree's src/ before this script puts its own on the path.  It prints the
-# rows (without times) as one JSON line, then times one call of cell c for each
-# line "c" it reads and prints the seconds.
-SHIFT_CHILD = """
+UNIVERSAL_CELLS = (("qubit |+> exact", (1.0, 1.0), 100_000), ("qubit ground exact", (1.0, 0.0), 100_000))
+TREE_TIMEOUT = 900.0  # seconds a tree's child may run, its untimed first calls included
+# Child process for one tree's choose_shift and universal rows: thermoflux is
+# imported from that tree's src/ before this script puts its own on the path.
+# It prints the rows (without times) as one JSON line, then times one call of
+# cell c for each line "c" it reads and prints the seconds.
+TREE_CHILD = """
 import json, sys, time
 sys.path.insert(0, sys.argv[1])
 import thermoflux
 sys.path.insert(0, sys.argv[2])
 import shift_layer
-cells = shift_layer.shift_cells(int(sys.argv[3]))
-print(json.dumps([entry for entry, _ in cells]), flush=True)
+cells = shift_layer.tree_cells(int(sys.argv[3]))
+print(json.dumps([row for row, _ in cells]), flush=True)
 for line in sys.stdin:
     call = cells[int(line)][1]
     start = time.perf_counter()
     call()
     print(time.perf_counter() - start, flush=True)
-"""
-# Child process for one universal row: one untimed call (the Schur basis build),
-# then the median of R timed calls, printed as JSON.
-UNIVERSAL_CHILD = """
-import json, statistics, sys, time
-import numpy as np
-sys.path.insert(0, sys.argv[1])
-from thermoflux import core, extraction
-ctx = core.ThermalContext(levels=(0, 1), beta=1.0)
-rho = core.DensityMatrix.pure(np.array([float(x) for x in sys.argv[2].split(",")]))
-params = extraction.UniversalParams.from_schedule(int(sys.argv[3]), ctx)
-out = extraction.universal_protocol(rho, ctx, params, mode="exact")
-times = []
-for _ in range(int(sys.argv[4])):
-    start = time.perf_counter()
-    extraction.universal_protocol(rho, ctx, params, mode="exact")
-    times.append(time.perf_counter() - start)
-print(json.dumps({"seconds": statistics.median(times), "d": len(out.details["h"]),
-                  "rate_over_target": out.rate_nats / out.target_rate, "h": list(out.details["h"])}))
 """
 
 
@@ -127,21 +108,23 @@ def _shift_cell(name, p, alphabet, n_eff, margin) -> tuple:
     return entry, call
 
 
-def _universal_entry(root: Path, cell, repeats: int) -> dict:
-    name, psi, n = cell
-    entry = {"layer": "universal_protocol", "cell": name, "n": n, "commit": commit(root),
-             "src_lines": src_lines(root), "repeats": repeats}
-    args = [sys.executable, "-c", UNIVERSAL_CHILD, str(root / "src"), psi, str(n), str(repeats)]
-    try:
-        run = subprocess.run(args, capture_output=True, text=True, timeout=UNIVERSAL_TIMEOUT, check=True)
-    except subprocess.TimeoutExpired:
-        return {**entry, "seconds": None, "status": f"not finished in {UNIVERSAL_TIMEOUT:g} s"}
-    return {**entry, **json.loads(run.stdout), "status": "finished"}
+def _universal_cell(name, psi, n) -> tuple:
+    rho = core.DensityMatrix.pure(np.array(psi))
+    params = extraction.UniversalParams.from_schedule(n, QUBIT)
+
+    def call():
+        return extraction.universal_protocol(rho, QUBIT, params, mode="exact")
+
+    out = call()  # untimed first call: the Schur basis build
+    h = list(out.details["h"])
+    row = {"layer": "universal_protocol", "cell": name, "n": n, "d": len(h),
+           "rate_over_target": out.rate_nats / out.target_rate, "h": h}
+    return row, call
 
 
-def shift_cells(max_k: int) -> list:
-    """(row, timed call) per choose_shift cell, on the thermoflux this process
-    imported, each call made once untimed."""
+def tree_cells(max_k: int) -> list:
+    """(row, timed call) per choose_shift and universal cell, on the thermoflux
+    this process imported, each call made once untimed."""
     p, alphabet = _qubit_k4()
     cells = [_shift_cell("qubit k=4", p, alphabet, 2500, 0.01)]
     for name, state, n_eff, d_n in LADDER_CELLS:
@@ -150,24 +133,28 @@ def shift_cells(max_k: int) -> list:
         cells.append(_shift_cell(f"ladder {name}", head / head.sum(), alphabet, n_eff, 0.0))
     for k in (k for k in WEYL_KS if k <= max_k):
         cells.append(_shift_cell(f"qubit k={k} Weyl letters", *_weyl_letters(k), 2500, 0.01))
-    return cells
+    return cells + [_universal_cell(*cell) for cell in UNIVERSAL_CELLS]
 
 
-def _shift_entries(roots, repeats: int, max_k: int) -> list:
-    """The choose_shift rows of every tree, one child per tree, the trees' pairs adjacent."""
+def _tree_entries(roots, repeats: int, max_k: int) -> list:
+    """The choose_shift and universal rows of every tree, one child per tree,
+    the trees' entries of one cell adjacent."""
     children = [
-        subprocess.Popen([sys.executable, "-c", SHIFT_CHILD, str(root / "src"), str(ROOT / "bench"), str(max_k)],
+        subprocess.Popen([sys.executable, "-c", TREE_CHILD, str(root / "src"), str(ROOT / "bench"), str(max_k)],
                          stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
         for root in roots
     ]
+    watchdogs = [threading.Timer(TREE_TIMEOUT, child.kill) for child in children]
 
     def read(child) -> str:
         line = child.stdout.readline()
         if not line:
-            raise RuntimeError(f"choose_shift child exited with status {child.wait()}")
+            raise RuntimeError(f"bench child exited with status {child.wait()}")
         return line
 
     try:
+        for watchdog in watchdogs:
+            watchdog.start()
         rows = [json.loads(read(child)) for child in children]
         times = [[[] for _ in rows[0]] for _ in children]
         for r in range(repeats):
@@ -177,9 +164,10 @@ def _shift_entries(roots, repeats: int, max_k: int) -> list:
                     children[t].stdin.flush()
                     times[t][c].append(float(read(children[t])))
     finally:
-        for child in children:
+        for child, watchdog in zip(children, watchdogs):
             child.stdin.close()
-            child.wait(timeout=SHIFT_TIMEOUT)
+            child.wait()
+            watchdog.cancel()
     trees = [
         [{**row, "seconds": statistics.median(ts), "repeats": repeats, "commit": commit(root),
           "src_lines": src_lines(root)} for row, ts in zip(tree_rows, tree_times)]
@@ -190,7 +178,8 @@ def _shift_entries(roots, repeats: int, max_k: int) -> list:
 
 def measure(repeats: int, max_k: int, baseline: Path = None) -> list:
     roots = (baseline, ROOT) if baseline else (ROOT,)
-    entries = _shift_entries(roots, repeats, max_k)
+    tree_entries = _tree_entries(roots, repeats, max_k)
+    entries = [e for e in tree_entries if e["layer"] == "choose_shift"]
     for name, states in ID_SETS:
         S = infdim.CandidateSet(states=states)
         entries.append({
@@ -201,10 +190,7 @@ def measure(repeats: int, max_k: int, baseline: Path = None) -> list:
             "seconds": median_seconds(lambda: infdim.distinguishing_dimension.__wrapped__(S), repeats),
             "repeats": repeats,
         })
-    for cell in UNIVERSAL_CELLS:
-        for root in roots:
-            entries.append(_universal_entry(root, cell, repeats))
-    return entries
+    return entries + [e for e in tree_entries if e["layer"] == "universal_protocol"]
 
 
 def main(argv=None) -> int:

@@ -38,7 +38,6 @@ def test_shift_layer_bench_writes_its_report(tmp_path):
     assert all(e["work"] > 0 for e in shifts)
     assert all(e["d_tilde"] == 1 for e in entries[12:15])
     for entry in universal:
-        assert entry["status"] == "finished"
         assert entry["d"] == 12 and 0 < entry["rate_over_target"] <= 1
     paired = shifts + universal
     for before, after in zip(paired[::2], paired[1::2]):
