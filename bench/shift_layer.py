@@ -66,20 +66,21 @@ WEYL_KS = (4, 5, 6, 7, 8, 9, 10)
 # (name, state vector, n): exact-mode universal_protocol rows
 UNIVERSAL_CELLS = (("qubit |+> exact", (1.0, 1.0), 100_000), ("qubit ground exact", (1.0, 0.0), 100_000))
 TREE_TIMEOUT = 900.0  # seconds a tree's child may run, its untimed first calls included
-# Child process for one tree's choose_shift and universal rows: thermoflux is
-# imported from that tree's src/ before this script puts its own on the path.
-# It prints the rows (without times) as one JSON line, then times one call of
-# cell c for each line "c" it reads and prints the seconds.
+# Child process for one tree's rows of a bench script: thermoflux is imported
+# from that tree's src/ before the script's directory is put on the path.  It
+# builds the cells of script.tree_cells(arg), prints their rows (without times)
+# and the names of their timed calls as one JSON line, then for each line "c name" it reads times one call of
+# cell c's timed call of that name and prints the seconds.
 TREE_CHILD = """
-import json, sys, time
+import importlib, json, sys, time
 sys.path.insert(0, sys.argv[1])
 import thermoflux
 sys.path.insert(0, sys.argv[2])
-import shift_layer
-cells = shift_layer.tree_cells(int(sys.argv[3]))
-print(json.dumps([row for row, _ in cells]), flush=True)
+cells = importlib.import_module(sys.argv[3]).tree_cells(int(sys.argv[4]))
+print(json.dumps([[row, list(calls)] for row, calls in cells]), flush=True)
 for line in sys.stdin:
-    call = cells[int(line)][1]
+    c, name = line.split()
+    call = cells[int(c)][1][name]
     start = time.perf_counter()
     call()
     print(time.perf_counter() - start, flush=True)
@@ -105,7 +106,7 @@ def _shift_cell(name, p, alphabet, n_eff, margin) -> tuple:
     h = call()  # untimed first call
     entry = {"layer": "choose_shift", "cell": name, "d": alphabet.d, "n_eff": n_eff, "l": l,
              "work": float(h.work(alphabet.energies))}
-    return entry, call
+    return entry, {"seconds": call}
 
 
 def _universal_cell(name, psi, n) -> tuple:
@@ -119,12 +120,12 @@ def _universal_cell(name, psi, n) -> tuple:
     h = list(out.details["h"])
     row = {"layer": "universal_protocol", "cell": name, "n": n, "d": len(h),
            "rate_over_target": out.rate_nats / out.target_rate, "h": h}
-    return row, call
+    return row, {"seconds": call}
 
 
 def tree_cells(max_k: int) -> list:
-    """(row, timed call) per choose_shift and universal cell, on the thermoflux
-    this process imported, each call made once untimed."""
+    """(row, {"seconds": timed call}) per choose_shift and universal cell, on
+    the thermoflux this process imported, each call made once untimed."""
     p, alphabet = _qubit_k4()
     cells = [_shift_cell("qubit k=4", p, alphabet, 2500, 0.01)]
     for name, state, n_eff, d_n in LADDER_CELLS:
@@ -136,12 +137,13 @@ def tree_cells(max_k: int) -> list:
     return cells + [_universal_cell(*cell) for cell in UNIVERSAL_CELLS]
 
 
-def _tree_entries(roots, repeats: int, max_k: int) -> list:
-    """The choose_shift and universal rows of every tree, one child per tree,
-    the trees' entries of one cell adjacent."""
+def tree_entries(roots, repeats: int, script: str, arg: int) -> list:
+    """The rows of script.tree_cells(arg) on every tree, one child per tree,
+    each row with the median of its timed calls under their names, the trees'
+    entries of one cell adjacent."""
     children = [
-        subprocess.Popen([sys.executable, "-c", TREE_CHILD, str(root / "src"), str(ROOT / "bench"), str(max_k)],
-                         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        subprocess.Popen([sys.executable, "-c", TREE_CHILD, str(root / "src"), str(ROOT / "bench"), script,
+                          str(arg)], stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
         for root in roots
     ]
     watchdogs = [threading.Timer(TREE_TIMEOUT, child.kill) for child in children]
@@ -155,22 +157,24 @@ def _tree_entries(roots, repeats: int, max_k: int) -> list:
     try:
         for watchdog in watchdogs:
             watchdog.start()
-        rows = [json.loads(read(child)) for child in children]
-        times = [[[] for _ in rows[0]] for _ in children]
+        cells = [json.loads(read(child)) for child in children]
+        rows, names = [[row for row, _ in tree] for tree in cells], [calls for _, calls in cells[0]]
+        times = [[{name: [] for name in cell} for cell in names] for _ in children]
         for r in range(repeats):
-            for c in range(len(rows[0])):
-                for t in range(len(children))[:: 1 if (r + c) % 2 == 0 else -1]:
-                    children[t].stdin.write(f"{c}\n")
-                    children[t].stdin.flush()
-                    times[t][c].append(float(read(children[t])))
+            for c, cell in enumerate(names):
+                for k, name in enumerate(cell):
+                    for t in range(len(children))[:: 1 if (r + c + k) % 2 == 0 else -1]:
+                        children[t].stdin.write(f"{c} {name}\n")
+                        children[t].stdin.flush()
+                        times[t][c][name].append(float(read(children[t])))
     finally:
         for child, watchdog in zip(children, watchdogs):
             child.stdin.close()
             child.wait()
             watchdog.cancel()
     trees = [
-        [{**row, "seconds": statistics.median(ts), "repeats": repeats, "commit": commit(root),
-          "src_lines": src_lines(root)} for row, ts in zip(tree_rows, tree_times)]
+        [{**row, **{name: statistics.median(ts) for name, ts in cell_times.items()}, "repeats": repeats,
+          "commit": commit(root), "src_lines": src_lines(root)} for row, cell_times in zip(tree_rows, tree_times)]
         for root, tree_rows, tree_times in zip(roots, rows, times)
     ]
     return [entry for cell in zip(*trees) for entry in cell]
@@ -178,8 +182,8 @@ def _tree_entries(roots, repeats: int, max_k: int) -> list:
 
 def measure(repeats: int, max_k: int, baseline: Path = None) -> list:
     roots = (baseline, ROOT) if baseline else (ROOT,)
-    tree_entries = _tree_entries(roots, repeats, max_k)
-    entries = [e for e in tree_entries if e["layer"] == "choose_shift"]
+    timed = tree_entries(roots, repeats, "shift_layer", max_k)
+    entries = [e for e in timed if e["layer"] == "choose_shift"]
     for name, states in ID_SETS:
         S = infdim.CandidateSet(states=states)
         entries.append({
@@ -190,7 +194,7 @@ def measure(repeats: int, max_k: int, baseline: Path = None) -> list:
             "seconds": median_seconds(lambda: infdim.distinguishing_dimension.__wrapped__(S), repeats),
             "repeats": repeats,
         })
-    return entries + [e for e in tree_entries if e["layer"] == "universal_protocol"]
+    return entries + [e for e in timed if e["layer"] == "universal_protocol"]
 
 
 def main(argv=None) -> int:

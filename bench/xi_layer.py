@@ -6,6 +6,7 @@ n = 18, 24), and sampled xi at a qubit k = 4 cell of `universal`
 the shift `choose_shift` picks on the source itself.
 
     python bench/xi_layer.py [--out BENCH_xi.json] [--max-n N] [--repeats R]
+                             [--baseline DIR]
 
 Each entry records the rows of each side of the (f, g) grid that are decided
 out of all rows (for the exact route the mass core, for the sampled route
@@ -13,6 +14,15 @@ the draws) and the number of (f, g) pairs decided.  Each time is the median
 wall time of R >= 5 repeats.  The file also records the commit (with
 "+dirty" when the working tree differs from it), the machine and the line
 count of src/thermoflux/*.py.
+
+The exact rows run in one child process per tree (see shift_layer.py), after
+one untimed plan per cell, and carry two times: `seconds`, a plan with the
+library's caches as that first plan left them, and `cold_seconds`, a plan
+right after the functools caches of `thermoflux.extraction` are emptied (the
+first plan at that l).  With --baseline DIR, a checkout of another commit,
+the exact rows are measured on DIR/src as well, in lock-step turns with this
+tree: a before/after pair per cell, the baseline's entry first, each naming
+its commit and line count.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from schur_layer import MIN_REPEATS, commit, machine, median_seconds, src_lines  # noqa: E402
-from shift_layer import _qubit_k4  # noqa: E402
+from shift_layer import _qubit_k4, tree_entries  # noqa: E402
 from thermoflux import extraction, typeclass  # noqa: E402
 
 QUBIT, QUTRIT = (0.85, 0.15), (0.85, 0.1, 0.05)
@@ -51,29 +61,36 @@ def _rows(n: int, p) -> list:
     return [len(extraction._mass_core(log_w)), len(log_w)]
 
 
-def _exact_entry(cell, p, n, repeats) -> dict:
+def _empty_caches() -> None:
+    for value in vars(extraction).values():
+        if hasattr(value, "cache_clear") and value.__module__ == extraction.__name__:
+            value.cache_clear()
+
+
+def _exact_cell(cell, p, n) -> tuple:
     p = np.array(p)
     alphabet = extraction.WorkAlphabet(energies=range(len(p)), beta=1.0)
     l = math.ceil(n ** 1.5)
     h = extraction.choose_shift(p, alphabet, n, margin_nats=0.0, l=l)
-    plan = extraction.build_classical_plan(p, alphabet, n, l, h, mode="exact")
+
+    def warm():
+        return extraction.build_classical_plan(p, alphabet, n, l, h, mode="exact")
+
+    def cold():
+        _empty_caches()
+        return warm()
+
+    plan = warm()  # untimed first call
     f_rows, g_rows = _rows(n, p), _rows(l, alphabet.thermal)
-    return {
-        "layer": "xi_exact",
-        "cell": cell,
-        "d": len(p),
-        "n": n,
-        "l": l,
-        "h": list(h.shifts),
-        "xi": plan.xi,
-        "f_rows": f_rows,
-        "g_rows": g_rows,
-        "pairs": f_rows[0] * g_rows[0],
-        "seconds": median_seconds(
-            lambda: extraction.build_classical_plan(p, alphabet, n, l, h, mode="exact"), repeats
-        ),
-        "repeats": repeats,
-    }
+    row = {"layer": "xi_exact", "cell": cell, "d": len(p), "n": n, "l": l, "h": list(h.shifts), "xi": plan.xi,
+           "f_rows": f_rows, "g_rows": g_rows, "pairs": f_rows[0] * g_rows[0]}
+    return row, {"cold_seconds": cold, "seconds": warm}
+
+
+def tree_cells(max_n: int) -> list:
+    """(row, {"cold_seconds": call, "seconds": call}) per exact cell with
+    n <= max_n, on the thermoflux this process imported."""
+    return [_exact_cell(cell, p, n) for cell, p, n in EXACT_CELLS if n <= max_n]
 
 
 def _sampled_entry(repeats) -> dict:
@@ -102,9 +119,9 @@ def _sampled_entry(repeats) -> dict:
     }
 
 
-def measure(max_n: int, repeats: int) -> list:
-    entries = [_exact_entry(cell, p, n, repeats) for cell, p, n in EXACT_CELLS if n <= max_n]
-    return entries + [_sampled_entry(repeats)]
+def measure(max_n: int, repeats: int, baseline: Path = None) -> list:
+    roots = (baseline, ROOT) if baseline else (ROOT,)
+    return tree_entries(roots, repeats, "xi_layer", max_n) + [_sampled_entry(repeats)]
 
 
 def main(argv=None) -> int:
@@ -112,6 +129,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=str(ROOT / "BENCH_xi.json"))
     parser.add_argument("--max-n", type=int, default=max(n for _, _, n in EXACT_CELLS))
     parser.add_argument("--repeats", type=int, default=MIN_REPEATS)
+    parser.add_argument("--baseline", type=Path, help="checkout whose src/ the exact rows also run on")
     args = parser.parse_args(argv)
     if args.repeats < MIN_REPEATS:
         parser.error(f"--repeats must be at least {MIN_REPEATS}")
@@ -121,7 +139,7 @@ def main(argv=None) -> int:
         "machine": machine(),
         "src_lines": src_lines(),
         "timing": f"wall-clock median of {args.repeats} repeats, seconds",
-        "entries": measure(args.max_n, args.repeats),
+        "entries": measure(args.max_n, args.repeats, args.baseline),
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     return 0

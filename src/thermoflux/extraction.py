@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 
 import numpy as np
@@ -21,10 +21,10 @@ from scipy.optimize import minimize_scalar
 
 from thermoflux.core import (
     DensityMatrix,
-    HamiltonianOperator,
     ThermalContext,
     _check_cap,
     _entries,
+    _frozen,
     relative_entropy,
     tensor_power,
     thermal_state,
@@ -301,23 +301,32 @@ def _mass_core(log_w) -> np.ndarray:
     return np.sort(order[dropped:])
 
 
+@lru_cache(maxsize=16)
+def _thermal_core(l: int, t: tuple) -> tuple:
+    """(G, P_t(G)): the mass core of the types of l letters under the letter
+    weights t, and their probabilities.  Built once per (l, t) and kept;
+    read-only."""
+    g_rows = compositions(l, len(t))
+    log_pg = log_type_prob_rows(g_rows, np.array(t))
+    kg = _mass_core(log_pg)
+    return _frozen(g_rows[kg]), _frozen(np.exp(log_pg[kg]))
+
+
 def _xi_exact(p, alphabet, n, l, h, support) -> float:
     """1 - the P_p x P_t mass of the feasible (f, g) pairs.  Every pair that
     carries mass is decided exactly; the rows outside each side's mass core
     (summed mass <= XI_TAIL per side) count as failures, so the result is an
     upper bound on the full-grid xi, above it by at most 2 XI_TAIL."""
-    t, d = alphabet.thermal, alphabet.d
     # f rows restricted to the support of p, embedded into d coordinates
     f_sub = compositions(n, len(support))
-    f_rows = np.zeros((len(f_sub), d), dtype=np.int64)
+    f_rows = np.zeros((len(f_sub), alphabet.d), dtype=np.int64)
     f_rows[:, support] = f_sub
-    g_rows = compositions(l, d)
     log_pf = log_type_prob_rows(f_rows, p)
-    log_pg = log_type_prob_rows(g_rows, t)
-    kf, kg = _mass_core(log_pf), _mass_core(log_pg)
-    pf, pg = np.exp(log_pf[kf]), np.exp(log_pg[kg])
+    kf = _mass_core(log_pf)
+    pf = np.exp(log_pf[kf])
+    g_rows, pg = _thermal_core(l, tuple(alphabet.thermal))
     success = 0.0
-    for lo, feas in feasible_grid(f_rows[kf], g_rows[kg], h.shifts, alphabet.multiplicities):
+    for lo, feas in feasible_grid(f_rows[kf], g_rows, h.shifts, alphabet.multiplicities):
         success += pf[lo:lo + len(feas)] @ (feas @ pg)
     return float(min(max(1.0 - success, 0.0), 1.0))
 
@@ -407,18 +416,16 @@ def run_pipeline(
     )
 
 
-def _incoherent_spectrum(sigma: np.ndarray, ctx: ThermalContext, k: int):
-    """Eigen-spectrum of an energy-incoherent k-copy state, per energy subspace.
+def _incoherent_spectrum(sigma: np.ndarray, family):
+    """Eigen-spectrum of an energy-incoherent k-copy state, per energy subspace
+    (the projectors of family, the energy pinching of the k copies).
 
     Returns (probs, energies, vectors): probabilities, the exact subspace energy
     of each eigenvector, and the eigenvectors as columns.
     """
-    ham = HamiltonianOperator(ctx, k)
-    groups = ham.energy_groups()
     probs, energies, vecs = [], [], []
     dim = sigma.shape[0]
-    for e in sorted(groups):
-        idx = groups[e]
+    for (_, e), idx in zip(family.labels, family.members):
         sub = sigma[np.ix_(idx, idx)]
         vals, v = np.linalg.eigh(sub)
         for r in range(len(idx)):
@@ -732,13 +739,13 @@ def tomographic_universal_protocol(
     q = n // k
     if q < 1:
         raise ValueError("need n >= k")
-    sigma = pinch_apply(energy_pinching(ctx, k), _entries(tensor_power(rho, k)))
+    channel = energy_pinching(ctx, k)
+    sigma = pinch_apply(channel, _entries(tensor_power(rho, k)))
     est_probs = None
     if eta > 0:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 41]))
-        ham = HamiltonianOperator(ctx, k)
         pert = np.zeros_like(sigma)
-        for e, idx in sorted(ham.energy_groups().items()):
+        for idx in channel.family.members:
             block = rng.normal(size=(len(idx), len(idx)))
             block = block + block.T
             pert[np.ix_(idx, idx)] = block
@@ -749,14 +756,14 @@ def tomographic_universal_protocol(
         estimate = (vecs * vals) @ vecs.conj().T
         estimate = estimate / estimate.trace().real
         # eigenbasis of the estimate, refined within each energy subspace
-        est_probs, energies, vecs = _incoherent_spectrum(estimate, ctx, k)
+        est_probs, energies, vecs = _incoherent_spectrum(estimate, channel.family)
         # dephasing the true pinched state in that basis
         probs = np.clip(
             np.einsum("ij,jk,ki->i", vecs.conj().T, sigma, vecs).real, 0.0, None
         )
         probs = probs / probs.sum()
     else:
-        probs, energies, _ = _incoherent_spectrum(sigma, ctx, k)
+        probs, energies, _ = _incoherent_spectrum(sigma, channel.family)
     alphabet = WorkAlphabet(energies=energies, beta=ctx.beta)
     l = math.ceil(q ** 1.5)
     tau_k = _entries(tensor_power(thermal_state(ctx), k))

@@ -7,7 +7,7 @@ quantitative pinching inequality / relative-entropy loss checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -77,13 +77,15 @@ class BasisFamily:
         """mask[a, b]: columns a and b belong to the same projector."""
         return _frozen(self.groups[:, None] == self.groups[None, :])
 
+    @cached_property
+    def members(self) -> tuple:
+        """The columns of each projector, in increasing order; read-only."""
+        return tuple(_frozen(np.flatnonzero(self.groups == j)) for j in range(len(self)))
+
     @property
     def projectors(self) -> tuple:
         u = self.unitary
-        return tuple(
-            _frozen((u[:, cols] @ u[:, cols].T).astype(complex))
-            for cols in (np.flatnonzero(self.groups == j) for j in range(len(self)))
-        )
+        return tuple(_frozen((u[:, cols] @ u[:, cols].T).astype(complex)) for cols in self.members)
 
 
 @dataclass(frozen=True)
@@ -116,12 +118,20 @@ def apply(channel: PinchingChannel, rho):
 
 
 def energy_pinching(ctx: ThermalContext, n: int) -> PinchingChannel:
-    """One diagonal projector per distinct total energy of H^{x n} (exact grouping)."""
-    levels = HamiltonianOperator(ctx, n).exact_levels()
+    """One diagonal projector per distinct total energy of H^{x n} (exact
+    grouping), in increasing energy order, labelled (None, energy).  Built once
+    per (ctx.levels, n) and kept; its arrays are read-only."""
+    _check_cap(ctx.dim ** n)
+    return _energy_pinching(ctx.levels, n)
+
+
+@lru_cache(maxsize=8)
+def _energy_pinching(levels: tuple, n: int) -> PinchingChannel:
+    levels = HamiltonianOperator(ThermalContext(levels, beta=0.0), n).exact_levels()  # reads no beta
     energies = sorted(set(levels))
     index = {e: j for j, e in enumerate(energies)}
     return PinchingChannel(family=BasisFamily(
-        unitary=np.eye(len(levels)),
+        unitary=_frozen(np.eye(len(levels))),
         groups=[index[e] for e in levels],
         labels=tuple((None, e) for e in energies),
     ))

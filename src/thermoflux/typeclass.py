@@ -104,15 +104,28 @@ def _multiplicities(m, d: int) -> np.ndarray:
     return np.ones(d, dtype=np.int64) if m is None else np.asarray(m, dtype=np.int64)
 
 
-def _decide(lhs, rhs, ok, exact) -> np.ndarray:
-    """ok & (lhs <= rhs), elementwise.  Entries within FEASIBILITY_SLACK
-    (1 + |lhs| + |rhs|) of a tie are re-decided by exact(*index) in big-integer
-    arithmetic, so rounding never flips the predicate."""
-    rhs = np.where(ok, rhs, 0.0)
-    feas = ok & (lhs <= rhs)
-    near = ok & (np.abs(lhs - rhs) <= FEASIBILITY_SLACK * (1.0 + np.abs(lhs) + np.abs(rhs)))
-    for idx in zip(*np.nonzero(near)):
-        feas[idx] = exact(*idx)
+def _decide(lhs, rhs, scale, exact) -> np.ndarray:
+    """lhs <= rhs elementwise, for rhs = -inf where the target f+g-h has a
+    negative entry.  Entries within FEASIBILITY_SLACK (1 + |lhs| + |rhs|) of a
+    tie are re-decided by exact(*index) in big-integer arithmetic, so rounding
+    never flips the predicate.
+
+    scale bounds 1 + |lhs| + |rhs| over the entries with a finite rhs, up to
+    rounding, so the prefilter |rhs - lhs| <= 2 FEASIBILITY_SLACK scale holds
+    at every entry inside its own window (the factor 2 covers the rounding of
+    scale).  Only the entries it passes are put to the window test: the set
+    re-decided is exactly the set inside its window, and every other entry is
+    decided by the sign of rhs - lhs, which is that of lhs <= rhs.
+    """
+    diff = rhs - lhs
+    feas = diff >= 0
+    near = np.abs(diff) <= 2.0 * FEASIBILITY_SLACK * scale
+    if near.any():
+        near = np.nonzero(near)
+        a, b = lhs[near], rhs[near]
+        window = np.abs(a - b) <= FEASIBILITY_SLACK * (1.0 + np.abs(a) + np.abs(b))
+        for idx in zip(*(i[window] for i in near)):
+            feas[idx] = exact(*idx)
     return feas
 
 
@@ -125,9 +138,10 @@ def feasible_rows(F, G, h, m=None) -> np.ndarray:
     target = F + G - np.asarray(h)
     lhs = log_multinomial_rows(F) + log_multinomial_rows(G) + np.asarray(h) @ np.log(m)
     ok = (target >= 0).all(axis=1)
-    rhs = np.zeros(len(target))
+    rhs = np.full(len(target), -np.inf)
     rhs[ok] = log_multinomial_rows(target[ok])
-    return _decide(lhs, rhs, ok, lambda i: _exact_feasible(F[i], G[i], h, m))
+    scale = 1.0 + np.abs(lhs).max(initial=0.0) + np.abs(rhs[ok]).max(initial=0.0)
+    return _decide(lhs, rhs, scale, lambda i: _exact_feasible(F[i], G[i], h, m))
 
 
 def feasible_grid(F, G, h, m=None):
@@ -135,25 +149,52 @@ def feasible_grid(F, G, h, m=None):
     of n letters and (Ng, d) rows of l letters.  Yields (lo, feas) for blocks of
     about GRID_CHUNK pairs, feas[i, j] deciding (F[lo + i], G[j]).
 
-    ln|Freq(f+g-h)| = ln(n+l-sum h)! - sum_i ln (f_i+g_i-h_i)!, read from one
-    table of ln x!, one coordinate column at a time.
+    ln|Freq(s)| for the target s = f + g - h is read from one table R, built
+    once: R[s] = ln(n+l)! - ln s_0! - ln s_1! - ..., subtracted in column order
+    and -inf where a coordinate is negative.  R spans the longest prefix of the
+    d - 1 free coordinates whose range product is at most a block's pair
+    count, so it never outgrows a block; with all d - 1 in it, the last
+    coordinate follows from sum s = n + l.  A row-major index into R is
+    u_f + v_g, so a block is one gather; the columns left out are subtracted
+    per pair, and rhs keeps the bits of a column-by-column sum.
+
+    Every |lhs| is at most max|ln|Freq(f)|| + max|ln|Freq(g)| + h ln m|, and
+    every rhs at most max R (a column left out subtracts ln x! >= 0): that is
+    the one scale _decide prefilters the whole grid with.
     """
     h, m = np.asarray(h), _multiplicities(m, F.shape[1])
-    top = F.max(axis=0) + G.max(axis=0) - h
+    d, step = F.shape[1], max(1, GRID_CHUNK // len(G))
     total = int(F[0].sum() + G[0].sum() - h.sum())
-    log_fact = gammaln(np.arange(max(total, int(top.max()), 0) + 1) + 1.0)
+    low_f, low_g = F.min(axis=0), G.min(axis=0)
+    low = low_f + low_g - h  # least target per coordinate
+    span = (F.max(axis=0) - low_f + G.max(axis=0) - low_g + 1).tolist()
+    c = 0  # coordinates in the table
+    while c < d - 1 and math.prod(span[:c + 1]) <= step * len(G):
+        c += 1
+    smin, smax = min(int(low.min()), 0), max(total, int((low + span).max()) - 1)
+    s = np.arange(smin, smax + 1)
+    log_fact = np.full(len(s), np.inf)  # ln (smin + i)! at i, +inf below 0
+    log_fact[s >= 0] = gammaln(s[s >= 0] + 1.0)
+    R, s_sum = np.full(span[:c], log_fact[total - smin]), 0
+    for i in range(c):
+        axis = (low[i] + np.arange(span[i])).reshape((-1,) + (1,) * (c - 1 - i))
+        R -= log_fact[axis - smin]
+        s_sum = s_sum + axis
+    if c == d - 1:
+        R -= log_fact[np.clip(total - s_sum, smin, smax) - smin]
+    R = R.ravel()
+    strides = np.array([math.prod(span[i + 1:c]) for i in range(c)], dtype=np.int64)
+    u, v = (F[:, :c] - low_f[:c]) @ strides, (G[:, :c] - low_g[:c]) @ strides
+    rest = [(i, G[:, i] - h[i] - smin) for i in range(c, d)] if c < d - 1 else []
     log_mf, log_mg = log_multinomial_rows(F), log_multinomial_rows(G) + h @ np.log(m)
-    step = max(1, GRID_CHUNK // len(G))
+    scale = 1.0 + (np.abs(log_mf).max() + np.abs(log_mg).max()) + max(R.max(), 0.0)
     for lo in range(0, len(F), step):
         f = F[lo:lo + step]
-        ok = np.ones((len(f), len(G)), dtype=bool)
-        rhs = np.full(ok.shape, log_fact[total])
-        for i in range(F.shape[1]):
-            target = f[:, i, None] + (G[:, i] - h[i])
-            ok &= target >= 0
-            rhs -= log_fact[np.maximum(target, 0)]
+        rhs = R[u[lo:lo + step, None] + v]
+        for i, g_i in rest:
+            rhs -= log_fact[f[:, i, None] + g_i]
         lhs = log_mf[lo:lo + step, None] + log_mg
-        yield lo, _decide(lhs, rhs, ok, lambda a, b: _exact_feasible(f[a], G[b], h, m))
+        yield lo, _decide(lhs, rhs, scale, lambda a, b: _exact_feasible(f[a], G[b], h, m))
 
 
 def _log_fact(x) -> np.ndarray:
@@ -200,7 +241,9 @@ class TransferProbe:
         log_total = gammaln(X.reshape(N, 3, d).sum(axis=2) + 1.0)  # sum T is fixed by zero-sum h
         log_freq = log_total - log_fact.sum(axis=2)  # ln|Freq| of the rows of F, G and T
         self.lhs = self.lhs_h = log_freq[:, 0] + log_freq[:, 1]
+        self.lhs_max = np.abs(self.lhs).max(initial=0.0)
         self.log_total, self.log_fact = log_total[:, 2].copy(), log_fact[:, 2].copy()
+        self.rhs_max = self.log_total.max(initial=0.0)  # ln|Freq(T)| <= ln(sum T)!
         self.S = self.log_fact.sum(axis=1)
         self.neg = (self.T < 0).sum(axis=1)
         self.cap = self.T.min(axis=0)
@@ -220,6 +263,7 @@ class TransferProbe:
         self.neg = (self.T < 0).sum(axis=1)
         self.S = self.log_fact.sum(axis=1)
         self.lhs_h = self.lhs + h @ self.log_m
+        self.lhs_max = np.abs(self.lhs_h).max(initial=0.0)
 
     def moved(self, i: int, j: int, a: int) -> np.ndarray:
         """The committed h with h_i - a and h_j + a."""
@@ -233,11 +277,12 @@ class TransferProbe:
         ti, tj = self.T[:, i], self.T[:, j]
         neg = self.neg - (ti < 0) - (tj < 0) + (ti + a < 0) + (tj - a < 0)
         rest = self.S - self.log_fact[:, i] - self.log_fact[:, j]
-        rhs = self.log_total - (rest + _log_fact(ti + a) + _log_fact(tj - a))
+        rhs = np.where(neg == 0, self.log_total - (rest + _log_fact(ti + a) + _log_fact(tj - a)), -np.inf)
         h, m = self.moved(i, j, a), self.m
         step = a * (self.log_m[j] - self.log_m[i])  # 0.0 between letters of one multiplicity
         lhs = self.lhs_h + step if step else self.lhs_h
-        return _decide(lhs, rhs, neg == 0, lambda r: _exact_feasible(self.F[r], self.G[r], h, m))
+        scale = 1.0 + (self.lhs_max + abs(step)) + self.rhs_max
+        return _decide(lhs, rhs, scale, lambda r: _exact_feasible(self.F[r], self.G[r], h, m))
 
 
 def injection_feasible(f, g, h) -> bool:

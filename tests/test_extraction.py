@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
+from thermoflux import extraction
 from thermoflux.core import (
     DensityMatrix,
     ThermalContext,
@@ -376,6 +378,36 @@ class TestExactXiGrid:
         ctx = ThermalContext(levels=levels, beta=1.0)
         out = state_aware_protocol(DensityMatrix.from_diagonal(diag), ctx, n, k=1, plan_mode="exact")
         assert repr(out.xi) == xi
+
+    def test_bath_side_is_kept_per_l_and_letter_weights(self):
+        """Plans at one l on alphabets of one Gibbs weight vector share one
+        read-only mass core of the bath types."""
+        hot = WorkAlphabet(energies=(0, 2), beta=0.5)  # the Gibbs weights of ALPHABET
+        assert np.array_equal(hot.thermal, ALPHABET.thermal)
+        extraction._thermal_core.cache_clear()
+        build_classical_plan(np.array([0.9, 0.1]), ALPHABET, 20, 90, ShiftFunction((-1, 1)), mode="exact")
+        build_classical_plan(np.array([0.7, 0.3]), hot, 20, 90, ShiftFunction((-1, 1)), mode="exact")
+        build_classical_plan(np.array([0.9, 0.1]), ALPHABET, 20, 91, ShiftFunction((-1, 1)), mode="exact")
+        info = extraction._thermal_core.cache_info()
+        assert (info.hits, info.misses) == (1, 2)
+        for arr in extraction._thermal_core(90, tuple(ALPHABET.thermal)):
+            assert not arr.flags.writeable
+
+    def test_nine_letter_plan_stays_small(self):
+        """9 letters at n = 3, l = 6: 165 x 3003 (f, g) pairs.  A table of
+        ln|Freq(s)| over all 8 free target coordinates would hold 10^8 entries
+        (800 MB); the kernel's spans only the prefix that fits a block."""
+        alphabet = WorkAlphabet(energies=range(9), beta=1.0)
+        extraction._thermal_core.cache_clear()
+        tracemalloc.start()
+        try:
+            plan = build_classical_plan(np.full(9, 1 / 9), alphabet, 3, 6, ShiftFunction((1, -1) + (0,) * 7),
+                                        mode="exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < plan.xi < 1.0
+        assert peak < 16 * 2 ** 20
 
 
 @st.composite

@@ -12,6 +12,7 @@ from thermoflux import schur
 from thermoflux.core import (
     DensityMatrix,
     DimensionMismatchError,
+    HamiltonianOperator,
     ThermalContext,
     relative_entropy,
     tensor_power,
@@ -73,6 +74,20 @@ class TestEnergyPinching:
         out = apply(channel, PLUS.entries)
         assert abs(out[0, 1]) < 1e-14
         assert out[0, 0] == pytest.approx(0.5)
+
+    def test_one_channel_per_levels_and_k(self):
+        """Kept per (levels, k), beta not read; read-only, its members the
+        energy groups of H^{x k} in increasing energy."""
+        channel = energy_pinching(QUBIT, 3)
+        assert energy_pinching(ThermalContext(levels=(0, 1), beta=0.2), 3) is channel
+        assert energy_pinching(QUBIT, 2) is not channel
+        assert energy_pinching(ThermalContext(levels=(0, 2), beta=1.0), 3) is not channel
+        fam = channel.family
+        groups = HamiltonianOperator(QUBIT, 3).energy_groups()
+        assert [e for _, e in fam.labels] == sorted(groups)
+        assert [m.tolist() for m in fam.members] == [groups[e] for e in sorted(groups)]
+        for arr in (fam.unitary, fam.groups, fam.mask, *fam.members):
+            assert not arr.flags.writeable
 
     def test_preserves_diagonal_states(self):
         channel = energy_pinching(QUBIT, 2)

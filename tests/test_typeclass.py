@@ -6,12 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
+from thermoflux import typeclass
 from thermoflux.schur import build_schur_basis
 from thermoflux.typeclass import (
+    FEASIBILITY_SLACK,
+    GRID_CHUNK,
     ShiftFunction,
     TransferProbe,
     compositions,
@@ -373,6 +376,100 @@ class TestGroupedPredicate:
         assert feasible_rows(F, G, h, m).tolist() == [want]
         assert next(feasible_grid(F, G, h, m))[1].tolist() == [[want]]
         assert TransferProbe(F, G, m).feasible(1, 0, 1).tolist() == [want]
+
+
+@st.composite
+def _grids(draw):
+    """(F, G, h, m, chunk): every type of n letters on a support of the d
+    letters (0 in the other columns), every type of l letters, a zero-sum
+    shift that may leave every target negative, letter multiplicities, and the
+    GRID_CHUNK to decide the grid in."""
+    d = draw(st.integers(1, 5))
+    n, l = (draw(st.integers(0, 6 if d < 5 else 4)) for _ in range(2))
+    support = sorted(draw(st.sets(st.integers(0, d - 1), min_size=1)))
+    f_sub = compositions(n, len(support))
+    F = np.zeros((len(f_sub), d), dtype=np.int64)
+    F[:, support] = f_sub
+    head = draw(st.lists(st.integers(-(n + l + 2), n + l + 2), min_size=d - 1, max_size=d - 1))
+    m = draw(st.lists(st.integers(1, 5), min_size=d, max_size=d))
+    chunk = draw(st.sampled_from([1, 7, GRID_CHUNK]))
+    return F, compositions(l, d), tuple(head) + (-sum(head),), tuple(m), chunk
+
+
+def _in_support(n, d, support):
+    F = np.zeros((math.comb(n + len(support) - 1, len(support) - 1), d), dtype=np.int64)
+    F[:, support] = compositions(n, len(support))
+    return F
+
+
+class TestFeasibleGrid:
+    @settings(max_examples=200, deadline=None)
+    @given(_grids())
+    @example((compositions(3, 1), compositions(2, 1), (0,), (1,), GRID_CHUNK))  # one letter
+    @example((compositions(3, 1), compositions(0, 1), (0,), (4,), 1))
+    @example((_in_support(3, 3, [0, 1]), compositions(0, 3), (1, -1, 0), (1, 1, 1), GRID_CHUNK))  # l = 0, letter 2 unused
+    @example((_in_support(3, 3, [0, 1]), compositions(0, 3), (-1, 0, 1), (1, 2, 1), GRID_CHUNK))
+    @example((compositions(2, 2), compositions(1, 2), (5, -5), (1, 1), GRID_CHUNK))  # every target negative
+    @example((compositions(4, 5), compositions(4, 5), (1, -1, 2, 0, -2), (2, 1, 3, 1, 5), 7))
+    def test_matches_feasible_rows_on_the_flattened_grid(self, grid):
+        """Blocks of max(1, GRID_CHUNK // Ng) F rows, in order, that together
+        decide every (f, g) pair as feasible_rows does, for tables over every
+        prefix of the free target coordinates (small chunks leave columns out)."""
+        F, G, h, m, chunk = grid
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(typeclass, "GRID_CHUNK", chunk)
+            blocks = list(feasible_grid(F, G, h, m))
+        assert [lo for lo, _ in blocks] == list(range(0, len(F), max(1, chunk // len(G))))
+        grid = np.vstack([feas for _, feas in blocks])
+        assert grid.shape == (len(F), len(G))
+        pairs = np.repeat(F, len(G), axis=0), np.tile(G, (len(F), 1))
+        assert grid.ravel().tolist() == feasible_rows(*pairs, h, m).tolist()
+
+    @pytest.mark.parametrize("chunk", [1, GRID_CHUNK, 1 << 22])
+    def test_rechecks_exactly_the_pairs_inside_their_window(self, monkeypatch, chunk):
+        """f = (1, 0, 0), g = (g_0, 0, l - g_0), h = (1, -1, 0), m = (M, 1, 1):
+        |Freq(f+g-h)| / |Freq(g)| = l + 1 for every g_0, so each such pair is a
+        near tie at the gap ln((l + 1) / M), while its window
+        FEASIBILITY_SLACK (1 + |lhs| + |rhs|) grows with |Freq(g)|.  M puts the
+        gap inside the windows of the central g rows and outside those of the
+        outer ones.  Both forms hand to the big-integer check exactly the pairs
+        inside their window, computed here as the kernel orders its sums, each
+        once; the chunks decide the grid from a table of none or all of the
+        free target coordinates."""
+        l, h = 10 ** 6 - 1, (1, -1, 0)
+        F = np.array([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        g0 = np.linspace(0.3 * l, 0.5 * l, 41).astype(np.int64)
+        G = np.vstack([np.column_stack([g0, 0 * g0, l - g0]), [(l // 2, 1, l - l // 2 - 1)]])
+        T = F[:, None, :] + G[None, :, :] - h
+        rhs = np.full(T.shape[:2], gammaln(l + 2.0))
+        for c in range(3):
+            rhs = rhs - gammaln(np.maximum(T[..., c], 0) + 1.0)
+        ok = (T >= 0).all(axis=2)
+
+        def window(m):
+            lhs = log_multinomial_rows(F)[:, None] + (log_multinomial_rows(G) + np.asarray(h) @ np.log(m))
+            return ok & (np.abs(lhs - rhs) <= FEASIBILITY_SLACK * (1.0 + np.abs(lhs) + np.abs(rhs)))
+
+        w = FEASIBILITY_SLACK * (1.0 + 2.0 * log_multinomial_rows(G[:41]))  # about the ties' windows
+        m = (round((l + 1) * math.exp(-float(np.median(w)))), 1, 1)
+        inside = window(m)
+        assert 0 < inside[0, :41].sum() < 41  # the gap splits the ties
+        want = sorted((tuple(F[i]), tuple(G[j])) for i, j in zip(*np.nonzero(inside)))
+        calls, exact = [], typeclass._exact_feasible
+
+        def recorded(f, g, hh, mm):
+            calls.append((tuple(np.asarray(f).tolist()), tuple(np.asarray(g).tolist())))
+            return exact(f, g, hh, mm)
+
+        monkeypatch.setattr(typeclass, "_exact_feasible", recorded)
+        monkeypatch.setattr(typeclass, "GRID_CHUNK", chunk)
+        grid = np.vstack([feas for _, feas in feasible_grid(F, G, h, m)])
+        assert sorted(calls) == want
+        calls.clear()
+        rows = feasible_rows(np.repeat(F, len(G), axis=0), np.tile(G, (len(F), 1)), h, m)
+        assert sorted(calls) == want
+        assert grid.ravel().tolist() == rows.tolist()
+        assert grid[0, :41].all()  # M < l + 1: every tie is feasible
 
 
 class TestTypeProbability:
