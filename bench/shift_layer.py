@@ -68,9 +68,10 @@ UNIVERSAL_CELLS = (("qubit |+> exact", (1.0, 1.0), 100_000), ("qubit ground exac
 TREE_TIMEOUT = 900.0  # seconds a tree's child may run, its untimed first calls included
 # Child process for one tree's rows of a bench script: thermoflux is imported
 # from that tree's src/ before the script's directory is put on the path.  It
-# builds the cells of script.tree_cells(arg), prints their rows (without times)
-# and the names of their timed calls as one JSON line, then for each line "c name" it reads times one call of
-# cell c's timed call of that name and prints the seconds.
+# builds the cells of script.tree_cells(arg) and prints their rows (without
+# times) and the names of their timed calls as one JSON line; then, for each
+# line "c name" it reads, it times one call of cell c's call of that name and
+# prints the seconds.
 TREE_CHILD = """
 import importlib, json, sys, time
 sys.path.insert(0, sys.argv[1])

@@ -316,7 +316,9 @@ def _xi_exact(p, alphabet, n, l, h, support) -> float:
     """1 - the P_p x P_t mass of the feasible (f, g) pairs.  Every pair that
     carries mass is decided exactly; the rows outside each side's mass core
     (summed mass <= XI_TAIL per side) count as failures, so the result is an
-    upper bound on the full-grid xi, above it by at most 2 XI_TAIL."""
+    upper bound on the full-grid xi, above it by at most 2 XI_TAIL.  The bath
+    side depends on (l, alphabet.thermal) only and is kept (_thermal_core);
+    the grid is decided block by block, in a fixed order, by feasible_grid."""
     # f rows restricted to the support of p, embedded into d coordinates
     f_sub = compositions(n, len(support))
     f_rows = np.zeros((len(f_sub), alphabet.d), dtype=np.int64)

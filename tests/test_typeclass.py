@@ -387,16 +387,14 @@ def _grids(draw):
     d = draw(st.integers(1, 5))
     n, l = (draw(st.integers(0, 6 if d < 5 else 4)) for _ in range(2))
     support = sorted(draw(st.sets(st.integers(0, d - 1), min_size=1)))
-    f_sub = compositions(n, len(support))
-    F = np.zeros((len(f_sub), d), dtype=np.int64)
-    F[:, support] = f_sub
     head = draw(st.lists(st.integers(-(n + l + 2), n + l + 2), min_size=d - 1, max_size=d - 1))
     m = draw(st.lists(st.integers(1, 5), min_size=d, max_size=d))
     chunk = draw(st.sampled_from([1, 7, GRID_CHUNK]))
-    return F, compositions(l, d), tuple(head) + (-sum(head),), tuple(m), chunk
+    return _in_support(n, d, support), compositions(l, d), tuple(head) + (-sum(head),), tuple(m), chunk
 
 
 def _in_support(n, d, support):
+    """Every type of n letters on the letters in support, 0 in the other columns."""
     F = np.zeros((math.comb(n + len(support) - 1, len(support) - 1), d), dtype=np.int64)
     F[:, support] = compositions(n, len(support))
     return F
@@ -405,11 +403,15 @@ def _in_support(n, d, support):
 class TestFeasibleGrid:
     @settings(max_examples=200, deadline=None)
     @given(_grids())
-    @example((compositions(3, 1), compositions(2, 1), (0,), (1,), GRID_CHUNK))  # one letter
+    # one letter: no free target coordinate
+    @example((compositions(3, 1), compositions(2, 1), (0,), (1,), GRID_CHUNK))
     @example((compositions(3, 1), compositions(0, 1), (0,), (4,), 1))
-    @example((_in_support(3, 3, [0, 1]), compositions(0, 3), (1, -1, 0), (1, 1, 1), GRID_CHUNK))  # l = 0, letter 2 unused
+    # three letters, l = 0, letter 2 outside the support
+    @example((_in_support(3, 3, [0, 1]), compositions(0, 3), (1, -1, 0), (1, 1, 1), GRID_CHUNK))
     @example((_in_support(3, 3, [0, 1]), compositions(0, 3), (-1, 0, 1), (1, 2, 1), GRID_CHUNK))
-    @example((compositions(2, 2), compositions(1, 2), (5, -5), (1, 1), GRID_CHUNK))  # every target negative
+    # every target negative
+    @example((compositions(2, 2), compositions(1, 2), (5, -5), (1, 1), GRID_CHUNK))
+    # five letters, the table over one coordinate and four columns left out
     @example((compositions(4, 5), compositions(4, 5), (1, -1, 2, 0, -2), (2, 1, 3, 1, 5), 7))
     def test_matches_feasible_rows_on_the_flattened_grid(self, grid):
         """Blocks of max(1, GRID_CHUNK // Ng) F rows, in order, that together
