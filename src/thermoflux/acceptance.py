@@ -175,8 +175,7 @@ def criterion_free_energy_recovery():
     for k in range(1, 7):
         channel = schur_pinching(QUBIT_CTX, k)
         rk = _entries(tensor_power(PLUS, k))
-        tk = _entries(tensor_power(thermal_state(QUBIT_CTX), k))
-        values.append(relative_entropy(pinch_apply(channel, rk), tk) / k)
+        values.append(relative_entropy(pinch_apply(channel, rk), thermal_state(QUBIT_CTX, k)) / k)
     monotone = all(values[i + 1] >= values[i] - 1e-12 for i in range(5))
     deficits_ok = all(
         target - v <= (2.0 / k) * math.log(k + 1) + 1e-12

@@ -210,16 +210,25 @@ class HamiltonianOperator:
         return groups
 
 
+def _kron_power(a: np.ndarray, n: int) -> np.ndarray:
+    """a (x) a (x) ... (x) a, n factors, of a vector or square matrix, multiplied
+    left to right as repeated np.kron: one broadcast multiply and reshape per
+    factor, the same products as np.kron, so bit for bit its result."""
+    ax, out = (slice(None), None) * a.ndim, a  # out[ax] * a[ax[1:]]: (m, d) or (m, d, m, d)
+    for _ in range(n - 1):
+        out = (out[ax] * a[ax[1:]]).reshape(np.multiply(out.shape, a.shape))
+    return out
+
+
 def thermal_state(ctx: ThermalContext, copies: int = 1) -> DensityMatrix:
-    """Gibbs state e^{-beta H}/Z, optionally for n non-interacting copies."""
-    p = ctx.gibbs_probabilities()
-    if copies == 1:
-        return DensityMatrix.from_diagonal(p)
+    """Gibbs state e^{-beta H}/Z of n non-interacting copies, built once per (ctx, copies), shared."""
     _check_cap(ctx.dim ** copies)
-    pn = p
-    for _ in range(copies - 1):
-        pn = np.kron(pn, p)
-    return DensityMatrix.from_diagonal(pn)
+    return _thermal_state(ctx, copies)
+
+
+@functools.lru_cache(maxsize=8)
+def _thermal_state(ctx: ThermalContext, copies: int) -> DensityMatrix:
+    return DensityMatrix.from_diagonal(_kron_power(ctx.gibbs_probabilities(), copies))
 
 
 def _entries(rho) -> np.ndarray:
@@ -273,12 +282,16 @@ def tensor_power(rho, n: int):
     sorted n-fold Kronecker power of rho.spectrum, with no eigensolver."""
     r = _entries(rho)
     _check_cap(r.shape[0] ** n)
-    out = r
-    for _ in range(n - 1):
-        out = np.kron(out, r)
+    out = _kron_power(r, n)
     if isinstance(rho, DensityMatrix):
-        return DensityMatrix(out, np.sort(functools.reduce(np.kron, [rho.spectrum] * n)))
+        return DensityMatrix(out, np.sort(_kron_power(rho.spectrum, n)))
     return out
+
+
+def _block_spectrum(blocks) -> np.ndarray:
+    """Ascending eigenvalues of a block-diagonal Hermitian matrix, one batched
+    eigvalsh per block size."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel() for b in blocks]))
 
 
 def trace_distance(rho, sigma) -> float:

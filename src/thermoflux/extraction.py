@@ -17,7 +17,6 @@ from functools import cached_property, lru_cache
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from thermoflux.core import (
     DensityMatrix,
@@ -334,6 +333,8 @@ def _xi_exact(p, alphabet, n, l, h, support) -> float:
 
 
 def _xi_sampled(p, alphabet, n, l, h, seed, samples):
+    if not any(h.shifts):  # concatenation injects every (f, g) into f + g: all feasible
+        return 0.0, math.sqrt(1.0 / samples / samples)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 977]))
     fs = rng.multinomial(n, p, size=samples)
     gs = rng.multinomial(l, alphabet.thermal, size=samples)
@@ -702,20 +703,17 @@ def measure_and_prepare_protocol(M: int, ctx: ThermalContext, n: int, p):
 
 
 def _sanov_exponent(partition: BlockPartition, block: tuple, t: np.ndarray) -> float:
-    """min_{p in block} D(p || t) over the block's interval of the 1-simplex (d=2)."""
+    """min_{p in block} D(p || t) over the block's interval of the 1-simplex (d=2):
+    D((x, 1 - x) || t) is convex in x and 0 at x = t_0, so least at the end nearer t_0."""
     centers = partition.grid[:, 0] / partition.M  # increasing: the grid is lexicographic
     c = block[0] / partition.M
     idx = int(np.searchsorted(centers, c))
     lo = 0.0 if idx == 0 else (centers[idx - 1] + c) / 2.0
     hi = 1.0 if idx == len(centers) - 1 else (c + centers[idx + 1]) / 2.0
-
-    def obj(x):
-        return classical_relative_entropy(np.array([x, 1.0 - x]), t)
-
     if lo <= t[0] <= hi:
         return 0.0
-    res = minimize_scalar(obj, bounds=(lo, hi), method="bounded")
-    return float(res.fun)
+    x = lo if t[0] < lo else hi
+    return classical_relative_entropy(np.array([x, 1.0 - x]), t)
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +766,6 @@ def tomographic_universal_protocol(
         probs, energies, _ = _incoherent_spectrum(sigma, channel.family)
     alphabet = WorkAlphabet(energies=energies, beta=ctx.beta)
     l = math.ceil(q ** 1.5)
-    tau_k = _entries(tensor_power(thermal_state(ctx), k))
     budget = classical_relative_entropy(probs if est_probs is None else est_probs, alphabet.thermal)
     return run_pipeline(
         alphabet, probs, q, l, n,
@@ -779,7 +776,7 @@ def tomographic_universal_protocol(
             "q": q,
             "l": l,
             "eta": eta,
-            "pinned_target": relative_entropy(sigma, tau_k) / k,
+            "pinned_target": relative_entropy(sigma, thermal_state(ctx, k)) / k,
             "budget_nats": budget,
         },
         p_est=est_probs,

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import zeta
 
-from thermoflux.core import ThermalContext
+from thermoflux.core import ThermalContext, _block_spectrum as _spectrum
 from thermoflux.estimation import classical_relative_entropy
 from thermoflux.extraction import ProtocolOutcome, WorkAlphabet, run_pipeline
 from thermoflux.typeclass import compositions, strings_of_type
@@ -260,12 +260,6 @@ def _type_blocks(rho: TailState, d: int, n: int) -> list:
             block = block * m[rows[..., pos], cols[..., pos]]
         out.append(block)
     return out
-
-
-def _spectrum(blocks) -> np.ndarray:
-    """Ascending eigenvalues of a block-diagonal Hermitian matrix, one batched
-    eigvalsh per block size."""
-    return np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel() for b in blocks]))
 
 
 def _l1_distance(a, b) -> float:

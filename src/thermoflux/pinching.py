@@ -16,6 +16,7 @@ from thermoflux.core import (
     DimensionMismatchError,
     HamiltonianOperator,
     ThermalContext,
+    _block_spectrum,
     _check_cap,
     _entries,
     _frozen,
@@ -82,6 +83,12 @@ class BasisFamily:
         """The columns of each projector, in increasing order; read-only."""
         return tuple(_frozen(np.flatnonzero(self.groups == j)) for j in range(len(self)))
 
+    @cached_property
+    def stacks(self) -> tuple:
+        """members stacked by rank: one (count, rank) array per rank, in increasing rank."""
+        ranks = sorted({len(cols) for cols in self.members})
+        return tuple(_frozen(np.stack([c for c in self.members if len(c) == s])) for s in ranks)
+
     @property
     def projectors(self) -> tuple:
         u = self.unitary
@@ -100,21 +107,26 @@ class PinchingChannel:
         return apply(self, rho)
 
 
-def _conjugate_masked(u: np.ndarray, r: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    return u @ ((u.T @ r @ u) * mask) @ u.T
-
-
 def apply(channel: PinchingChannel, rho):
-    """sum_j Pi_j rho Pi_j = U (mask o U^T rho U) U^T; trace preserving.
-    The real U maps Re rho and Im rho apart, in real products."""
+    """sum_j Pi_j rho Pi_j = U (mask o M) U^T for M = U^T rho U; trace preserving.
+    The real U maps Re rho and Im rho apart, in real products.  A DensityMatrix
+    comes back with the spectrum of the blocks M_j = U_j^T rho U_j, one eigvalsh
+    per stack of equal-rank blocks, and no solve of the output; the state checks
+    still run.  The output is U B U^T, B = mask o M holding the blocks M_j up to
+    a permutation.  For eps = PROJ_TOL/2, U U^T has its spectrum in [1 - eps,
+    1 + eps], so by Ostrowski's theorem the i-th eigenvalue of U B U^T is theta_i
+    lambda_i(B) with theta_i in [1 - eps, 1 + eps]; as |lambda_i(B)| <= ||M|| <=
+    1 + eps, the sorted spectra differ by at most eps (1 + eps), beyond rounding."""
     r = _entries(rho)
     if r.shape[0] != channel.dim:
         raise DimensionMismatchError(f"state dim {r.shape[0]} vs channel dim {channel.dim}")
-    u, mask = channel.family.unitary, channel.family.mask
-    out = _conjugate_masked(u, r.real, mask) + 1j * _conjugate_masked(u, r.imag, mask)
-    if isinstance(rho, DensityMatrix):
-        return DensityMatrix(out)
-    return out
+    u, mask, stacks = channel.family.unitary, channel.family.mask, channel.family.stacks
+    m_re, m_im = u.T @ r.real @ u, u.T @ r.imag @ u
+    out = u @ (m_re * mask) @ u.T + 1j * (u @ (m_im * mask) @ u.T)
+    if not isinstance(rho, DensityMatrix):
+        return out
+    blocks = ((cols[:, :, None], cols[:, None, :]) for cols in stacks)
+    return DensityMatrix(out, _block_spectrum(m_re[ix] + 1j * m_im[ix] for ix in blocks))
 
 
 def energy_pinching(ctx: ThermalContext, n: int) -> PinchingChannel:

@@ -14,6 +14,7 @@ from thermoflux.core import (
     HamiltonianOperator,
     SupportViolationError,
     ThermalContext,
+    _kron_power,
     dim_cap,
     relative_entropy,
     tensor_power,
@@ -252,6 +253,40 @@ class TestTensorAlgebra:
         tau = thermal_state(QUBIT)
         with pytest.raises(DimensionCapError):
             tensor_power(tau, 4)
+
+    def test_dim_cap_holds_for_a_kept_thermal_state(self, monkeypatch):
+        thermal_state(QUBIT, 4)
+        monkeypatch.setenv("THERMOFLUX_DIM_CAP", "8")
+        with pytest.raises(DimensionCapError):
+            thermal_state(QUBIT, 4)
+
+    @settings(max_examples=80)
+    @given(d=st.integers(1, 3), n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(("vector", "real", "complex")))
+    def test_kron_power_is_bitwise_repeated_np_kron(self, d, n, seed, kind):
+        rng = np.random.default_rng(seed)
+        a = {"vector": rng.random(d), "real": rng.normal(size=(d, d)),
+             "complex": rng.normal(size=(d, d, 2)) @ [1.0, 1j]}[kind]
+        want = a
+        for _ in range(n - 1):
+            want = np.kron(want, a)
+        got = _kron_power(a, n)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("copies", (1, 2, 3, 5))
+    def test_thermal_state_is_built_once_shared_and_read_only(self, copies):
+        """One object per (ctx, copies), equal contexts included, with the entries
+        of a diagonal built by repeated np.kron of the Gibbs weights."""
+        ctx = ThermalContext(levels=(0, 1, 3), beta=0.7)
+        tau = thermal_state(ctx, copies)
+        assert thermal_state(ThermalContext(levels=(0, 1, 3), beta=0.7), copies) is tau
+        assert not tau.entries.flags.writeable and not tau.spectrum.flags.writeable
+        p = pk = ctx.gibbs_probabilities()
+        for _ in range(copies - 1):
+            pk = np.kron(pk, p)
+        assert tau.entries.tobytes() == DensityMatrix.from_diagonal(pk).entries.tobytes()
+        assert thermal_state(ctx) is thermal_state(ctx, 1)
 
     def test_trace_distance_orthogonal_pure_states(self):
         a = DensityMatrix.from_diagonal([1.0, 0.0])

@@ -2,9 +2,13 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,7 @@ from thermoflux.extraction import (
     _checkpoint_blocks,
     _mass_core,
     _round_counts,
+    _sanov_exponent,
     _shell_widths,
     build_classical_plan,
     choose_shift,
@@ -310,6 +315,24 @@ class TestClassicalPlan:
             GROUND, ALPHABET, n, l, h, mode="sampled", seed=3, samples=400
         )
         assert abs(sampled.xi - exact.xi) <= 3 * sampled.xi_stderr + 0.01
+
+    @pytest.mark.parametrize("p, alphabet, n, l, seed, samples", [
+        (np.array([0.6, 0.4]), ALPHABET, 10, 20, 3, 400),
+        (np.array([0.9, 0.1]), ALPHABET, 400, 8000, 7, 100),
+        (np.array([0.2, 0.5, 0.3]), WorkAlphabet(energies=(0, 1, 2), beta=0.5, multiplicities=(1, 3, 2)),
+         60, 465, 11, 250),
+    ])
+    def test_zero_shift_sampled_plan_equals_the_drawn_one(self, p, alphabet, n, l, seed, samples):
+        """An h = 0 plan reports, without drawing, the xi and xi_stderr the
+        draws of its seed give."""
+        h = ShiftFunction((0,) * alphabet.d)
+        plan = build_classical_plan(p, alphabet, n, l, h, mode="sampled", seed=seed, samples=samples)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 977]))
+        fs = rng.multinomial(n, p, size=samples)
+        gs = rng.multinomial(l, alphabet.thermal, size=samples)
+        xi = int((~feasible_rows(fs, gs, h.shifts, alphabet.multiplicities)).sum()) / samples
+        stderr = math.sqrt(max(xi * (1 - xi), 1.0 / samples) / samples)
+        assert (plan.xi, plan.xi_stderr) == (xi, stderr)
 
     def test_run_reports_exact_fidelity(self):
         h = ShiftFunction((0, 0))
@@ -693,6 +716,37 @@ class TestMeasureAndPrepare:
     def test_interior_input_not_flagged(self):
         summary, _ = measure_and_prepare_protocol(4, QUBIT, 20, np.array([0.9, 0.1]))
         assert not summary["boundary"]
+
+
+class TestSanovExponent:
+    @settings(max_examples=100)
+    @given(M=st.integers(1, 40), data=st.data(), beta=st.sampled_from((0.1, 0.5, 1.0, 2.0, 5.0)))
+    def test_equals_the_minimum_over_a_dense_grid(self, M, data, beta):
+        """The closed form is the least D((x, 1 - x) || t) over a dense grid of
+        the block's interval, ends (and t_0, when inside) included."""
+        partition = BlockPartition(M=M, d=2)
+        i = data.draw(st.integers(0, M))
+        t = ThermalContext(levels=(0, 1), beta=beta).gibbs_probabilities()
+        centers = partition.grid[:, 0] / M
+        lo = 0.0 if i == 0 else (centers[i - 1] + centers[i]) / 2.0
+        hi = 1.0 if i == M else (centers[i] + centers[i + 1]) / 2.0
+        xs = np.linspace(lo, hi, 2001)
+        xs = np.append(xs, t[0]) if lo <= t[0] <= hi else xs
+        grid = [classical_relative_entropy(np.array([x, 1.0 - x]), t) for x in xs]
+        got = _sanov_exponent(partition, tuple(int(c) for c in partition.grid[i]), t)
+        assert got == pytest.approx(min(grid), rel=0, abs=1e-15)
+
+    def test_library_imports_leave_scipy_optimize_out(self):
+        """Importing every thermoflux module, in a fresh interpreter, loads no scipy.optimize."""
+        code = ("import importlib, pkgutil, sys, thermoflux\n"
+                "for m in pkgutil.iter_modules(thermoflux.__path__):\n"
+                "    importlib.import_module('thermoflux.' + m.name)\n"
+                "print('scipy.optimize' in sys.modules)")
+        src = str(Path(extraction.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 def _sequential_nearest(M, d, p, tol=1e-12):

@@ -385,6 +385,45 @@ class TestBasisFamily:
         assert groups.flags.writeable and not fam.groups.flags.writeable
 
 
+SPECTRUM_CASES = ([("schur", 2, k) for k in range(1, 8)] + [("schur", 3, k) for k in range(1, 6)]
+                  + [("energy", 2, k) for k in range(1, 8)] + [("energy", 3, k) for k in range(1, 5)])
+
+
+class TestBlockSpectrum:
+    @settings(max_examples=80)
+    @given(case=st.sampled_from(SPECTRUM_CASES), seed=st.integers(0, 2 ** 32 - 1),
+           rank=st.sampled_from((1, 2, None)))
+    def test_matches_the_eigensolver_on_the_output(self, case, seed, rank):
+        """The spectrum apply takes from the diagonal blocks of U^T rho U is that
+        of the pinched d^k x d^k output.  The states are random on the d^k
+        space, not product states, so the blocks are not diagonal."""
+        kind, d, k = case
+        channel = (schur_pinching if kind == "schur" else energy_pinching)(QUBIT if d == 2 else QUTRIT, k)
+        g = np.random.default_rng(seed).normal(size=(d ** k, rank or d ** k, 2)) @ [1.0, 1j]
+        rho = DensityMatrix(g @ g.conj().T / np.vdot(g, g).real)
+        out = apply(channel, rho)
+        assert np.max(np.abs(out.spectrum - np.linalg.eigvalsh(out.entries))) <= 1e-12
+        assert np.all(np.diff(out.spectrum) >= 0) and not out.spectrum.flags.writeable
+        raw = apply(channel, rho.entries)
+        assert isinstance(raw, np.ndarray) and np.array_equal(raw, out.entries)
+
+    def test_psd_check_runs_on_the_block_spectrum(self):
+        """A Hermitian, trace-1 input whose pinched blocks have a negative
+        eigenvalue raises, although the spectrum it carries is valid."""
+        bad = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        bad[1, 2] = bad[2, 1] = 0.5  # the energy-1 block [[0, .5], [.5, 0]]
+        rho = DensityMatrix(bad, spectrum=np.array([0.0, 0.0, 0.0, 1.0]))
+        with pytest.raises(ValueError, match="PSD"):
+            apply(energy_pinching(QUBIT, 2), rho)
+
+    def test_stacks_hold_every_column_once_by_rank(self):
+        fam = schur_pinching(QUTRIT, 3).family
+        ranks = [s.shape[1] for s in fam.stacks]
+        assert ranks == sorted(set(len(cols) for cols in fam.members))
+        assert sorted(np.concatenate([s.ravel() for s in fam.stacks]).tolist()) == list(range(fam.dim))
+        assert all(not s.flags.writeable for s in fam.stacks)
+
+
 class TestRandomStateBounds:
     @settings(max_examples=30)
     @given(case=st.sampled_from([(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)]),

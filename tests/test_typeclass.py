@@ -180,6 +180,23 @@ class TestFeasibleRows:
         assert feasible_rows([(5, 0), (5, 0)], [(0, 0), (0, 3)], (-3, 3)).tolist() == [False, True]
 
 
+class TestZeroShift:
+    @settings(max_examples=100)
+    @given(d=st.integers(2, 4), n=st.integers(1, 80), l=st.integers(0, 400),
+           seed=st.integers(0, 2 ** 32 - 1),
+           mult=st.one_of(st.none(), st.lists(st.sampled_from((1, 2, 3, 5)), min_size=4, max_size=4)))
+    def test_every_pair_is_feasible(self, d, n, l, seed, mult):
+        """h = 0: concatenation injects every (f, g) into f + g, so every row is
+        feasible, the point-mass tie rows f = n e_c, g = l e_c included."""
+        rng = np.random.default_rng(seed)
+        ties = np.eye(d, dtype=np.int64)
+        F = np.vstack([rng.multinomial(n, rng.dirichlet(np.ones(d)), size=30), n * ties])
+        G = np.vstack([rng.multinomial(l, rng.dirichlet(np.ones(d)), size=30), l * ties])
+        m = None if mult is None else mult[:d]
+        assert feasible_rows(F, G, (0,) * d, m).all()
+        assert feasible_rows(F, G[::-1], (0,) * d, m).all()
+
+
 class TestTransferProbe:
     @settings(max_examples=200)
     @given(_blocks(), st.data())
