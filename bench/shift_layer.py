@@ -14,8 +14,8 @@ n = 1e5.
 Each entry is the median wall time of R >= 5 repeats.  The file also records
 the commit (with "+dirty" when the working tree differs from it), the machine
 and the line count of src/thermoflux/*.py.  The choose_shift and
-universal_protocol rows run in one child process per tree, after one untimed
-call per cell; a child still running after TREE_TIMEOUT seconds is stopped and
+universal_protocol rows run in one child process per tree, with one BLAS
+thread, after one untimed call per cell; a child still running after TREE_TIMEOUT seconds is stopped and
 the run fails.  With --baseline DIR, a checkout of another commit, those rows
 are measured on DIR/src as well, each entry then naming its commit and line
 count: a before/after pair, the baseline's entry first.  The two trees'
@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
@@ -65,6 +66,7 @@ MIXED = core.DensityMatrix(np.array([[0.8, 0.25], [0.25, 0.2]], dtype=complex))
 WEYL_KS = (4, 5, 6, 7, 8, 9, 10)
 # (name, state vector, n): exact-mode universal_protocol rows
 UNIVERSAL_CELLS = (("qubit |+> exact", (1.0, 1.0), 100_000), ("qubit ground exact", (1.0, 0.0), 100_000))
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")  # 1 in each child, as in perfbench
 TREE_TIMEOUT = 900.0  # seconds a tree's child may run, its untimed first calls included
 # Child process for one tree's rows of a bench script: thermoflux is imported
 # from that tree's src/ before the script's directory is put on the path.  It
@@ -142,9 +144,10 @@ def tree_entries(roots, repeats: int, script: str, arg: int) -> list:
     """The rows of script.tree_cells(arg) on every tree, one child per tree,
     each row with the median of its timed calls under their names, the trees'
     entries of one cell adjacent."""
+    env = {**os.environ, **{var: "1" for var in BLAS_THREADS}}
     children = [
         subprocess.Popen([sys.executable, "-c", TREE_CHILD, str(root / "src"), str(ROOT / "bench"), script,
-                          str(arg)], stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+                          str(arg)], stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
         for root in roots
     ]
     watchdogs = [threading.Timer(TREE_TIMEOUT, child.kill) for child in children]

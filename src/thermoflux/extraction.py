@@ -87,6 +87,14 @@ class WorkAlphabet:
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def pairs(self) -> tuple:
+        """(gap, i, j) for every letter pair with E_j - E_i = gap > 0, by
+        decreasing gap, ties by lexicographic (i, j): the shift search's order."""
+        e = [float(x) for x in self.energies]
+        return tuple(sorted(((e[j] - e[i], i, j) for i in range(self.d) for j in range(self.d) if e[j] > e[i]),
+                            key=lambda x: (-x[0], x[1], x[2])))
+
     @classmethod
     def from_context(cls, ctx: ThermalContext) -> "WorkAlphabet":
         return cls(energies=ctx.levels, beta=ctx.beta)
@@ -157,15 +165,22 @@ def _shell_corners(c0: np.ndarray, widths: np.ndarray) -> np.ndarray:
     return rows
 
 
+@lru_cache(maxsize=16)
+def _bath_corners(l: int, t: tuple) -> np.ndarray:
+    """g0 and its typical-shell corners for l bath letters under the letter
+    weights t (_shell_corners): built once per (l, t) and kept; read-only."""
+    t = np.array(t)
+    return _frozen(_shell_corners(np.array(_round_counts(l, t), dtype=np.int64), _shell_widths(l, t)))
+
+
 def _checkpoint_blocks(n_eff: int, p_est: np.ndarray, l: int, t: np.ndarray):
     """Deterministic typical-shell corner blocks used to gate the shift search:
     (F, G) rows pairing each f corner with g0, then f0 with each other g corner."""
     f0 = np.array(_round_counts(n_eff, p_est), dtype=np.int64)
-    g0 = np.array(_round_counts(l, t), dtype=np.int64)
     fc = _shell_corners(f0, _shell_widths(n_eff, p_est))
-    gc = _shell_corners(g0, _shell_widths(l, t))
+    gc = _bath_corners(l, tuple(t))
     F = np.vstack([fc, np.repeat(f0[None], len(gc) - 1, axis=0)])
-    G = np.vstack([np.repeat(g0[None], len(fc), axis=0), gc[1:]])
+    G = np.vstack([np.repeat(gc[:1], len(fc), axis=0), gc[1:]])
     return F, G
 
 
@@ -181,10 +196,11 @@ def choose_shift(
     feasibility on deterministic typical-shell checkpoint blocks.
 
     Search: greedy level transfers over letter pairs in decreasing energy-gap
-    order (ties by lexicographic pair index), committing the largest feasible
-    transfer amount for each pair.  A transfer of a from letter j is capped at
-    the smallest checkpoint target count of j (the probe's cap[j]), beyond
-    which a target goes negative.  Below it each row's right side
+    order (ties by lexicographic pair index; alphabet.pairs), committing the
+    largest feasible transfer amount for each pair.  A transfer of a from
+    letter j is capped at the smallest checkpoint target count of j (the
+    probe's cap[j]), beyond which a target goes negative; a pair with cap[j] =
+    0 is skipped.  Below it each row's right side
     ln|Freq(target)| is concave in a and its left side linear in a, so the
     feasible amounts form an interval from 0 (see TransferProbe), and any
     order of probes finds the same largest one.  After a pair that admitted no
@@ -212,32 +228,22 @@ def choose_shift(
         return zero
 
     probe = TransferProbe(*_checkpoint_blocks(n_eff, p_est, l, t), alphabet.multiplicities)
-
-    energies = [float(e) for e in alphabet.energies]
-    pairs = []
-    for i in range(d):
-        for j in range(d):
-            gap = energies[j] - energies[i]
-            if gap > 0:
-                pairs.append((gap, i, j))
-    pairs.sort(key=lambda x: (-x[0], x[1], x[2]))
-
-    spent, rejecting = 0.0, False
-    for gap, i, j in pairs:
-        amax = min(int((budget_w - spent) / gap + 1e-12), n_eff, int(probe.cap[j]))
-        if amax <= 0:
+    spent, rejecting, cap = 0.0, False, probe.cap.tolist()
+    for gap, i, j in alphabet.pairs:
+        if not cap[j] or (amax := min(int((budget_w - spent) / gap + 1e-12), n_eff, cap[j])) <= 0:
             continue
-        lo, hi = 0, amax + 1  # feasible(lo) holds; hi is the least amount known to fail, or amax + 1
+        passes = probe.transfer(i, j)
+        lo, hi = 0, amax + 1  # passes(lo) holds; hi is the least amount known to fail, or amax + 1
         for a in (1, amax) if rejecting else (amax,):
             if lo < a < hi:
-                lo, hi = (a, hi) if probe.feasible(i, j, a).all() else (lo, a)
+                lo, hi = (a, hi) if passes(a) else (lo, a)
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if probe.feasible(i, j, mid).all() else (lo, mid)
+            lo, hi = (mid, hi) if passes(mid) else (lo, mid)
         rejecting = lo == 0
         if lo:
             probe.commit(probe.moved(i, j, lo))
-            spent += lo * gap
+            spent, cap = spent + lo * gap, probe.cap.tolist()
     return ShiftFunction(tuple(probe.h))
 
 
@@ -505,8 +511,10 @@ class UniversalParams:
         return cls(n=n, k=k, m=m, eps=eps, r=r, c=c, margin_factor=margin_factor)
 
 
+@lru_cache(maxsize=64)
 def protocol_description_hash(ctx: ThermalContext, params: UniversalParams) -> str:
-    """Hash of the full synthesized protocol description.
+    """Hash of the full synthesized protocol description; computed once per
+    (ctx, params).
 
     Depends only on (context, parameters) — never on the input state — which is
     what makes the protocol state-agnostic: the measurement family and the
@@ -526,6 +534,14 @@ def protocol_description_hash(ctx: ThermalContext, params: UniversalParams) -> s
         "branch_rule": "greedy-pair-transfer/shell-checkpoints/exact-counting",
     }
     return hashlib.sha256(json.dumps(desc, sort_keys=True).encode()).hexdigest()
+
+
+@lru_cache(maxsize=16)
+def _weyl_alphabet(ctx: ThermalContext, k: int) -> WorkAlphabet:
+    """The sum n_lambda Weyl letters of k copies, with their exact energies and
+    multiplicities, as one alphabet per (ctx, k): neither depends on the state."""
+    _, energies, mult = schur_pinched_letters(ctx, k, thermal_state(ctx), build_schur_basis(k, ctx.dim))
+    return WorkAlphabet(energies=energies, beta=ctx.beta, multiplicities=mult)
 
 
 def universal_protocol(
@@ -549,9 +565,8 @@ def universal_protocol(
     k, m, q = params.k, params.m, params.q
     if m >= q:
         raise ValueError("schedule leaves no execution blocks (m >= q)")
-    basis = build_schur_basis(k, ctx.dim)
-    p_k, energies, mult = schur_pinched_letters(ctx, k, source, basis)
-    alphabet = WorkAlphabet(energies=energies, beta=ctx.beta, multiplicities=mult)
+    p_k = schur_pinched_letters(ctx, k, source, build_schur_basis(k, ctx.dim))[0]
+    alphabet = _weyl_alphabet(ctx, k)
 
     if mode == "exact":
         p_hat = p_k

@@ -160,6 +160,11 @@ class InfiniteContext:
                        for i in range(1, d + 1))
         return ThermalContext(levels=levels, beta=self.beta)
 
+    @functools.lru_cache(maxsize=64)
+    def work_alphabet(self, d: int) -> WorkAlphabet:
+        """truncated_context(d) as a work alphabet; cached by (self, d)."""
+        return WorkAlphabet.from_context(self.truncated_context(d))
+
 
 def log_success_probability(rho: TailState, d: int, n: int) -> float:
     """ln Tr[rho_d]^n, stable in log domain."""
@@ -355,7 +360,7 @@ def semiuniversal_protocol(
     success_mass = rho_true.head_mass(d_n)
     p_id = rho_id.diagonal(d_n)
     p_id = p_id / p_id.sum()
-    alphabet = WorkAlphabet.from_context(ctx_inf.truncated_context(d_n))
+    alphabet = ctx_inf.work_alphabet(d_n)
     l = math.ceil(n_run ** 1.5)
     misid_bound = None
     if len(S.states) > 1:

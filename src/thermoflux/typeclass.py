@@ -21,6 +21,8 @@ from scipy.special import gammaln
 FEASIBILITY_SLACK = 1e-9
 ENUM_CAP = 10 ** 7
 GRID_CHUNK = 1 << 14  # (f, g) pairs decided per block by feasible_grid
+LOG_FACT = gammaln(np.arange(1 << 16) + 1.0)  # ln x! for x < 2^16, read by log_multinomial_rows
+LOG_FACT.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -38,8 +40,9 @@ class ShiftFunction:
         return len(self.shifts)
 
     def work(self, levels) -> object:
-        """Extracted work sum h(i) E_i (exact when levels are Fractions)."""
-        return sum(h * e for h, e in zip(self.shifts, levels))
+        """Extracted work sum h(i) E_i over the letters that h moves (exact when
+        levels are Fractions)."""
+        return sum(h * e for h, e in zip(self.shifts, levels) if h)
 
 
 def _counts(f) -> tuple:
@@ -104,26 +107,26 @@ def _multiplicities(m, d: int) -> np.ndarray:
     return np.ones(d, dtype=np.int64) if m is None else np.asarray(m, dtype=np.int64)
 
 
-def _decide(lhs, rhs, scale, exact) -> np.ndarray:
-    """lhs <= rhs elementwise, for rhs = -inf where the target f+g-h has a
-    negative entry.  Entries within FEASIBILITY_SLACK (1 + |lhs| + |rhs|) of a
-    tie are re-decided by exact(*index) in big-integer arithmetic, so rounding
-    never flips the predicate.
+def _decide(diff, sides, scale, exact) -> np.ndarray:
+    """rhs - lhs >= 0 elementwise, for diff = rhs - lhs (-inf where the target
+    f+g-h has a negative entry) and sides(near) = (lhs, rhs) at the entries of
+    an index tuple near.  Entries within FEASIBILITY_SLACK (1 + |lhs| + |rhs|)
+    of a tie are re-decided by exact(*index) in big-integer arithmetic, so
+    rounding never flips the predicate.
 
-    scale bounds 1 + |lhs| + |rhs| over the entries with a finite rhs, up to
-    rounding, so the prefilter |rhs - lhs| <= 2 FEASIBILITY_SLACK scale holds
-    at every entry inside its own window (the factor 2 covers the rounding of
-    scale).  Only the entries it passes are put to the window test: the set
-    re-decided is exactly the set inside its window, and every other entry is
-    decided by the sign of rhs - lhs, which is that of lhs <= rhs.
+    scale bounds 1 + |lhs| + |rhs| over the entries with a finite diff, up to
+    rounding, so the prefilter |diff| <= 2 FEASIBILITY_SLACK scale holds at
+    every entry inside its own window (the factor 2 covers the rounding of
+    scale).  Only the entries it passes are read through sides and put to the
+    window test: the set re-decided is exactly the set inside its window, and
+    every other entry is decided by the sign of diff, which is that of lhs <= rhs.
     """
-    diff = rhs - lhs
     feas = diff >= 0
     near = np.abs(diff) <= 2.0 * FEASIBILITY_SLACK * scale
     if near.any():
         near = np.nonzero(near)
-        a, b = lhs[near], rhs[near]
-        window = np.abs(a - b) <= FEASIBILITY_SLACK * (1.0 + np.abs(a) + np.abs(b))
+        a, b = sides(near)
+        window = np.abs(diff[near]) <= FEASIBILITY_SLACK * (1.0 + np.abs(a) + np.abs(b))
         for idx in zip(*(i[window] for i in near)):
             feas[idx] = exact(*idx)
     return feas
@@ -141,7 +144,7 @@ def feasible_rows(F, G, h, m=None) -> np.ndarray:
     rhs = np.full(len(target), -np.inf)
     rhs[ok] = log_multinomial_rows(target[ok])
     scale = 1.0 + np.abs(lhs).max(initial=0.0) + np.abs(rhs[ok]).max(initial=0.0)
-    return _decide(lhs, rhs, scale, lambda i: _exact_feasible(F[i], G[i], h, m))
+    return _decide(rhs - lhs, lambda i: (lhs[i], rhs[i]), scale, lambda i: _exact_feasible(F[i], G[i], h, m))
 
 
 def feasible_grid(F, G, h, m=None):
@@ -194,7 +197,8 @@ def feasible_grid(F, G, h, m=None):
         for i, g_i in rest:
             rhs -= log_fact[f[:, i, None] + g_i]
         lhs = log_mf[lo:lo + step, None] + log_mg
-        yield lo, _decide(lhs, rhs, scale, lambda a, b: _exact_feasible(f[a], G[b], h, m))
+        yield lo, _decide(rhs - lhs, lambda ab: (lhs[ab], rhs[ab]), scale,
+                          lambda a, b: _exact_feasible(f[a], G[b], h, m))
 
 
 def _log_fact(x) -> np.ndarray:
@@ -216,17 +220,18 @@ class TransferProbe:
     multiplicities m and the shifts that move a target counts from letter j to
     letter i, away from a committed zero-sum h.
 
-    Keeps T = F + G - h, its count of negative entries, the column minima cap
-    (a transfer of more than cap[j] off letter j makes some target negative),
-    the matrix of ln T_c!, its row sum S and the left side with h ln m, so a
-    probe reads only columns i and j:
-    ln|Freq(T')| = ln(sum T)! - (S - ln T_i! - ln T_j! + ln(T_i+a)! + ln(T_j-a)!).
+    Keeps T = F + G - h (and T + 1 as floats), the column minima cap (a
+    transfer of more than cap[j] off letter j makes some target negative), the
+    matrix of ln T_c!, its row sum S, the left side lhs_h with h ln m and
+    room = ln(sum T)! - lhs_h - S, so a probe reads only columns i and j: rhs
+    - lhs of moved(i, j, a) is the pair's slack base room + ln T_i! + ln T_j!,
+    less ln(T_i+a)!, ln(T_j-a)! and a ln(m_j/m_i).
 
     For a committed h that every row passes, the amounts a at which a row
     passes moved(i, j, a) form an interval 0 <= a <= a* within cap[j]: each
     row's right side is concave in a (ln x! is convex) and its left side is
-    linear in a.  Every decision goes through _decide, so the interval is that
-    of the exact predicate.
+    linear in a.  Every decision is _decide's, so the interval is that of the
+    exact predicate.
     """
 
     def __init__(self, F, G, m=None):
@@ -236,6 +241,7 @@ class TransferProbe:
         self.log_m = np.log(self.m)
         self.h = np.zeros(d, dtype=np.int64)
         self.T = self.F + self.G
+        self.T1 = self.T + 1.0
         X = np.hstack([self.F, self.G, self.T])
         log_fact = _log_fact_by_row0(X).reshape(N, 3, d)
         log_total = gammaln(X.reshape(N, 3, d).sum(axis=2) + 1.0)  # sum T is fixed by zero-sum h
@@ -245,7 +251,7 @@ class TransferProbe:
         self.log_total, self.log_fact = log_total[:, 2].copy(), log_fact[:, 2].copy()
         self.rhs_max = self.log_total.max(initial=0.0)  # ln|Freq(T)| <= ln(sum T)!
         self.S = self.log_fact.sum(axis=1)
-        self.neg = (self.T < 0).sum(axis=1)
+        self.room = self.log_total - self.lhs_h - self.S
         self.cap = self.T.min(axis=0)
 
     def commit(self, h) -> None:
@@ -256,33 +262,52 @@ class TransferProbe:
         h = np.asarray(h)
         cols = np.flatnonzero(h != self.h)
         T = self.T[:, cols] + (self.h[cols] - h[cols])
-        self.T[:, cols] = T
+        self.T[:, cols], self.T1[:, cols] = T, T + 1.0
         self.log_fact[:, cols] = _log_fact(T)
         self.cap[cols] = T.min(axis=0)
         self.h = h
-        self.neg = (self.T < 0).sum(axis=1)
         self.S = self.log_fact.sum(axis=1)
         self.lhs_h = self.lhs + h @ self.log_m
         self.lhs_max = np.abs(self.lhs_h).max(initial=0.0)
+        self.room = self.log_total - self.lhs_h - self.S
+
+    @property
+    def neg(self) -> np.ndarray:
+        """The count of negative entries of each row of T."""
+        return (self.T < 0).sum(axis=1)
 
     def moved(self, i: int, j: int, a: int) -> np.ndarray:
         """The committed h with h_i - a and h_j + a."""
         h = self.h.copy()
-        h[i] -= a
-        h[j] += a
+        h[[i, j]] += (-a, a)
         return h
+
+    def _decide(self, i: int, j: int, a: int, diff, every: bool = False):
+        """_decide for moved(i, j, a), from diff = rhs - lhs_h; with every, whether
+        every row passes, read off the row minimum when it clears the prefilter."""
+        step = a * (self.log_m[j] - self.log_m[i])  # 0.0 between letters of one multiplicity
+        diff, scale = (diff - step if step else diff), 1.0 + (self.lhs_max + abs(step)) + self.rhs_max
+        if every and abs(low := diff.min()) > 2.0 * FEASIBILITY_SLACK * scale:
+            return bool(low > 0)
+        feas = _decide(diff, lambda r: (self.lhs_h[r] + step, self.lhs_h[r] + step + diff[r]), scale,
+                       lambda r: _exact_feasible(self.F[r], self.G[r], self.moved(i, j, a), self.m))
+        return bool(feas.all()) if every else feas
 
     def feasible(self, i: int, j: int, a: int) -> np.ndarray:
         """Row-wise feasibility of the shift moved(i, j, a), for letters i != j."""
         ti, tj = self.T[:, i], self.T[:, j]
         neg = self.neg - (ti < 0) - (tj < 0) + (ti + a < 0) + (tj - a < 0)
-        rest = self.S - self.log_fact[:, i] - self.log_fact[:, j]
-        rhs = np.where(neg == 0, self.log_total - (rest + _log_fact(ti + a) + _log_fact(tj - a)), -np.inf)
-        h, m = self.moved(i, j, a), self.m
-        step = a * (self.log_m[j] - self.log_m[i])  # 0.0 between letters of one multiplicity
-        lhs = self.lhs_h + step if step else self.lhs_h
-        scale = 1.0 + (self.lhs_max + abs(step)) + self.rhs_max
-        return _decide(lhs, rhs, scale, lambda r: _exact_feasible(self.F[r], self.G[r], h, m))
+        diff = self.room + self.log_fact[:, i] + self.log_fact[:, j] - _log_fact(ti + a) - _log_fact(tj - a)
+        diff[neg > 0] = -np.inf
+        return self._decide(i, j, a, diff)
+
+    def transfer(self, i: int, j: int):
+        """passes(a): whether every row passes moved(i, j, a), for 0 <= a <= cap[j]
+        and targets >= 0, as in the shift search.  The pair's slack base is formed
+        once; a probe reads ln(T_i+a)! and ln(T_j-a)! off T + 1 with no clamp."""
+        ti, tj = self.T1[:, i], self.T1[:, j]
+        base = self.room + self.log_fact[:, i] + self.log_fact[:, j]
+        return lambda a: self._decide(i, j, a, base - gammaln(ti + a) - gammaln(tj - a), every=True)
 
 
 def injection_feasible(f, g, h) -> bool:
@@ -295,9 +320,13 @@ def injection_feasible(f, g, h) -> bool:
 
 
 def log_multinomial_rows(counts: np.ndarray) -> np.ndarray:
-    """Vectorized ln multinomial for an (N, d) integer array of occupation rows."""
+    """Vectorized ln multinomial for an (N, d) integer array of occupation rows.
+    ln x! is read from LOG_FACT, bitwise gammaln's values, when every row has
+    fewer letters than the table has entries."""
     counts = np.asarray(counts)
     n = counts.sum(axis=-1)
+    if counts.dtype.kind in "iu" and counts.min(initial=0) >= 0 and n.max(initial=0) < len(LOG_FACT):
+        return LOG_FACT[n] - LOG_FACT[counts].sum(axis=-1)
     return gammaln(n + 1) - gammaln(counts + 1).sum(axis=-1)
 
 

@@ -46,7 +46,7 @@ from thermoflux.extraction import (
     universal_protocol,
 )
 from thermoflux.infdim import InfiniteContext, TailState
-from thermoflux.pinching import schur_pinched_distribution
+from thermoflux.pinching import schur_pinched_distribution, schur_pinched_letters
 from thermoflux.schur import build_schur_basis
 from thermoflux.typeclass import (
     ShiftFunction,
@@ -251,6 +251,26 @@ def _shift_searches(draw):
     return WorkAlphabet(energies=energies, beta=beta, multiplicities=mult), p, n_eff, l, margin
 
 
+def _ladder_search(state, d_n, n_eff) -> tuple:
+    """choose_shift inputs of a semiuniversal op: the state's head on the first
+    d_n levels of the unit ladder, l = ceil(n_eff^1.5), margin 0."""
+    head = state.diagonal(d_n)
+    ladder = InfiniteContext(beta=1.0, delta_e=1.0)
+    return (WorkAlphabet.from_context(ladder.truncated_context(d_n)), head / head.sum(), n_eff,
+            math.ceil(n_eff ** 1.5), 0.0)
+
+
+def _weyl_search(k, n_eff, margin) -> tuple:
+    """choose_shift inputs of the universal protocol: the Weyl letters of a
+    mixed qubit at k copies, with their multiplicities."""
+    rho = DensityMatrix(np.array([[0.8, 0.25], [0.25, 0.2]], dtype=complex))
+    p, energies, mult = schur_pinched_letters(QUBIT, k, rho, build_schur_basis(k, 2))
+    return WorkAlphabet(energies=energies, beta=1.0, multiplicities=mult), p, n_eff, math.ceil(n_eff ** 1.5), margin
+
+
+GEOMETRIC_E2 = TailState(coefficients=tuple((1 - math.exp(-2.0)) * math.exp(-2.0) ** (i - 1) for i in range(1, 400)))
+
+
 class TestShiftSearchOracle:
     """choose_shift caps each transfer at min T[:, j] and probes two columns
     per step; it must pick the same h as the full-row search."""
@@ -268,6 +288,11 @@ class TestShiftSearchOracle:
     # f = (0, 5), g = (3, 0): moving all 5 down gives the target (8, 0), a tie
     # 1 * 1 = 1 that the two-column rhs puts on the infeasible side in floats
     @example((WorkAlphabet(energies=(0, Fraction(1, 2)), beta=0.5), np.array([0.0, 1.0]), 5, 3, 0.0))
+    # the sizes the benchmark runs: the eps = 1 ladder head (l = 1569), the
+    # geometric e^-2 head, and the qubit Weyl letters at k = 6
+    @example(_ladder_search(TailState(epsilon=1.0), 27, 135))
+    @example(_ladder_search(GEOMETRIC_E2, 32, 1000))
+    @example(_weyl_search(6, 2500, 0.01))
     def test_matches_full_row_search(self, search):
         alphabet, p, n_eff, l, margin = search
         got = choose_shift(p, alphabet, n_eff, margin_nats=margin, l=l)
@@ -623,13 +648,32 @@ class TestUniversalProtocol:
         hashes = {universal_protocol(rho, QUBIT, params, seed=2, mode=mode).details["protocol_hash"]
                   for rho in states for mode in ("sampled", "exact")}
         assert hashes == {protocol_description_hash(QUBIT, params)}
+        assert protocol_description_hash.__wrapped__(QUBIT, params) == protocol_description_hash(QUBIT, params)
+
+    @pytest.mark.parametrize("ctx, k", [(QUBIT, 4), (QUBIT, 6), (ThermalContext(levels=(0, 1, 3), beta=0.7), 3)])
+    def test_one_weyl_alphabet_per_context_and_k(self, ctx, k):
+        """The alphabet universal_protocol runs on is built once per (ctx, k)
+        and has the energies and multiplicities schur_pinched_letters gives
+        for any state, with the letter pairs in the shift search's order."""
+        alphabet = extraction._weyl_alphabet(ctx, k)
+        assert extraction._weyl_alphabet(ctx, k) is alphabet and alphabet.beta == ctx.beta
+        rng = np.random.default_rng(k)
+        for _ in range(3):
+            a = rng.normal(size=(ctx.dim, ctx.dim)) + 1j * rng.normal(size=(ctx.dim, ctx.dim))
+            rho = DensityMatrix(a @ a.conj().T / np.trace(a @ a.conj().T).real)
+            _, energies, mult = schur_pinched_letters(ctx, k, rho, build_schur_basis(k, ctx.dim))
+            assert alphabet.energies == tuple(energies) and alphabet.multiplicities == tuple(mult.tolist())
+        e = [float(x) for x in alphabet.energies]
+        want = sorted((e[j] - e[i], i, j) for i in range(len(e)) for j in range(len(e)) if e[j] > e[i])
+        assert list(alphabet.pairs) == sorted(want, key=lambda x: (-x[0], x[1], x[2]))
 
     def test_exact_plus_state_at_1e5_is_fast_and_decided_exactly(self, monkeypatch):
         """Exact mode, qubit |+> and a full-rank mixed state, n = 1e5 (k = 5, 12
-        Weyl letters): each run takes under 5 s, and every row of every shift
-        probe the two make agrees with an oracle that decides in floats only
-        where the gap exceeds a generous error bound, and in big integers
-        elsewhere."""
+        Weyl letters): each run takes under 5 s, and every shift probe the two
+        make agrees with an oracle that decides in floats only where the gap
+        exceeds a generous error bound, and in big integers elsewhere: each
+        row, decided by feasible on the probe's state at the time, and the
+        search's all-rows answer."""
         params = UniversalParams.from_schedule(100_000, QUBIT)
         states = (DensityMatrix.pure(np.array([1.0, 1.0])), DensityMatrix(np.array([[0.8, 0.25], [0.25, 0.2]])))
         shifts = []
@@ -637,22 +681,26 @@ class TestUniversalProtocol:
             start = time.perf_counter()
             shifts.append(universal_protocol(rho, QUBIT, params, mode="exact").details["h"])
             assert time.perf_counter() - start < 5.0
-        probes, feasible = [], TransferProbe.feasible
+        probes, transfer = [], TransferProbe.transfer
 
-        def recorded(probe, i, j, a):
-            probes.append((probe, probe.moved(i, j, a), feasible(probe, i, j, a)))
-            return probes[-1][2]
+        def recorded(probe, i, j):
+            passes = transfer(probe, i, j)
 
-        monkeypatch.setattr(TransferProbe, "feasible", recorded)
+            def checked(a):
+                probes.append((probe, probe.moved(i, j, a), probe.feasible(i, j, a), passes(a)))
+                return probes[-1][3]
+            return checked
+
+        monkeypatch.setattr(TransferProbe, "transfer", recorded)
         for rho, h in zip(states, shifts):
             assert universal_protocol(rho, QUBIT, params, mode="exact").details["h"] == h
             assert any(h)
         assert len(probes) > 100
-        for probe, shift, got in probes:
+        for probe, shift, got, passes in probes:
             want, uncertain = _certified_rows(probe.F, probe.G, shift, probe.m)
             for r in np.flatnonzero(uncertain):
                 want[r] = _cancelled_count_inequality(probe.F[r], probe.G[r], shift, probe.m)
-            assert np.array_equal(got, want)
+            assert np.array_equal(got, want) and passes == want.all()
 
     def test_cancelled_count_inequality_is_the_predicate(self):
         m = (1, 2, 3)

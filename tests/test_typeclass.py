@@ -47,6 +47,17 @@ class TestCounting:
                 math.log(exact_freq_count(counts)), abs=1e-10
             )
 
+    def test_table_and_gammaln_agree_bitwise(self):
+        """log_multinomial_rows reads ln x! from LOG_FACT for rows of fewer than
+        len(LOG_FACT) letters and calls gammaln for longer ones: the same bits."""
+        rng = np.random.default_rng(7)
+        limit = len(typeclass.LOG_FACT)
+        for n in (0, 1, 17, limit - 1, limit, 3 * limit):
+            rows = rng.multinomial(n, [0.5, 0.3, 0.2], size=20)
+            want = gammaln(rows.sum(axis=1) + 1) - gammaln(rows + 1).sum(axis=1)
+            assert np.array_equal(log_multinomial_rows(rows), want)
+        assert not typeclass.LOG_FACT.flags.writeable
+
     def test_exact_count_binomial(self):
         assert exact_freq_count((3, 2)) == 10
         assert exact_freq_count((2, 2, 2)) == 90
@@ -224,6 +235,56 @@ class TestTransferProbe:
         that the two-column rhs puts on the infeasible side in floats."""
         assert TransferProbe([(3, 3)], [(14, 0)]).feasible(0, 1, 2).tolist() == [True]
         assert TransferProbe([(11, 12, 0, 10)], [(0, 0, 0, 0)]).feasible(1, 0, 0).tolist() == [True]
+
+    @pytest.mark.parametrize("F, G, m, i, j, a", [
+        # row 0: C(10, 4) C(11, 0) = 210 = C(21, 2), an exact tie whose
+        # difference rhs - lhs comes out below 0 in floats
+        ([(6, 4), (10, 0), (0, 5)], [(11, 0), (0, 10), (5, 5)], None, 0, 1, 2),
+        # row 0: |Freq((2, 1))| = 3 against m_0 / m_1 = 3 + 1e-17, infeasible by
+        # a relative 3e-18, which floats round to a difference >= 0
+        ([(2, 0), (5, 0), (4, 4)], [(1, 0), (5, 0), (8, 0)], (3 * 10 ** 17 + 1, 10 ** 17), 1, 0, 1),
+    ], ids=["tie", "infeasible-in-window"])
+    def test_prefilter_hands_the_close_row_to_the_recheck(self, monkeypatch, F, G, m, i, j, a):
+        """Rows 1 and 2 clear the prefilter by a wide margin and row 0 lies
+        inside its window: both the row-wise probe and the search's all-rows
+        probe (whose row minimum is row 0's) decide as the big-integer oracle,
+        and re-decide row 0, and only row 0, in big integers."""
+        calls, exact = [], typeclass._exact_feasible
+
+        def recorded(f, g, h, mm):
+            calls.append(tuple(np.asarray(f).tolist()))
+            return exact(f, g, h, mm)
+
+        monkeypatch.setattr(typeclass, "_exact_feasible", recorded)
+        probe = TransferProbe(F, G, m)
+        assert 0 <= a <= probe.cap[j]
+        h = probe.moved(i, j, a)
+        want = [_grouped_oracle(f, g, h, probe.m) for f, g in zip(F, G)]
+        assert want[1:] == [True, True]
+        assert probe.feasible(i, j, a).tolist() == want and calls == [F[0]]
+        calls.clear()
+        assert probe.transfer(i, j)(a) == all(want) and calls == [F[0]]
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_transfer_is_feasible_on_every_row_within_the_cap(self, data):
+        """The search's probe: after commits that keep every target >= 0, and
+        for 0 <= a <= cap[j], transfer(i, j)(a) is whether every row passes, as
+        feasible and the big-integer oracle decide it."""
+        d = data.draw(st.integers(2, 5))
+        counts = st.lists(st.integers(0, 15), min_size=d, max_size=d)
+        rows = data.draw(st.lists(st.tuples(counts, counts), min_size=1, max_size=8))
+        m = data.draw(st.one_of(st.none(), st.lists(st.sampled_from((1, 2, 3)), min_size=d, max_size=d)))
+        F, G = np.array([f for f, _ in rows]), np.array([g for _, g in rows])
+        probe = TransferProbe(F, G, m)
+        for _ in range(data.draw(st.integers(0, 4))):
+            i, j = data.draw(st.permutations(range(d)))[:2]
+            probe.commit(probe.moved(i, j, data.draw(st.integers(0, int(probe.cap[j])))))
+        i, j = data.draw(st.permutations(range(d)))[:2]
+        a = data.draw(st.integers(0, int(probe.cap[j])))
+        want = [_grouped_oracle(f, g, probe.moved(i, j, a), probe.m) for f, g in zip(F, G)]
+        assert probe.feasible(i, j, a).tolist() == want
+        assert probe.transfer(i, j)(a) == all(want)
 
     def test_commit_rebuilds_the_row_state(self):
         F, G = np.array([(6, 2, 0), (3, 3, 2)]), np.array([(10, 5, 5), (12, 4, 4)])
