@@ -66,11 +66,6 @@ def _random_density(rng, dim):
     return DensityMatrix(m / m.trace().real)
 
 
-def _random_pure(rng, dim):
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return DensityMatrix.pure(v / np.linalg.norm(v))
-
-
 def _golden_three_qubit_projectors():
     """Closed-form fine-grained projectors for three qubits with E = (0, 1).
 

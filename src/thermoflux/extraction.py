@@ -232,14 +232,13 @@ def choose_shift(
     for gap, i, j in alphabet.pairs:
         if not cap[j] or (amax := min(int((budget_w - spent) / gap + 1e-12), n_eff, cap[j])) <= 0:
             continue
-        passes = probe.transfer(i, j)
-        lo, hi = 0, amax + 1  # passes(lo) holds; hi is the least amount known to fail, or amax + 1
+        lo, hi = 0, amax + 1  # feasible(lo) holds; hi is the least amount known to fail, or amax + 1
         for a in (1, amax) if rejecting else (amax,):
             if lo < a < hi:
-                lo, hi = (a, hi) if passes(a) else (lo, a)
+                lo, hi = (a, hi) if probe.feasible(i, j, a).all() else (lo, a)
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if passes(mid) else (lo, mid)
+            lo, hi = (mid, hi) if probe.feasible(i, j, mid).all() else (lo, mid)
         rejecting = lo == 0
         if lo:
             probe.commit(probe.moved(i, j, lo))
@@ -519,18 +518,20 @@ def protocol_description_hash(ctx: ThermalContext, params: UniversalParams) -> s
     Depends only on (context, parameters) — never on the input state — which is
     what makes the protocol state-agnostic: the measurement family and the
     branch rule (shift table as a function of measured type) are fixed here.
+    Fields are written as int and float values (+ 0.0 folds -0.0 into 0.0), so
+    equal arguments, such as beta = 1 and beta = 1.0, hash alike.
     """
     desc = {
         "version": PROTOCOL_VERSION,
         "levels": [str(e) for e in ctx.levels],
-        "beta": ctx.beta,
-        "n": params.n,
-        "k": params.k,
-        "m": params.m,
-        "eps": params.eps,
-        "r": params.r,
-        "c": params.c,
-        "margin_factor": params.margin_factor,
+        "beta": float(ctx.beta) + 0.0,
+        "n": int(params.n),
+        "k": int(params.k),
+        "m": int(params.m),
+        "eps": float(params.eps) + 0.0,
+        "r": float(params.r) + 0.0,
+        "c": float(params.c) + 0.0,
+        "margin_factor": float(params.margin_factor) + 0.0,
         "branch_rule": "greedy-pair-transfer/shell-checkpoints/exact-counting",
     }
     return hashlib.sha256(json.dumps(desc, sort_keys=True).encode()).hexdigest()

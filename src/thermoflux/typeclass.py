@@ -21,7 +21,7 @@ from scipy.special import gammaln
 FEASIBILITY_SLACK = 1e-9
 ENUM_CAP = 10 ** 7
 GRID_CHUNK = 1 << 14  # (f, g) pairs decided per block by feasible_grid
-LOG_FACT = gammaln(np.arange(1 << 16) + 1.0)  # ln x! for x < 2^16, read by log_multinomial_rows
+LOG_FACT = gammaln(np.arange(1 << 16) + 1.0)  # ln x! for x < 2^16, read by _log_fact
 LOG_FACT.flags.writeable = False
 
 
@@ -40,9 +40,8 @@ class ShiftFunction:
         return len(self.shifts)
 
     def work(self, levels) -> object:
-        """Extracted work sum h(i) E_i over the letters that h moves (exact when
-        levels are Fractions)."""
-        return sum(h * e for h, e in zip(self.shifts, levels) if h)
+        """Extracted work sum h(i) E_i (exact when levels are Fractions)."""
+        return sum(h * e for h, e in zip(self.shifts, levels))
 
 
 def _counts(f) -> tuple:
@@ -202,16 +201,17 @@ def feasible_grid(F, G, h, m=None):
 
 
 def _log_fact(x) -> np.ndarray:
-    """ln x! elementwise, with negative x read as 0."""
-    return gammaln(np.maximum(x, 0) + 1.0)
+    """ln x! for an integer array x >= 0: gathered from LOG_FACT when every
+    entry is below its length, else gammaln(x + 1.0), whose bits the table holds."""
+    return LOG_FACT[x] if x.max(initial=0) < len(LOG_FACT) else gammaln(x + 1.0)
 
 
 def _log_fact_by_row0(X) -> np.ndarray:
     """ln X! for an (N, d) array of counts, evaluated at row 0 and at the
     entries that differ from it only (a checkpoint row differs from row 0 in two)."""
     idx = np.flatnonzero(X != X[0])
-    out = np.tile(gammaln(X[0] + 1.0), len(X))
-    out[idx] = gammaln(X.ravel()[idx] + 1.0)
+    out = np.tile(_log_fact(X[0]), len(X))
+    out[idx] = _log_fact(X.ravel()[idx])
     return out.reshape(X.shape)
 
 
@@ -220,12 +220,12 @@ class TransferProbe:
     multiplicities m and the shifts that move a target counts from letter j to
     letter i, away from a committed zero-sum h.
 
-    Keeps T = F + G - h (and T + 1 as floats), the column minima cap (a
-    transfer of more than cap[j] off letter j makes some target negative), the
-    matrix of ln T_c!, its row sum S, the left side lhs_h with h ln m and
-    room = ln(sum T)! - lhs_h - S, so a probe reads only columns i and j: rhs
-    - lhs of moved(i, j, a) is the pair's slack base room + ln T_i! + ln T_j!,
-    less ln(T_i+a)!, ln(T_j-a)! and a ln(m_j/m_i).
+    Keeps T = F + G - h, its count neg of negative entries per row, the column
+    minima cap (a transfer of more than cap[j] off letter j makes some target
+    negative), the matrix of ln T_c!, its row sum S, the left side lhs_h with
+    h ln m and room = ln(sum T)! - lhs_h - S, so a probe reads only columns i
+    and j: rhs - lhs of moved(i, j, a) is the pair's slack base room + ln T_i!
+    + ln T_j!, less ln(T_i+a)!, ln(T_j-a)! and a ln(m_j/m_i).
 
     For a committed h that every row passes, the amounts a at which a row
     passes moved(i, j, a) form an interval 0 <= a <= a* within cap[j]: each
@@ -241,10 +241,9 @@ class TransferProbe:
         self.log_m = np.log(self.m)
         self.h = np.zeros(d, dtype=np.int64)
         self.T = self.F + self.G
-        self.T1 = self.T + 1.0
         X = np.hstack([self.F, self.G, self.T])
         log_fact = _log_fact_by_row0(X).reshape(N, 3, d)
-        log_total = gammaln(X.reshape(N, 3, d).sum(axis=2) + 1.0)  # sum T is fixed by zero-sum h
+        log_total = _log_fact(X.reshape(N, 3, d).sum(axis=2))  # sum T is fixed by zero-sum h
         log_freq = log_total - log_fact.sum(axis=2)  # ln|Freq| of the rows of F, G and T
         self.lhs = self.lhs_h = log_freq[:, 0] + log_freq[:, 1]
         self.lhs_max = np.abs(self.lhs).max(initial=0.0)
@@ -252,7 +251,9 @@ class TransferProbe:
         self.rhs_max = self.log_total.max(initial=0.0)  # ln|Freq(T)| <= ln(sum T)!
         self.S = self.log_fact.sum(axis=1)
         self.room = self.log_total - self.lhs_h - self.S
+        self.neg = (self.T < 0).sum(axis=1)
         self.cap = self.T.min(axis=0)
+        self._pair = ()  # (i, j, slack base, or None if a target is negative) of the last pair probed
 
     def commit(self, h) -> None:
         """Make the zero-sum h the committed shift.  T, ln T! and cap are
@@ -262,52 +263,47 @@ class TransferProbe:
         h = np.asarray(h)
         cols = np.flatnonzero(h != self.h)
         T = self.T[:, cols] + (self.h[cols] - h[cols])
-        self.T[:, cols], self.T1[:, cols] = T, T + 1.0
-        self.log_fact[:, cols] = _log_fact(T)
+        self.T[:, cols] = T
+        self.log_fact[:, cols] = _log_fact(np.maximum(T, 0))  # a negative count read as 0
         self.cap[cols] = T.min(axis=0)
         self.h = h
+        self.neg = (self.T < 0).sum(axis=1)
         self.S = self.log_fact.sum(axis=1)
         self.lhs_h = self.lhs + h @ self.log_m
         self.lhs_max = np.abs(self.lhs_h).max(initial=0.0)
         self.room = self.log_total - self.lhs_h - self.S
-
-    @property
-    def neg(self) -> np.ndarray:
-        """The count of negative entries of each row of T."""
-        return (self.T < 0).sum(axis=1)
+        self._pair = ()
 
     def moved(self, i: int, j: int, a: int) -> np.ndarray:
         """The committed h with h_i - a and h_j + a."""
         h = self.h.copy()
-        h[[i, j]] += (-a, a)
+        h[i] -= a
+        h[j] += a
         return h
 
-    def _decide(self, i: int, j: int, a: int, diff, every: bool = False):
-        """_decide for moved(i, j, a), from diff = rhs - lhs_h; with every, whether
-        every row passes, read off the row minimum when it clears the prefilter."""
-        step = a * (self.log_m[j] - self.log_m[i])  # 0.0 between letters of one multiplicity
-        diff, scale = (diff - step if step else diff), 1.0 + (self.lhs_max + abs(step)) + self.rhs_max
-        if every and abs(low := diff.min()) > 2.0 * FEASIBILITY_SLACK * scale:
-            return bool(low > 0)
-        feas = _decide(diff, lambda r: (self.lhs_h[r] + step, self.lhs_h[r] + step + diff[r]), scale,
-                       lambda r: _exact_feasible(self.F[r], self.G[r], self.moved(i, j, a), self.m))
-        return bool(feas.all()) if every else feas
-
     def feasible(self, i: int, j: int, a: int) -> np.ndarray:
-        """Row-wise feasibility of the shift moved(i, j, a), for letters i != j."""
-        ti, tj = self.T[:, i], self.T[:, j]
-        neg = self.neg - (ti < 0) - (tj < 0) + (ti + a < 0) + (tj - a < 0)
-        diff = self.room + self.log_fact[:, i] + self.log_fact[:, j] - _log_fact(ti + a) - _log_fact(tj - a)
-        diff[neg > 0] = -np.inf
-        return self._decide(i, j, a, diff)
+        """Row-wise feasibility of the shift moved(i, j, a), for letters i != j.
 
-    def transfer(self, i: int, j: int):
-        """passes(a): whether every row passes moved(i, j, a), for 0 <= a <= cap[j]
-        and targets >= 0, as in the shift search.  The pair's slack base is formed
-        once; a probe reads ln(T_i+a)! and ln(T_j-a)! off T + 1 with no clamp."""
-        ti, tj = self.T1[:, i], self.T1[:, j]
-        base = self.room + self.log_fact[:, i] + self.log_fact[:, j]
-        return lambda a: self._decide(i, j, a, base - gammaln(ti + a) - gammaln(tj - a), every=True)
+        Where no target is or goes negative (every committed target >= 0 and
+        0 <= a <= cap[j], as in the shift search), rhs - lhs is the pair's
+        slack base room + ln T_i! + ln T_j!, formed once per pair and commit,
+        less ln(T_i+a)! and ln(T_j-a)! (_log_fact) and a ln(m_j/m_i).  When
+        its row minimum clears _decide's prefilter bound every row passes by
+        sign; otherwise _decide decides.  Other amounts go to feasible_rows.
+        """
+        if self._pair[:2] != (i, j):
+            self._pair = (i, j, None if self.neg.any() else self.room + self.log_fact[:, i] + self.log_fact[:, j])
+        if self._pair[2] is None or not 0 <= a <= self.cap[j]:
+            return feasible_rows(self.F, self.G, self.moved(i, j, a), self.m)
+        step = a * (self.log_m[j] - self.log_m[i])  # 0.0 between letters of one multiplicity
+        diff = self._pair[2] - _log_fact(self.T[:, i] + a) - _log_fact(self.T[:, j] - a)
+        if step:
+            diff -= step
+        scale = 1.0 + (self.lhs_max + abs(step)) + self.rhs_max
+        if diff.min() > 2.0 * FEASIBILITY_SLACK * scale:
+            return np.ones(len(diff), dtype=bool)
+        return _decide(diff, lambda r: (self.lhs_h[r] + step, self.lhs_h[r] + step + diff[r]), scale,
+                       lambda r: _exact_feasible(self.F[r], self.G[r], self.moved(i, j, a), self.m))
 
 
 def injection_feasible(f, g, h) -> bool:
@@ -320,13 +316,12 @@ def injection_feasible(f, g, h) -> bool:
 
 
 def log_multinomial_rows(counts: np.ndarray) -> np.ndarray:
-    """Vectorized ln multinomial for an (N, d) integer array of occupation rows.
-    ln x! is read from LOG_FACT, bitwise gammaln's values, when every row has
-    fewer letters than the table has entries."""
+    """Vectorized ln multinomial for an (N, d) integer array of occupation rows
+    (ln x! by _log_fact)."""
     counts = np.asarray(counts)
     n = counts.sum(axis=-1)
-    if counts.dtype.kind in "iu" and counts.min(initial=0) >= 0 and n.max(initial=0) < len(LOG_FACT):
-        return LOG_FACT[n] - LOG_FACT[counts].sum(axis=-1)
+    if counts.dtype.kind in "iu" and counts.min(initial=0) >= 0:
+        return _log_fact(n) - _log_fact(counts).sum(axis=-1)
     return gammaln(n + 1) - gammaln(counts + 1).sum(axis=-1)
 
 

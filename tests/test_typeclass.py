@@ -246,9 +246,10 @@ class TestTransferProbe:
     ], ids=["tie", "infeasible-in-window"])
     def test_prefilter_hands_the_close_row_to_the_recheck(self, monkeypatch, F, G, m, i, j, a):
         """Rows 1 and 2 clear the prefilter by a wide margin and row 0 lies
-        inside its window: both the row-wise probe and the search's all-rows
-        probe (whose row minimum is row 0's) decide as the big-integer oracle,
-        and re-decide row 0, and only row 0, in big integers."""
+        inside its window, so the row minimum is row 0's and does not clear
+        the bound: the probe, on its slack-base path (0 <= a <= cap[j]),
+        decides as the big-integer oracle and re-decides row 0, and only row
+        0, in big integers."""
         calls, exact = [], typeclass._exact_feasible
 
         def recorded(f, g, h, mm):
@@ -262,15 +263,14 @@ class TestTransferProbe:
         want = [_grouped_oracle(f, g, h, probe.m) for f, g in zip(F, G)]
         assert want[1:] == [True, True]
         assert probe.feasible(i, j, a).tolist() == want and calls == [F[0]]
-        calls.clear()
-        assert probe.transfer(i, j)(a) == all(want) and calls == [F[0]]
+        assert probe._pair[:2] == (i, j) and probe._pair[2] is not None  # the slack-base path
 
     @settings(max_examples=150)
     @given(st.data())
-    def test_transfer_is_feasible_on_every_row_within_the_cap(self, data):
-        """The search's probe: after commits that keep every target >= 0, and
-        for 0 <= a <= cap[j], transfer(i, j)(a) is whether every row passes, as
-        feasible and the big-integer oracle decide it."""
+    def test_slack_base_path_matches_the_oracle_within_the_cap(self, data):
+        """The search's domain: after commits that keep every target >= 0, and
+        for 0 <= a <= cap[j], feasible takes the pair's slack base and decides
+        every row as the big-integer oracle does."""
         d = data.draw(st.integers(2, 5))
         counts = st.lists(st.integers(0, 15), min_size=d, max_size=d)
         rows = data.draw(st.lists(st.tuples(counts, counts), min_size=1, max_size=8))
@@ -284,7 +284,7 @@ class TestTransferProbe:
         a = data.draw(st.integers(0, int(probe.cap[j])))
         want = [_grouped_oracle(f, g, probe.moved(i, j, a), probe.m) for f, g in zip(F, G)]
         assert probe.feasible(i, j, a).tolist() == want
-        assert probe.transfer(i, j)(a) == all(want)
+        assert probe._pair[:2] == (i, j) and probe._pair[2] is not None  # the slack-base path
 
     def test_commit_rebuilds_the_row_state(self):
         F, G = np.array([(6, 2, 0), (3, 3, 2)]), np.array([(10, 5, 5), (12, 4, 4)])
