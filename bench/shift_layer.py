@@ -11,7 +11,11 @@ n = 1e5.
     python bench/shift_layer.py [--out BENCH_shift.json] [--repeats R] [--max-k K]
                                 [--baseline DIR]
 
-Each entry is the median wall time of R >= 5 repeats.  The file also records
+Each entry is the median wall time of R >= 5 repeats.  A choose_shift entry
+also counts, in its untimed call, the search's full probes (row passes),
+witness rejections (probes rejected at the row that rejected the last
+failing probe, with no row pass) and transfer commits, by wrapping
+`TransferProbe`'s methods in the child.  The file also records
 the commit (with "+dirty" when the working tree differs from it), the machine
 and the line count of src/thermoflux/*.py.  The choose_shift and
 universal_protocol rows run in one child process per tree, with one BLAS
@@ -100,15 +104,47 @@ def _weyl_letters(k: int):
     return p, extraction.WorkAlphabet(energies=energies, beta=1.0, multiplicities=mult)
 
 
+def _search_counts(call) -> tuple:
+    """call() and the counts of its shift search: full probes (row passes of
+    TransferProbe.feasible), witness rejections (TransferProbe.admits calls
+    decided without one; none in a tree without admits) and commits of a
+    transfer.  Counted by wrapping the methods for this one call."""
+    probe, counts = extraction.TransferProbe, dict.fromkeys(("full_probes", "witness_rejections", "commits"), 0)
+    saved = {name: getattr(probe, name) for name in ("feasible", "admits", "commit") if hasattr(probe, name)}
+
+    def feasible(self, i, j, a):
+        counts["full_probes"] += 1
+        return saved["feasible"](self, i, j, a)
+
+    def admits(self, i, j, a):
+        before = counts["full_probes"]
+        ok = saved["admits"](self, i, j, a)
+        counts["witness_rejections"] += counts["full_probes"] == before
+        return ok
+
+    def commit(self, h):
+        counts["commits"] += bool(np.any(np.asarray(h) != self.h))  # not a constructor's commit of h = 0
+        return saved["commit"](self, h)
+
+    wrappers = {"feasible": feasible, "admits": admits, "commit": commit}
+    try:
+        for name in saved:
+            setattr(probe, name, wrappers[name])
+        return call(), counts
+    finally:
+        for name, method in saved.items():
+            setattr(probe, name, method)
+
+
 def _shift_cell(name, p, alphabet, n_eff, margin) -> tuple:
     l = math.ceil(n_eff ** 1.5)
 
     def call():
         return extraction.choose_shift(p, alphabet, n_eff, margin_nats=margin, l=l)
 
-    h = call()  # untimed first call
+    h, counts = _search_counts(call)  # untimed first call
     entry = {"layer": "choose_shift", "cell": name, "d": alphabet.d, "n_eff": n_eff, "l": l,
-             "work": float(h.work(alphabet.energies))}
+             "work": float(h.work(alphabet.energies)), **counts}
     return entry, {"seconds": call}
 
 

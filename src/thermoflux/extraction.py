@@ -36,6 +36,7 @@ from thermoflux.typeclass import (
     GRID_CHUNK,
     ShiftFunction,
     TransferProbe,
+    _log_fact,
     compositions,
     exact_freq_count,
     feasible_grid,
@@ -144,7 +145,7 @@ def _round_counts(total: int, weights: np.ndarray) -> tuple:
     if short > 0:
         order = np.argsort(-np.round(raw - base, 9), kind="stable")
         base[order[:short]] += 1
-    return tuple(int(x) for x in base)
+    return tuple(base.tolist())
 
 
 def _shell_widths(total: int, weights: np.ndarray) -> np.ndarray:
@@ -153,35 +154,41 @@ def _shell_widths(total: int, weights: np.ndarray) -> np.ndarray:
     return np.ceil(3.0 * np.sqrt(total * w * (1.0 - w))).astype(int)
 
 
-def _shell_corners(c0: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """c0, then c0 with min(widths[i], c0[i]) counts moved from letter i to
-    letter j, for every i != j (row-major) that moves a positive amount."""
+def _shell(c0: np.ndarray, widths: np.ndarray) -> tuple:
+    """The typical shell of c0 as (rows, i, j, ln|Freq| per row): c0, then c0
+    with min(widths[i], c0[i]) counts moved from letter i to letter j, for
+    every i != j (row-major) that moves a positive amount.  A corner's
+    ln|Freq| is the center's, plus its two moved entries."""
     move = np.minimum(widths, c0)
     i, j = np.nonzero(~np.eye(len(c0), dtype=bool) & (move[:, None] > 0))
-    rows = np.repeat(c0[None], len(i) + 1, axis=0)
-    moved = np.arange(1, len(i) + 1)
-    rows[moved, i] -= move[i]
-    rows[moved, j] += move[i]
-    return rows
+    rows, k, x, y = np.repeat(c0[None], len(i) + 1, axis=0), np.arange(1, len(i) + 1), c0[i] - move[i], c0[j] + move[i]
+    rows[k, i], rows[k, j], lf = x, y, _log_fact(c0)
+    center = _log_fact(c0.sum()) - lf.sum()
+    return rows, i, j, np.concatenate([[center], center + lf[i] + lf[j] - _log_fact(x) - _log_fact(y)])
 
 
 @lru_cache(maxsize=16)
-def _bath_corners(l: int, t: tuple) -> np.ndarray:
-    """g0 and its typical-shell corners for l bath letters under the letter
-    weights t (_shell_corners): built once per (l, t) and kept; read-only."""
+def _bath_corners(l: int, t: tuple) -> tuple:
+    """The bath half of the checkpoint rows: the typical shell of g0 (_shell)
+    for l bath letters under the letter weights t, built once per (l, t) and
+    kept; read-only."""
     t = np.array(t)
-    return _frozen(_shell_corners(np.array(_round_counts(l, t), dtype=np.int64), _shell_widths(l, t)))
+    return tuple(map(_frozen, _shell(np.array(_round_counts(l, t), dtype=np.int64), _shell_widths(l, t))))
 
 
-def _checkpoint_blocks(n_eff: int, p_est: np.ndarray, l: int, t: np.ndarray):
+def _checkpoint_blocks(n_eff: int, p_est: np.ndarray, l: int, t: np.ndarray) -> tuple:
     """Deterministic typical-shell corner blocks used to gate the shift search:
-    (F, G) rows pairing each f corner with g0, then f0 with each other g corner."""
-    f0 = np.array(_round_counts(n_eff, p_est), dtype=np.int64)
-    fc = _shell_corners(f0, _shell_widths(n_eff, p_est))
-    gc = _bath_corners(l, tuple(t))
-    F = np.vstack([fc, np.repeat(f0[None], len(gc) - 1, axis=0)])
-    G = np.vstack([np.repeat(gc[:1], len(fc), axis=0), gc[1:]])
-    return F, G
+    (F, G) rows pairing each f corner with g0, then f0 with each other g
+    corner.  Each row is the center (f0, g0) with one two-letter move, so with
+    them come the (rows, columns) of the moved entries and lhs = ln|Freq(f)| +
+    ln|Freq(g)| per row, from the center's and the moved entries (TransferProbe)."""
+    fc, fi, fj, f_freq = _shell(np.array(_round_counts(n_eff, p_est), dtype=np.int64), _shell_widths(n_eff, p_est))
+    gc, gi, gj, g_freq = _bath_corners(l, tuple(t))
+    k, N = len(fc), len(fc) + len(gi)
+    F, G, lhs = np.empty((N, len(t)), dtype=np.int64), np.empty((N, len(t)), dtype=np.int64), np.empty(N)
+    F[:k], F[k:], G[:k], G[k:], lhs[:k], lhs[k:] = fc, fc[0], gc[0], gc[1:], f_freq + g_freq[0], f_freq[0] + g_freq[1:]
+    rows = np.concatenate([fr := np.arange(1, k), fr, gr := np.arange(k, N), gr])
+    return F, G, (rows, np.concatenate([fi, fj, gi, gj])), lhs
 
 
 def choose_shift(
@@ -200,34 +207,35 @@ def choose_shift(
     largest feasible transfer amount for each pair.  A transfer of a from
     letter j is capped at the smallest checkpoint target count of j (the
     probe's cap[j]), beyond which a target goes negative; a pair with cap[j] =
-    0 is skipped.  Below it each row's right side
-    ln|Freq(target)| is concave in a and its left side linear in a, so the
-    feasible amounts form an interval from 0 (see TransferProbe), and any
-    order of probes finds the same largest one.  After a pair that admitted no
-    transfer, the next is probed at a = 1 first, so each pair of a run of
-    rejected pairs costs one probe, and then at the cap; otherwise the cap is
-    probed first, so each pair of a run of pairs that take their whole cap
-    costs one.  Amounts between the largest known to pass and the least known
-    to fail are bisected.  Returns h = 0 when the budget is exhausted or no
-    positive-work transfer is feasible.
+    0 is skipped.  Below it each row's right side ln|Freq(target)| is concave
+    in a and its left side linear in a, so the feasible amounts form an
+    interval from 0 (see TransferProbe), and any order of probes finds the
+    same largest one.  After a pair that admitted no transfer, the next is
+    probed at a = 1 first, so each pair of a run of rejected pairs costs one
+    probe, and then at the cap; otherwise the cap is probed first, so each
+    pair of a run of pairs that take their whole cap costs one.  Amounts
+    between the largest known to pass and the least known to fail are
+    bisected.  Each checkpoint row is the center (f0, g0) with one two-letter
+    move; the bath half depends on (l, t) only and is kept (_bath_corners).
+    A probe re-checks first, as one scalar, the row that rejected the last
+    failing probe (TransferProbe.admits), where most probes of a run of
+    rejected pairs fail; it rejects only outside _decide's window, so every
+    decision is the exact predicate's.  Returns h = 0 when the budget is
+    exhausted or no positive-work transfer is feasible.
     """
     p_est = np.asarray(p_est, dtype=float)
     t = alphabet.thermal
-    d = alphabet.d
     if margin_nats < 0:
         raise ValueError("margin_nats must be >= 0")
     if l is None:
         l = math.ceil(n_eff ** 1.5)
-    d_est = classical_relative_entropy(p_est, t)
-    budget_nats = d_est - margin_nats
-    zero = ShiftFunction((0,) * d)
-    if budget_nats <= 1e-12:
-        return zero
+    budget_nats = classical_relative_entropy(p_est, t) - margin_nats
     budget_w = budget_nats * n_eff / alphabet.beta if alphabet.beta > 0 else 0.0
-    if budget_w <= 0:
-        return zero
+    if budget_nats <= 1e-12 or budget_w <= 0:
+        return ShiftFunction((0,) * alphabet.d)
 
-    probe = TransferProbe(*_checkpoint_blocks(n_eff, p_est, l, t), alphabet.multiplicities)
+    F, G, moved, lhs = _checkpoint_blocks(n_eff, p_est, l, t)
+    probe = TransferProbe(F, G, alphabet.multiplicities, moved, lhs)
     spent, rejecting, cap = 0.0, False, probe.cap.tolist()
     for gap, i, j in alphabet.pairs:
         if not cap[j] or (amax := min(int((budget_w - spent) / gap + 1e-12), n_eff, cap[j])) <= 0:
@@ -235,15 +243,15 @@ def choose_shift(
         lo, hi = 0, amax + 1  # feasible(lo) holds; hi is the least amount known to fail, or amax + 1
         for a in (1, amax) if rejecting else (amax,):
             if lo < a < hi:
-                lo, hi = (a, hi) if probe.feasible(i, j, a).all() else (lo, a)
+                lo, hi = (a, hi) if probe.admits(i, j, a) else (lo, a)
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if probe.feasible(i, j, mid).all() else (lo, mid)
+            lo, hi = (mid, hi) if probe.admits(i, j, mid) else (lo, mid)
         rejecting = lo == 0
         if lo:
             probe.commit(probe.moved(i, j, lo))
             spent, cap = spent + lo * gap, probe.cap.tolist()
-    return ShiftFunction(tuple(probe.h))
+    return ShiftFunction(probe.h.tolist())
 
 
 def _grid_size(n: int, d: int) -> int:

@@ -40,8 +40,10 @@ class ShiftFunction:
         return len(self.shifts)
 
     def work(self, levels) -> object:
-        """Extracted work sum h(i) E_i (exact when levels are Fractions)."""
-        return sum(h * e for h, e in zip(self.shifts, levels))
+        """Extracted work sum h(i) E_i (exact when levels are Fractions), over
+        the nonzero shifts; for h = 0, over every letter (0 of the levels' type)."""
+        terms = [h * e for h, e in zip(self.shifts, levels) if h]
+        return sum(terms) if terms else sum(h * e for h, e in zip(self.shifts, levels))
 
 
 def _counts(f) -> tuple:
@@ -201,22 +203,17 @@ def feasible_grid(F, G, h, m=None):
 
 
 def _log_fact(x) -> np.ndarray:
-    """ln x! for an integer array x >= 0: gathered from LOG_FACT when every
-    entry is below its length, else gammaln(x + 1.0), whose bits the table holds."""
-    return LOG_FACT[x] if x.max(initial=0) < len(LOG_FACT) else gammaln(x + 1.0)
-
-
-def _log_fact_by_row0(X) -> np.ndarray:
-    """ln X! for an (N, d) array of counts, evaluated at row 0 and at the
-    entries that differ from it only (a checkpoint row differs from row 0 in two)."""
-    idx = np.flatnonzero(X != X[0])
-    out = np.tile(_log_fact(X[0]), len(X))
-    out[idx] = _log_fact(X.ravel()[idx])
-    return out.reshape(X.shape)
+    """ln x! for an integer array or scalar x >= 0: gathered from LOG_FACT when
+    every entry is below its length, else gammaln(x + 1.0), whose bits the
+    table holds."""
+    try:
+        return LOG_FACT[x]
+    except IndexError:  # an entry at or beyond len(LOG_FACT)
+        return gammaln(x + 1.0)
 
 
 class TransferProbe:
-    """The predicate of feasible_rows for (N, d) rows F, G, letter
+    """The predicate of feasible_rows for (N, d) rows F, G of counts, letter
     multiplicities m and the shifts that move a target counts from letter j to
     letter i, away from a committed zero-sum h.
 
@@ -225,7 +222,12 @@ class TransferProbe:
     negative), the matrix of ln T_c!, its row sum S, the left side lhs_h with
     h ln m and room = ln(sum T)! - lhs_h - S, so a probe reads only columns i
     and j: rhs - lhs of moved(i, j, a) is the pair's slack base room + ln T_i!
-    + ln T_j!, less ln(T_i+a)!, ln(T_j-a)! and a ln(m_j/m_i).
+    + ln T_j!, less ln(T_i+a)!, ln(T_j-a)! and a ln(m_j/m_i).  Given lhs =
+    ln|Freq(f)| + ln|Freq(g)| and the index pair moved = (rows, columns) of
+    the entries where F + G may differ from its row 0 (the shift search's
+    checkpoint rows: a center row 0 and one two-letter move per row), ln T!
+    and cap are read at row 0 and at those entries only.  The search asks
+    admits, which re-checks one witness row before a full probe.
 
     For a committed h that every row passes, the amounts a at which a row
     passes moved(i, j, a) form an interval 0 <= a <= a* within cap[j]: each
@@ -234,45 +236,42 @@ class TransferProbe:
     exact predicate.
     """
 
-    def __init__(self, F, G, m=None):
+    def __init__(self, F, G, m=None, moved=None, lhs=None):
         self.F, self.G = np.atleast_2d(F), np.atleast_2d(G)
         N, d = self.F.shape
         self.m = _multiplicities(m, d)
         self.log_m = np.log(self.m)
-        self.h = np.zeros(d, dtype=np.int64)
-        self.T = self.F + self.G
-        X = np.hstack([self.F, self.G, self.T])
-        log_fact = _log_fact_by_row0(X).reshape(N, 3, d)
-        log_total = _log_fact(X.reshape(N, 3, d).sum(axis=2))  # sum T is fixed by zero-sum h
-        log_freq = log_total - log_fact.sum(axis=2)  # ln|Freq| of the rows of F, G and T
-        self.lhs = self.lhs_h = log_freq[:, 0] + log_freq[:, 1]
-        self.lhs_max = np.abs(self.lhs).max(initial=0.0)
-        self.log_total, self.log_fact = log_total[:, 2].copy(), log_fact[:, 2].copy()
-        self.rhs_max = self.log_total.max(initial=0.0)  # ln|Freq(T)| <= ln(sum T)!
-        self.S = self.log_fact.sum(axis=1)
-        self.room = self.log_total - self.lhs_h - self.S
-        self.neg = (self.T < 0).sum(axis=1)
-        self.cap = self.T.min(axis=0)
-        self._pair = ()  # (i, j, slack base, or None if a target is negative) of the last pair probed
+        self.h, self.T, self.witness = np.zeros(d, dtype=np.int64), self.F + self.G, None  # witness: see admits
+        if moved is None:
+            self.log_fact, self.lhs = _log_fact(self.T), log_multinomial_rows(self.F) + log_multinomial_rows(self.G)
+            self.log_total, self.cap = _log_fact(self.T.sum(axis=1)), self.T.min(axis=0)
+        else:  # every row has row 0's total
+            self.lhs, self.cap, self.log_total = lhs, self.T[0].copy(), _log_fact(self.T[0].sum())
+            self.log_fact = np.repeat(_log_fact(self.T[0])[None], N, axis=0)
+            self.log_fact[moved] = _log_fact(T := self.T[moved])
+            np.minimum.at(self.cap, moved[1], T)
+        self.rhs_max = self.log_total.max(initial=0.0)  # ln|Freq(T)| <= ln(sum T)!; sum T is fixed by zero-sum h
+        self.lhs_range, self.neg = (self.lhs.min(), self.lhs.max()), np.zeros(N, dtype=np.int64)  # counts: T >= 0
+        self.commit(self.h)
 
     def commit(self, h) -> None:
-        """Make the zero-sum h the committed shift.  T, ln T! and cap are
-        recomputed in the columns where h changes only (two, for a transfer);
-        S is the row sum of the updated ln T!, bitwise what a probe committed
-        straight to h holds."""
+        """Make the zero-sum h the committed shift.  T, ln T!, cap and neg (in
+        exact integers) are updated in the columns where h changes only (two,
+        for a transfer); S is the row sum of the updated ln T!, bitwise what a
+        probe committed straight to h holds."""
         h = np.asarray(h)
-        cols = np.flatnonzero(h != self.h)
-        T = self.T[:, cols] + (self.h[cols] - h[cols])
-        self.T[:, cols] = T
-        self.log_fact[:, cols] = _log_fact(np.maximum(T, 0))  # a negative count read as 0
-        self.cap[cols] = T.min(axis=0)
-        self.h = h
-        self.neg = (self.T < 0).sum(axis=1)
-        self.S = self.log_fact.sum(axis=1)
-        self.lhs_h = self.lhs + h @ self.log_m
-        self.lhs_max = np.abs(self.lhs_h).max(initial=0.0)
+        for c in np.flatnonzero(h != self.h).tolist():
+            T, shift = self.T[:, c], self.h[c] - h[c]  # a view of column c, all of whose targets move by shift
+            if min(self.cap[c], self.cap[c] + shift) < 0:  # a target of column c is or goes negative
+                self.neg += (T + shift < 0).astype(np.int64) - (T < 0)
+            T += shift
+            self.cap[c] += shift
+            self.log_fact[:, c] = _log_fact(np.maximum(T, 0) if self.cap[c] < 0 else T)  # a negative count read as 0
+        self.h, self.nonneg, c = h, not self.neg.any(), h @ self.log_m
+        self.S, self.lhs_h = self.log_fact.sum(axis=1), self.lhs + c
         self.room = self.log_total - self.lhs_h - self.S
-        self._pair = ()
+        self.lhs_max = max(abs(self.lhs_range[0] + c), abs(self.lhs_range[1] + c))  # max |lhs_h|: x + c grows with x
+        self._pair = ()  # (i, j, slack base) of the last pair probed on the slack-base path
 
     def moved(self, i: int, j: int, a: int) -> np.ndarray:
         """The committed h with h_i - a and h_j + a."""
@@ -280,6 +279,29 @@ class TransferProbe:
         h[i] -= a
         h[j] += a
         return h
+
+    def admits(self, i: int, j: int, a: int) -> bool:
+        """Whether every row passes moved(i, j, a): feasible(i, j, a).all(),
+        with the witness (the first row that rejected the last failing probe)
+        re-checked first.  On the slack-base path its rhs - lhs is one scalar,
+        with the bits feasible's row pass gives it; below -2 FEASIBILITY_SLACK
+        scale it lies outside _decide's prefilter, so _decide would decide
+        that row infeasible by sign, and the probe is rejected without its row
+        pass.  Otherwise the full probe decides and names the next witness."""
+        r = self.witness
+        if r is not None and self.nonneg and 0 <= a <= self.cap[j]:
+            step = a * (self.log_m[j] - self.log_m[i])
+            diff = (self.room[r] + self.log_fact[r, i] + self.log_fact[r, j] - _log_fact(self.T[r, i] + a)
+                    - _log_fact(self.T[r, j] - a))
+            if step:
+                diff -= step
+            if diff < -2.0 * FEASIBILITY_SLACK * (1.0 + (self.lhs_max + abs(step)) + self.rhs_max):
+                return False
+        feas = self.feasible(i, j, a)
+        if feas.all():
+            return True
+        self.witness = int(feas.argmin())
+        return False
 
     def feasible(self, i: int, j: int, a: int) -> np.ndarray:
         """Row-wise feasibility of the shift moved(i, j, a), for letters i != j.
@@ -291,10 +313,10 @@ class TransferProbe:
         its row minimum clears _decide's prefilter bound every row passes by
         sign; otherwise _decide decides.  Other amounts go to feasible_rows.
         """
-        if self._pair[:2] != (i, j):
-            self._pair = (i, j, None if self.neg.any() else self.room + self.log_fact[:, i] + self.log_fact[:, j])
-        if self._pair[2] is None or not 0 <= a <= self.cap[j]:
+        if not (self.nonneg and 0 <= a <= self.cap[j]):
             return feasible_rows(self.F, self.G, self.moved(i, j, a), self.m)
+        if self._pair[:2] != (i, j):
+            self._pair = (i, j, self.room + self.log_fact[:, i] + self.log_fact[:, j])
         step = a * (self.log_m[j] - self.log_m[i])  # 0.0 between letters of one multiplicity
         diff = self._pair[2] - _log_fact(self.T[:, i] + a) - _log_fact(self.T[:, j] - a)
         if step:

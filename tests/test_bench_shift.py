@@ -36,6 +36,9 @@ def test_shift_layer_bench_writes_its_report(tmp_path):
     # d^k = 16 letters at k = 4, the ladders, then sum n_lambda Weyl letters at k = 4
     assert [e["d"] for e in shifts[::2]] == [16, 12, 27, 16, 32, 9]
     assert all(e["work"] > 0 for e in shifts)
+    for entry in shifts:  # the search counts of one call
+        assert entry["commits"] > 0 and entry["full_probes"] > 0 and entry["witness_rejections"] >= 0
+    assert shifts[0]["witness_rejections"] > shifts[0]["full_probes"]  # the qubit k = 4 cell: most probes fail
     assert all(e["d_tilde"] == 1 for e in entries[12:15])
     for entry in universal:
         assert entry["d"] == 12 and 0 < entry["rate_over_target"] <= 1
@@ -44,4 +47,5 @@ def test_shift_layer_bench_writes_its_report(tmp_path):
         assert after["commit"] == report["commit"] and after["src_lines"] == report["src_lines"]
         assert before["src_lines"] == report["src_lines"] + 1
         assert before["cell"] == after["cell"]
-        assert before.get("work") == after.get("work") and before.get("h") == after.get("h")
+        for key in ("work", "h", "full_probes", "witness_rejections", "commits"):
+            assert before.get(key) == after.get(key)

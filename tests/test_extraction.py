@@ -56,6 +56,7 @@ from thermoflux.typeclass import (
     exact_freq_count,
     feasible_grid,
     feasible_rows,
+    log_multinomial_rows,
     log_type_prob_rows,
 )
 
@@ -181,6 +182,18 @@ def _oracle_checkpoint_blocks(n_eff, p_est, l, t):
     return [(f, gc[0]) for f in fc] + [(fc[0], g) for g in gc[1:]]
 
 
+def _center_log_freq(c, c0) -> float:
+    """ln|Freq(c)| for a row c of the typical shell of c0: c0's ln|Freq|, plus,
+    for a corner, ln c0_i! + ln c0_j! - ln c_i! - ln c_j! over the letter i it
+    moves counts from and the letter j it moves them to."""
+    lf = gammaln(np.array(c0) + 1.0)
+    out = gammaln(sum(c0) + 1.0) - lf.sum()
+    if c != c0:
+        (i,), (j,) = np.flatnonzero(np.less(c, c0)), np.flatnonzero(np.greater(c, c0))
+        out = out + lf[i] + lf[j] - gammaln(c[i] + 1.0) - gammaln(c[j] + 1.0)
+    return out
+
+
 def _oracle_choose_shift(p_est, alphabet, n_eff, margin_nats, l) -> tuple:
     """choose_shift as a full-row search: every probe re-decides every
     checkpoint row with feasible_rows, over amounts capped by budget and n_eff
@@ -269,6 +282,13 @@ def _weyl_search(k, n_eff, margin) -> tuple:
     return WorkAlphabet(energies=energies, beta=1.0, multiplicities=mult), p, n_eff, math.ceil(n_eff ** 1.5), margin
 
 
+def _pinched_search(k, n_eff, margin) -> tuple:
+    """choose_shift inputs on the d^k Schur-pinched letters of a mixed qubit
+    at k copies, each of multiplicity 1."""
+    p, alphabet = _pinched_alphabet(QUBIT, k, [[0.8, 0.25], [0.25, 0.2]])
+    return alphabet, p, n_eff, math.ceil(n_eff ** 1.5), margin
+
+
 GEOMETRIC_E2 = TailState(coefficients=tuple((1 - math.exp(-2.0)) * math.exp(-2.0) ** (i - 1) for i in range(1, 400)))
 
 
@@ -277,12 +297,32 @@ class TestShiftSearchOracle:
     per step; it must pick the same h as the full-row search."""
 
     def test_checkpoint_rows_match_the_pair_loop(self):
+        """The rows against the pair loop, each differing from the center row
+        in the two columns it names only, and lhs from the center's ln|Freq|
+        plus the two moved entries of each row; then the search's probe on
+        them against probes built from scratch on the same rows: T, ln T!, S,
+        neg and cap bitwise, and lhs_h as lhs + h ln m, along a chain of
+        commits."""
         p, alph = _pinched_alphabet(QUBIT, 4, [[0.8, 0.25], [0.25, 0.2]])
-        F, G = _checkpoint_blocks(2500, p, 125_000, alph.thermal)
+        F, G, moved, lhs = _checkpoint_blocks(2500, p, 125_000, alph.thermal)
         rows = _oracle_checkpoint_blocks(2500, p, 125_000, alph.thermal)
         assert F.dtype == G.dtype == np.int64
         assert [tuple(f) for f in F] == [f for f, _ in rows]
         assert [tuple(g) for g in G] == [g for _, g in rows]
+        differs = np.zeros(F.shape, dtype=bool)
+        differs[moved] = True
+        assert np.array_equal(differs, F + G != F[0] + G[0]) and np.bincount(moved[0]).max() == 2
+        assert lhs.tolist() == [_center_log_freq(f, rows[0][0]) + _center_log_freq(g, rows[0][1]) for f, g in rows]
+        want = log_multinomial_rows(F) + log_multinomial_rows(G)
+        assert np.abs(lhs - want).max() <= 1e-12 * np.abs(want).max()
+        probe = TransferProbe(F, G, alph.multiplicities, moved, lhs)
+        for _, i, j in ((0, 0, 1),) + alph.pairs[:4]:
+            probe.commit(probe.moved(i, j, min(int(probe.cap[j]), 7)))
+            fresh = TransferProbe(F, G, alph.multiplicities)
+            fresh.commit(probe.h)
+            for name in ("T", "log_fact", "S", "neg", "cap"):
+                assert np.array_equal(getattr(probe, name), getattr(fresh, name)), name
+            assert np.array_equal(probe.lhs_h, lhs + probe.h @ np.log(probe.m))
 
     @settings(max_examples=80, deadline=None)
     @given(_shift_searches())
@@ -294,6 +334,10 @@ class TestShiftSearchOracle:
     @example(_ladder_search(TailState(epsilon=1.0), 27, 135))
     @example(_ladder_search(GEOMETRIC_E2, 32, 1000))
     @example(_weyl_search(6, 2500, 0.01))
+    # the eps = 3 ladder head (l = 31,623), and the qubit k = 4 Schur-pinched
+    # alphabet of d^k = 16 letters, where most probes fail (the witness rejects)
+    @example(_ladder_search(TailState(epsilon=3.0), 16, 1000))
+    @example(_pinched_search(4, 2500, 0.01))
     def test_matches_full_row_search(self, search):
         alphabet, p, n_eff, l, margin = search
         got = choose_shift(p, alphabet, n_eff, margin_nats=margin, l=l)
@@ -687,8 +731,9 @@ class TestUniversalProtocol:
 
     def test_exact_plus_state_at_1e5_is_fast_and_decided_exactly(self, monkeypatch):
         """Exact mode, qubit |+> and a full-rank mixed state, n = 1e5 (k = 5, 12
-        Weyl letters): each run takes under 5 s, and every row of every shift
-        probe the two make agrees with an oracle that decides in floats only
+        Weyl letters): each run takes under 5 s, and every row of every full
+        shift probe the two make, and every decision of the search (a witness
+        rejection included), agrees with an oracle that decides in floats only
         where the gap exceeds a generous error bound, and in big integers
         elsewhere."""
         params = UniversalParams.from_schedule(100_000, QUBIT)
@@ -698,22 +743,28 @@ class TestUniversalProtocol:
             start = time.perf_counter()
             shifts.append(universal_protocol(rho, QUBIT, params, mode="exact").details["h"])
             assert time.perf_counter() - start < 5.0
-        probes, feasible = [], TransferProbe.feasible
+        probes, decisions, feasible, admits = [], [], TransferProbe.feasible, TransferProbe.admits
 
         def recorded(probe, i, j, a):
             probes.append((probe, probe.moved(i, j, a), feasible(probe, i, j, a)))
             return probes[-1][2]
 
+        def decided(probe, i, j, a):
+            decisions.append((probe, probe.moved(i, j, a), admits(probe, i, j, a)))
+            return decisions[-1][2]
+
         monkeypatch.setattr(TransferProbe, "feasible", recorded)
+        monkeypatch.setattr(TransferProbe, "admits", decided)
         for rho, h in zip(states, shifts):
             assert universal_protocol(rho, QUBIT, params, mode="exact").details["h"] == h
             assert any(h)
-        assert len(probes) > 100
-        for probe, shift, got in probes:
-            want, uncertain = _certified_rows(probe.F, probe.G, shift, probe.m)
-            for r in np.flatnonzero(uncertain):
-                want[r] = _cancelled_count_inequality(probe.F[r], probe.G[r], shift, probe.m)
-            assert np.array_equal(got, want)
+        assert len(decisions) > 100 and 0 < len(probes) <= len(decisions)
+        for rows, whole in ((probes, False), (decisions, True)):
+            for probe, shift, got in rows:
+                want, uncertain = _certified_rows(probe.F, probe.G, shift, probe.m)
+                for r in np.flatnonzero(uncertain):
+                    want[r] = _cancelled_count_inequality(probe.F[r], probe.G[r], shift, probe.m)
+                assert got == want.all() if whole else np.array_equal(got, want)
 
     def test_cancelled_count_inequality_is_the_predicate(self):
         m = (1, 2, 3)

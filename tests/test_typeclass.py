@@ -29,6 +29,20 @@ from thermoflux.typeclass import (
 
 
 class TestShiftFunction:
+    @settings(max_examples=200)
+    @given(st.lists(st.integers(-4, 4), min_size=1, max_size=9), st.sampled_from(("fraction", "float", "int")),
+           st.data())
+    def test_work_over_the_nonzero_shifts_is_the_full_sum(self, head, kind, data):
+        """Value, type and (for floats) bits of the full sum over every letter,
+        h = 0 included (0 of the levels' type: Fraction(0) on Fraction levels)."""
+        shifts = head + [-sum(head)]
+        level = {"fraction": st.fractions(-10, 10, max_denominator=12), "int": st.integers(-10, 10),
+                 "float": st.floats(-10, 10, allow_nan=False)}[kind]
+        levels = data.draw(st.lists(level, min_size=len(shifts), max_size=len(shifts)))
+        for h in (shifts, [0] * len(shifts)):
+            want, got = sum(hc * e for hc, e in zip(h, levels)), ShiftFunction(h).work(levels)
+            assert type(got) is type(want) and got == want and repr(got) == repr(want)
+
     def test_zero_sum_enforced(self):
         with pytest.raises(ValueError):
             ShiftFunction(shifts=(1, 0))
@@ -264,6 +278,29 @@ class TestTransferProbe:
         assert want[1:] == [True, True]
         assert probe.feasible(i, j, a).tolist() == want and calls == [F[0]]
         assert probe._pair[:2] == (i, j) and probe._pair[2] is not None  # the slack-base path
+
+    def test_witness_inside_the_window_falls_through_to_the_full_probe(self, monkeypatch):
+        """The rows of the tie case above.  Moving 3 off letter 1 fails at row 0
+        only (C(21, 1) = 21 < C(10, 4) C(11, 0) = 210), which makes row 0 the
+        witness.  Moving 4 fails there far outside _decide's window, so admits
+        rejects it with no row pass; moving 2 is the exact tie at row 0, inside
+        the window, so admits falls through to the full probe, which re-decides
+        row 0 in big integers.  With the slack patched wide, row 0 of a = 4
+        lies inside the window too, and takes the same way."""
+        F, G = [(6, 4), (10, 0), (0, 5)], [(11, 0), (0, 10), (5, 5)]
+        probes, calls, feasible, exact = [], [], TransferProbe.feasible, typeclass._exact_feasible
+        monkeypatch.setattr(TransferProbe, "feasible", lambda p, i, j, a: probes.append(a) or feasible(p, i, j, a))
+        monkeypatch.setattr(typeclass, "_exact_feasible",
+                            lambda f, g, h, m: calls.append(tuple(f)) or exact(f, g, h, m))
+        probe = TransferProbe(F, G)
+        want = {a: [_grouped_oracle(f, g, probe.moved(0, 1, a), probe.m) for f, g in zip(F, G)] for a in (2, 3, 4)}
+        assert want == {2: [True] * 3, 3: [False, True, True], 4: [False, True, True]}
+        assert not probe.admits(0, 1, 3) and probe.witness == 0 and probes == [3]
+        assert not probe.admits(0, 1, 4) and probes == [3] and calls == []
+        assert probe.admits(0, 1, 2) and probes == [3, 2] and calls == [(6, 4)]
+        monkeypatch.setattr(typeclass, "FEASIBILITY_SLACK", 1.0)
+        probes.clear(), calls.clear()
+        assert not probe.admits(0, 1, 4) and probes == [4] and (6, 4) in calls and probe.witness == 0
 
     @settings(max_examples=150)
     @given(st.data())
