@@ -25,7 +25,8 @@ are measured on DIR/src as well, each entry then naming its commit and line
 count: a before/after pair, the baseline's entry first.  The two trees'
 children run in lock-step, one timed call at a time: each repeat of a cell
 times both trees back to back, in turns that alternate which goes first, so a
-drift in the host's speed reaches both sides of a pair alike.
+drift in the host's speed reaches both sides of a pair alike.  Each timed call
+follows an untimed call of the same cell in its child (see TREE_CHILD).
 """
 
 from __future__ import annotations
@@ -76,8 +77,10 @@ TREE_TIMEOUT = 900.0  # seconds a tree's child may run, its untimed first calls 
 # from that tree's src/ before the script's directory is put on the path.  It
 # builds the cells of script.tree_cells(arg) and prints their rows (without
 # times) and the names of their timed calls as one JSON line; then, for each
-# line "c name" it reads, it times one call of cell c's call of that name and
-# prints the seconds.
+# line "c name" it reads, it makes one untimed call of cell c's call of that
+# name, times the next one and prints the seconds.  The untimed call is the
+# warm step: a call made right after the child wakes from its blocking read
+# runs two to four times slower for its first few hundred microseconds.
 TREE_CHILD = """
 import importlib, json, sys, time
 sys.path.insert(0, sys.argv[1])
@@ -88,6 +91,7 @@ print(json.dumps([[row, list(calls)] for row, calls in cells]), flush=True)
 for line in sys.stdin:
     c, name = line.split()
     call = cells[int(c)][1][name]
+    call()
     start = time.perf_counter()
     call()
     print(time.perf_counter() - start, flush=True)

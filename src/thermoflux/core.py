@@ -202,13 +202,6 @@ class HamiltonianOperator:
     def matrix(self) -> np.ndarray:
         return np.diag(np.array([float(e) for e in self.exact_levels()]))
 
-    def energy_groups(self) -> dict:
-        """Map total energy (exact Fraction) -> list of computational basis indices."""
-        groups: dict = {}
-        for idx, e in enumerate(self.exact_levels()):
-            groups.setdefault(e, []).append(idx)
-        return groups
-
 
 def _kron_power(a: np.ndarray, n: int) -> np.ndarray:
     """a (x) a (x) ... (x) a, n factors, of a vector or square matrix, multiplied

@@ -148,32 +148,23 @@ def _round_counts(total: int, weights: np.ndarray) -> tuple:
     return tuple(base.tolist())
 
 
-def _shell_widths(total: int, weights: np.ndarray) -> np.ndarray:
-    """Per-coordinate multinomial 3-sigma widths (in counts)."""
-    w = np.asarray(weights, dtype=float)
-    return np.ceil(3.0 * np.sqrt(total * w * (1.0 - w))).astype(int)
-
-
-def _shell(c0: np.ndarray, widths: np.ndarray) -> tuple:
-    """The typical shell of c0 as (rows, i, j, ln|Freq| per row): c0, then c0
-    with min(widths[i], c0[i]) counts moved from letter i to letter j, for
-    every i != j (row-major) that moves a positive amount.  A corner's
-    ln|Freq| is the center's, plus its two moved entries."""
-    move = np.minimum(widths, c0)
+@lru_cache(maxsize=64)
+def _shell(total: int, weights: tuple) -> tuple:
+    """The typical shell of c0 = _round_counts(total, weights) as (rows, i, j,
+    ln|Freq| per row): c0, then c0 with min(w[i], c0[i]) counts moved from
+    letter i to letter j, for every i != j (row-major) that moves a positive
+    amount, w the per-letter multinomial 3-sigma widths.  A corner's ln|Freq|
+    is the center's, plus its two moved entries.  Built once per (total,
+    weights) and kept; read-only."""
+    w = np.array(weights, dtype=float)
+    c0 = np.array(_round_counts(total, w), dtype=np.int64)
+    move = np.minimum(np.ceil(3.0 * np.sqrt(total * w * (1.0 - w))).astype(int), c0)
     i, j = np.nonzero(~np.eye(len(c0), dtype=bool) & (move[:, None] > 0))
     rows, k, x, y = np.repeat(c0[None], len(i) + 1, axis=0), np.arange(1, len(i) + 1), c0[i] - move[i], c0[j] + move[i]
     rows[k, i], rows[k, j], lf = x, y, _log_fact(c0)
     center = _log_fact(c0.sum()) - lf.sum()
-    return rows, i, j, np.concatenate([[center], center + lf[i] + lf[j] - _log_fact(x) - _log_fact(y)])
-
-
-@lru_cache(maxsize=16)
-def _bath_corners(l: int, t: tuple) -> tuple:
-    """The bath half of the checkpoint rows: the typical shell of g0 (_shell)
-    for l bath letters under the letter weights t, built once per (l, t) and
-    kept; read-only."""
-    t = np.array(t)
-    return tuple(map(_frozen, _shell(np.array(_round_counts(l, t), dtype=np.int64), _shell_widths(l, t))))
+    log_freq = np.concatenate([[center], center + lf[i] + lf[j] - _log_fact(x) - _log_fact(y)])
+    return tuple(map(_frozen, (rows, i, j, log_freq)))
 
 
 def _checkpoint_blocks(n_eff: int, p_est: np.ndarray, l: int, t: np.ndarray) -> tuple:
@@ -182,8 +173,8 @@ def _checkpoint_blocks(n_eff: int, p_est: np.ndarray, l: int, t: np.ndarray) -> 
     corner.  Each row is the center (f0, g0) with one two-letter move, so with
     them come the (rows, columns) of the moved entries and lhs = ln|Freq(f)| +
     ln|Freq(g)| per row, from the center's and the moved entries (TransferProbe)."""
-    fc, fi, fj, f_freq = _shell(np.array(_round_counts(n_eff, p_est), dtype=np.int64), _shell_widths(n_eff, p_est))
-    gc, gi, gj, g_freq = _bath_corners(l, tuple(t))
+    fc, fi, fj, f_freq = _shell(n_eff, tuple(p_est))
+    gc, gi, gj, g_freq = _shell(l, tuple(t))
     k, N = len(fc), len(fc) + len(gi)
     F, G, lhs = np.empty((N, len(t)), dtype=np.int64), np.empty((N, len(t)), dtype=np.int64), np.empty(N)
     F[:k], F[k:], G[:k], G[k:], lhs[:k], lhs[k:] = fc, fc[0], gc[0], gc[1:], f_freq + g_freq[0], f_freq[0] + g_freq[1:]
@@ -196,7 +187,7 @@ def choose_shift(
     alphabet: WorkAlphabet,
     n_eff: int,
     margin_nats: float,
-    l: int = None,
+    l: int,
 ) -> ShiftFunction:
     """Pick the zero-sum shift h maximizing W = sum h(i) E_i under the budget
     beta W / n_eff <= D(p_est || t) - margin_nats, gated by exact injection
@@ -207,16 +198,17 @@ def choose_shift(
     largest feasible transfer amount for each pair.  A transfer of a from
     letter j is capped at the smallest checkpoint target count of j (the
     probe's cap[j]), beyond which a target goes negative; a pair with cap[j] =
-    0 is skipped.  Below it each row's right side ln|Freq(target)| is concave
-    in a and its left side linear in a, so the feasible amounts form an
-    interval from 0 (see TransferProbe), and any order of probes finds the
-    same largest one.  After a pair that admitted no transfer, the next is
+    0 is skipped, so every probe and every commit (a probed amount) lies on
+    the probe's one domain.  Below the cap each row's right side
+    ln|Freq(target)| is concave in a and its left side linear in a, so the
+    feasible amounts form an interval from 0 (see TransferProbe), and any
+    order of probes finds the same largest one.  After a pair that admitted no transfer, the next is
     probed at a = 1 first, so each pair of a run of rejected pairs costs one
     probe, and then at the cap; otherwise the cap is probed first, so each
     pair of a run of pairs that take their whole cap costs one.  Amounts
     between the largest known to pass and the least known to fail are
     bisected.  Each checkpoint row is the center (f0, g0) with one two-letter
-    move; the bath half depends on (l, t) only and is kept (_bath_corners).
+    move; each half is kept per (total, weights) (_shell).
     A probe re-checks first, as one scalar, the row that rejected the last
     failing probe (TransferProbe.admits), where most probes of a run of
     rejected pairs fail; it rejects only outside _decide's window, so every
@@ -227,8 +219,6 @@ def choose_shift(
     t = alphabet.thermal
     if margin_nats < 0:
         raise ValueError("margin_nats must be >= 0")
-    if l is None:
-        l = math.ceil(n_eff ** 1.5)
     budget_nats = classical_relative_entropy(p_est, t) - margin_nats
     budget_w = budget_nats * n_eff / alphabet.beta if alphabet.beta > 0 else 0.0
     if budget_nats <= 1e-12 or budget_w <= 0:

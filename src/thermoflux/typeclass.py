@@ -213,20 +213,19 @@ def _log_fact(x) -> np.ndarray:
 
 
 class TransferProbe:
-    """The predicate of feasible_rows for (N, d) rows F, G of counts, letter
-    multiplicities m and the shifts that move a target counts from letter j to
-    letter i, away from a committed zero-sum h.
+    """The predicate of feasible_rows on the shift search's checkpoint rows
+    (_checkpoint_blocks), for the shifts that move a target counts from letter
+    j to letter i, away from a committed zero-sum h.  Every row of F + G has
+    row 0's total and differs from row 0 only at the entries moved = (rows,
+    columns); lhs = ln|Freq(f)| + ln|Freq(g)| per row; m holds the letter
+    multiplicities.  The domain is the search's, every committed target >= 0
+    and 0 <= a <= cap[j]: outside it commit and feasible raise ValueError.
 
-    Keeps T = F + G - h, its count neg of negative entries per row, the column
-    minima cap (a transfer of more than cap[j] off letter j makes some target
-    negative), the matrix of ln T_c!, its row sum S, the left side lhs_h with
-    h ln m and room = ln(sum T)! - lhs_h - S, so a probe reads only columns i
-    and j: rhs - lhs of moved(i, j, a) is the pair's slack base room + ln T_i!
-    + ln T_j!, less ln(T_i+a)!, ln(T_j-a)! and a ln(m_j/m_i).  Given lhs =
-    ln|Freq(f)| + ln|Freq(g)| and the index pair moved = (rows, columns) of
-    the entries where F + G may differ from its row 0 (the shift search's
-    checkpoint rows: a center row 0 and one two-letter move per row), ln T!
-    and cap are read at row 0 and at those entries only.  The search asks
+    Keeps T = F + G - h, its column minima cap, ln T_c! (read at row 0 and at
+    the moved entries only), its row sum S, the left side lhs_h with h ln m
+    and room = ln(sum T)! - lhs_h - S, so a probe reads only columns i and j:
+    rhs - lhs of moved(i, j, a) is the pair's slack base room + ln T_i! + ln
+    T_j!, less ln(T_i+a)!, ln(T_j-a)! and a ln(m_j/m_i).  The search asks
     admits, which re-checks one witness row before a full probe.
 
     For a committed h that every row passes, the amounts a at which a row
@@ -236,42 +235,33 @@ class TransferProbe:
     exact predicate.
     """
 
-    def __init__(self, F, G, m=None, moved=None, lhs=None):
-        self.F, self.G = np.atleast_2d(F), np.atleast_2d(G)
-        N, d = self.F.shape
-        self.m = _multiplicities(m, d)
-        self.log_m = np.log(self.m)
-        self.h, self.T, self.witness = np.zeros(d, dtype=np.int64), self.F + self.G, None  # witness: see admits
-        if moved is None:
-            self.log_fact, self.lhs = _log_fact(self.T), log_multinomial_rows(self.F) + log_multinomial_rows(self.G)
-            self.log_total, self.cap = _log_fact(self.T.sum(axis=1)), self.T.min(axis=0)
-        else:  # every row has row 0's total
-            self.lhs, self.cap, self.log_total = lhs, self.T[0].copy(), _log_fact(self.T[0].sum())
-            self.log_fact = np.repeat(_log_fact(self.T[0])[None], N, axis=0)
-            self.log_fact[moved] = _log_fact(T := self.T[moved])
-            np.minimum.at(self.cap, moved[1], T)
-        self.rhs_max = self.log_total.max(initial=0.0)  # ln|Freq(T)| <= ln(sum T)!; sum T is fixed by zero-sum h
-        self.lhs_range, self.neg = (self.lhs.min(), self.lhs.max()), np.zeros(N, dtype=np.int64)  # counts: T >= 0
+    def __init__(self, F, G, m, moved, lhs):
+        self.F, self.G, self.m, self.lhs = F, G, np.asarray(m, dtype=np.int64), lhs
+        self.log_m, self.lhs_range, self.witness = np.log(self.m), (lhs.min(), lhs.max()), None  # witness: see admits
+        self.h, self.T = np.zeros(F.shape[1], dtype=np.int64), F + G
+        self.cap, self.log_total = self.T[0].copy(), _log_fact(self.T[0].sum())  # ln|Freq(T)| <= ln(sum T)!
+        self.log_fact = np.repeat(_log_fact(self.T[0])[None], len(F), axis=0)
+        self.log_fact[moved] = _log_fact(T := self.T[moved])
+        np.minimum.at(self.cap, moved[1], T)
         self.commit(self.h)
 
     def commit(self, h) -> None:
-        """Make the zero-sum h the committed shift.  T, ln T!, cap and neg (in
-        exact integers) are updated in the columns where h changes only (two,
-        for a transfer); S is the row sum of the updated ln T!, bitwise what a
-        probe committed straight to h holds."""
+        """Make the zero-sum h the committed shift.  T, ln T! and cap are
+        updated in the columns where h changes only (two, for a transfer); S
+        is the row sum of the updated ln T!, bitwise that of a direct
+        evaluation at h."""
         h = np.asarray(h)
-        for c in np.flatnonzero(h != self.h).tolist():
-            T, shift = self.T[:, c], self.h[c] - h[c]  # a view of column c, all of whose targets move by shift
-            if min(self.cap[c], self.cap[c] + shift) < 0:  # a target of column c is or goes negative
-                self.neg += (T + shift < 0).astype(np.int64) - (T < 0)
-            T += shift
-            self.cap[c] += shift
-            self.log_fact[:, c] = _log_fact(np.maximum(T, 0) if self.cap[c] < 0 else T)  # a negative count read as 0
-        self.h, self.nonneg, c = h, not self.neg.any(), h @ self.log_m
+        if (self.cap + self.h - h).min() < 0:
+            raise ValueError(f"shift {h.tolist()} leaves a checkpoint target negative")
+        c = np.flatnonzero(h != self.h)  # the columns h changes, all of whose targets move by one amount
+        self.T[:, c] += self.h[c] - h[c]
+        self.log_fact[:, c] = _log_fact(self.T[:, c])
+        self.cap += self.h - h
+        self.h, c = h, h @ self.log_m
         self.S, self.lhs_h = self.log_fact.sum(axis=1), self.lhs + c
         self.room = self.log_total - self.lhs_h - self.S
         self.lhs_max = max(abs(self.lhs_range[0] + c), abs(self.lhs_range[1] + c))  # max |lhs_h|: x + c grows with x
-        self._pair = ()  # (i, j, slack base) of the last pair probed on the slack-base path
+        self._pair = ()  # (i, j, slack base) of the last pair probed
 
     def moved(self, i: int, j: int, a: int) -> np.ndarray:
         """The committed h with h_i - a and h_j + a."""
@@ -283,19 +273,19 @@ class TransferProbe:
     def admits(self, i: int, j: int, a: int) -> bool:
         """Whether every row passes moved(i, j, a): feasible(i, j, a).all(),
         with the witness (the first row that rejected the last failing probe)
-        re-checked first.  On the slack-base path its rhs - lhs is one scalar,
-        with the bits feasible's row pass gives it; below -2 FEASIBILITY_SLACK
-        scale it lies outside _decide's prefilter, so _decide would decide
-        that row infeasible by sign, and the probe is rejected without its row
-        pass.  Otherwise the full probe decides and names the next witness."""
+        re-checked first.  Its rhs - lhs is one scalar, with the bits
+        feasible's row pass gives it; below -2 FEASIBILITY_SLACK scale it lies
+        outside _decide's prefilter, so _decide would decide that row
+        infeasible by sign, and the probe is rejected without its row pass.
+        Otherwise the full probe decides and names the next witness."""
         r = self.witness
-        if r is not None and self.nonneg and 0 <= a <= self.cap[j]:
+        if r is not None and 0 <= a <= self.cap[j]:
             step = a * (self.log_m[j] - self.log_m[i])
             diff = (self.room[r] + self.log_fact[r, i] + self.log_fact[r, j] - _log_fact(self.T[r, i] + a)
                     - _log_fact(self.T[r, j] - a))
             if step:
                 diff -= step
-            if diff < -2.0 * FEASIBILITY_SLACK * (1.0 + (self.lhs_max + abs(step)) + self.rhs_max):
+            if diff < -2.0 * FEASIBILITY_SLACK * (1.0 + (self.lhs_max + abs(step)) + self.log_total):
                 return False
         feas = self.feasible(i, j, a)
         if feas.all():
@@ -304,24 +294,20 @@ class TransferProbe:
         return False
 
     def feasible(self, i: int, j: int, a: int) -> np.ndarray:
-        """Row-wise feasibility of the shift moved(i, j, a), for letters i != j.
-
-        Where no target is or goes negative (every committed target >= 0 and
-        0 <= a <= cap[j], as in the shift search), rhs - lhs is the pair's
-        slack base room + ln T_i! + ln T_j!, formed once per pair and commit,
-        less ln(T_i+a)! and ln(T_j-a)! (_log_fact) and a ln(m_j/m_i).  When
-        its row minimum clears _decide's prefilter bound every row passes by
-        sign; otherwise _decide decides.  Other amounts go to feasible_rows.
-        """
-        if not (self.nonneg and 0 <= a <= self.cap[j]):
-            return feasible_rows(self.F, self.G, self.moved(i, j, a), self.m)
+        """Row-wise feasibility of moved(i, j, a), for letters i != j and 0 <= a
+        <= cap[j]: rhs - lhs is the pair's slack base room + ln T_i! + ln T_j!,
+        formed once per pair and commit, less ln(T_i+a)! and ln(T_j-a)!
+        (_log_fact) and a ln(m_j/m_i).  When its row minimum clears _decide's
+        prefilter bound every row passes by sign; otherwise _decide decides."""
+        if not 0 <= a <= self.cap[j]:
+            raise ValueError(f"transfer of {a} off letter {j} outside 0..{self.cap[j]}")
         if self._pair[:2] != (i, j):
             self._pair = (i, j, self.room + self.log_fact[:, i] + self.log_fact[:, j])
         step = a * (self.log_m[j] - self.log_m[i])  # 0.0 between letters of one multiplicity
         diff = self._pair[2] - _log_fact(self.T[:, i] + a) - _log_fact(self.T[:, j] - a)
         if step:
             diff -= step
-        scale = 1.0 + (self.lhs_max + abs(step)) + self.rhs_max
+        scale = 1.0 + (self.lhs_max + abs(step)) + self.log_total
         if diff.min() > 2.0 * FEASIBILITY_SLACK * scale:
             return np.ones(len(diff), dtype=bool)
         return _decide(diff, lambda r: (self.lhs_h[r] + step, self.lhs_h[r] + step + diff[r]), scale,

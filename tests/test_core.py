@@ -120,9 +120,13 @@ class TestHamiltonianOperator:
         )
 
     def test_energy_groups_partition_all_indices(self):
-        ham = HamiltonianOperator(QUBIT, 3)
-        idx = sorted(i for g in ham.energy_groups().values() for i in g)
-        assert idx == list(range(8))
+        """The basis indices grouped by their exact level: every index once,
+        C(3, e) of them at total energy e."""
+        groups: dict = {}
+        for idx, e in enumerate(HamiltonianOperator(QUBIT, 3).exact_levels()):
+            groups.setdefault(e, []).append(idx)
+        assert sorted(i for g in groups.values() for i in g) == list(range(8))
+        assert {e: len(g) for e, g in groups.items()} == {Fraction(e): math.comb(3, e) for e in range(4)}
 
     def test_matrix_is_diagonal(self):
         m = HamiltonianOperator(QUBIT, 2).matrix()

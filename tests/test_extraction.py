@@ -35,7 +35,6 @@ from thermoflux.extraction import (
     _mass_core,
     _round_counts,
     _sanov_exponent,
-    _shell_widths,
     build_classical_plan,
     choose_shift,
     measure_and_prepare_protocol,
@@ -79,28 +78,28 @@ class TestWorkAlphabet:
 
 class TestChooseShift:
     def test_thermal_input_yields_zero_shift(self):
-        h = choose_shift(ALPHABET.thermal, ALPHABET, 100, margin_nats=0.0)
+        h = choose_shift(ALPHABET.thermal, ALPHABET, 100, margin_nats=0.0, l=1000)
         assert h.shifts == (0, 0)
 
     def test_margin_exhausting_budget_yields_zero_shift(self):
-        h = choose_shift(GROUND, ALPHABET, 100, margin_nats=1.0)
+        h = choose_shift(GROUND, ALPHABET, 100, margin_nats=1.0, l=1000)
         assert h.shifts == (0, 0)
 
     def test_ground_state_extracts_positive_work(self):
-        h = choose_shift(GROUND, ALPHABET, 200, margin_nats=0.0)
+        h = choose_shift(GROUND, ALPHABET, 200, margin_nats=0.0, l=math.ceil(200 ** 1.5))
         w = float(h.work(ALPHABET.energies))
         assert 0.0 < w / 200 <= LN_LIMIT
 
     def test_budget_respected(self):
         p = np.array([0.95, 0.05])
         n = 150
-        h = choose_shift(p, ALPHABET, n, margin_nats=0.0)
+        h = choose_shift(p, ALPHABET, n, margin_nats=0.0, l=math.ceil(n ** 1.5))
         rate = float(h.work(ALPHABET.energies)) / n
         assert rate <= classical_relative_entropy(p, ALPHABET.thermal) + 1e-12
 
     def test_negative_margin_rejected(self):
         with pytest.raises(ValueError):
-            choose_shift(GROUND, ALPHABET, 100, margin_nats=-0.1)
+            choose_shift(GROUND, ALPHABET, 100, margin_nats=-0.1, l=1000)
 
 
 def _pinched_alphabet(ctx, k, mat):
@@ -121,7 +120,7 @@ class TestPinnedShifts:
 
     def test_qubit_k4_alphabet(self):
         p, alph = _pinched_alphabet(QUBIT, 4, [[0.8, 0.25], [0.25, 0.2]])
-        h = choose_shift(p, alph, 2500, margin_nats=0.01)
+        h = choose_shift(p, alph, 2500, margin_nats=0.01, l=125_000)
         assert h.shifts == (-96, 0, 1, 1, 95, -1) + (0,) * 10
 
     def test_qutrit_k3_alphabet(self):
@@ -129,14 +128,14 @@ class TestPinnedShifts:
         p, alph = _pinched_alphabet(
             qutrit, 3, [[0.6, 0.1, 0.05], [0.1, 0.3, 0.02], [0.05, 0.02, 0.1]]
         )
-        h = choose_shift(p, alph, 2000, margin_nats=0.0)
+        h = choose_shift(p, alph, 2000, margin_nats=0.0, l=math.ceil(2000 ** 1.5))
         assert h.shifts == (-11, 1) + (0,) * 7 + (10,) + (0,) * 17
 
     def test_wide_truncated_ladder(self):
         ladder = InfiniteContext(beta=1.0, delta_e=0.5)
         alph = WorkAlphabet(energies=ladder.truncated_context(20).levels, beta=1.0)
         p = TailState(epsilon=1.0).diagonal(20)
-        h = choose_shift(p / p.sum(), alph, 150, margin_nats=0.0)
+        h = choose_shift(p / p.sum(), alph, 150, margin_nats=0.0, l=math.ceil(150 ** 1.5))
         assert h.shifts == (-14, 0, 0, 0, 0, 0, 4, 8, 2) + (0,) * 11
 
     @pytest.mark.parametrize("mode, h, xi, rate", [
@@ -165,8 +164,8 @@ def _oracle_checkpoint_blocks(n_eff, p_est, l, t):
     """The typical-shell corner blocks as (f, g) tuple pairs, built one letter
     pair (i, j) at a time."""
     def corners(total, w):
-        c0 = np.array(_round_counts(total, w))
-        width = _shell_widths(total, w)
+        c0, w = np.array(_round_counts(total, w)), np.asarray(w, dtype=float)
+        width = np.ceil(3.0 * np.sqrt(total * w * (1.0 - w))).astype(int)  # multinomial 3-sigma widths
         out = [tuple(c0)]
         for i in range(len(t)):
             for j in range(len(t)):
@@ -300,9 +299,9 @@ class TestShiftSearchOracle:
         """The rows against the pair loop, each differing from the center row
         in the two columns it names only, and lhs from the center's ln|Freq|
         plus the two moved entries of each row; then the search's probe on
-        them against probes built from scratch on the same rows: T, ln T!, S,
-        neg and cap bitwise, and lhs_h as lhs + h ln m, along a chain of
-        commits."""
+        them against a direct evaluation at each h of a chain of commits: T,
+        ln T!, S and cap bitwise, and lhs_h as lhs + h ln m; and a probe past
+        cap[j] raises ValueError."""
         p, alph = _pinched_alphabet(QUBIT, 4, [[0.8, 0.25], [0.25, 0.2]])
         F, G, moved, lhs = _checkpoint_blocks(2500, p, 125_000, alph.thermal)
         rows = _oracle_checkpoint_blocks(2500, p, 125_000, alph.thermal)
@@ -318,11 +317,13 @@ class TestShiftSearchOracle:
         probe = TransferProbe(F, G, alph.multiplicities, moved, lhs)
         for _, i, j in ((0, 0, 1),) + alph.pairs[:4]:
             probe.commit(probe.moved(i, j, min(int(probe.cap[j]), 7)))
-            fresh = TransferProbe(F, G, alph.multiplicities)
-            fresh.commit(probe.h)
-            for name in ("T", "log_fact", "S", "neg", "cap"):
-                assert np.array_equal(getattr(probe, name), getattr(fresh, name)), name
+            T = F + G - probe.h
+            assert np.array_equal(probe.T, T) and np.array_equal(probe.cap, T.min(axis=0))
+            assert np.array_equal(probe.log_fact, gammaln(T + 1.0))
+            assert np.array_equal(probe.S, gammaln(T + 1.0).sum(axis=1))
             assert np.array_equal(probe.lhs_h, lhs + probe.h @ np.log(probe.m))
+            with pytest.raises(ValueError):
+                probe.feasible(i, j, int(probe.cap[j]) + 1)
 
     @settings(max_examples=80, deadline=None)
     @given(_shift_searches())

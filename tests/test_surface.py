@@ -1,7 +1,9 @@
 """The public surface of the library is what the library itself, the demos, the
 benchmarks or the CLI use: every public top-level def or class in
-src/thermoflux is referenced from somewhere other than its own definition and
-the package's re-exports.  Tests do not count as callers."""
+src/thermoflux, and every public method or property of a public class, is
+referenced from somewhere other than its own definition and the package's
+re-exports (a member as an attribute, .name).  Tests do not count as
+callers."""
 
 import ast
 import re
@@ -37,10 +39,16 @@ def _public_definitions() -> list:
 
 SOURCES = _caller_sources()
 DEFINITIONS = _public_definitions()
+MEMBERS = [  # (path, class, method or property) of every public class
+    (path, cls, node)
+    for path, cls in DEFINITIONS if isinstance(cls, ast.ClassDef)
+    for node in cls.body
+    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+]
 
 
-def _referenced_elsewhere(path: Path, node, sources=SOURCES) -> bool:
-    word = re.compile(rf"\b{re.escape(node.name)}\b")
+def _referenced_elsewhere(path: Path, node, sources=SOURCES, prefix=r"\b") -> bool:
+    word = re.compile(rf"{prefix}{re.escape(node.name)}\b")
     for other, text in sources.items():
         if other == path:  # the definition's own lines do not count
             lines = text.splitlines()
@@ -54,6 +62,13 @@ def _referenced_elsewhere(path: Path, node, sources=SOURCES) -> bool:
 def test_public_definition_has_a_caller(path, node):
     assert _referenced_elsewhere(path, node), (
         f"{path.name}: {node.name} is referenced only by its own definition or by tests"
+    )
+
+
+@pytest.mark.parametrize("path, cls, node", MEMBERS, ids=[f"{p.stem}.{c.name}.{n.name}" for p, c, n in MEMBERS])
+def test_public_member_has_a_caller(path, cls, node):
+    assert _referenced_elsewhere(path, node, prefix=r"\."), (
+        f"{path.name}: {cls.name}.{node.name} is referenced only by its own definition or by tests"
     )
 
 
@@ -72,3 +87,8 @@ def test_a_definition_only_tests_call_is_caught():
     path = Path("mod.py")
     assert not _referenced_elsewhere(path, orphan, {path: source})
     assert _referenced_elsewhere(path, used, {path: source})
+    source = ("class Box:\n    def orphan(self):\n        return 1\n\n    @property\n    def used(self):\n"
+              "        return 2\n\n\nX = Box().used\n")  # the same for a method and a property
+    orphan, used = ast.parse(source).body[0].body
+    assert not _referenced_elsewhere(path, orphan, {path: source}, prefix=r"\.")
+    assert _referenced_elsewhere(path, used, {path: source}, prefix=r"\.")

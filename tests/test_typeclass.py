@@ -222,48 +222,80 @@ class TestZeroShift:
         assert feasible_rows(F, G[::-1], (0,) * d, m).all()
 
 
+def _probe(F, G, m=None) -> TransferProbe:
+    """A probe on rows F, G whose every row F + G has row 0's total, built as
+    the shift search builds one: moved marks every entry where F + G differs
+    from row 0, lhs is ln|Freq(f)| + ln|Freq(g)| per row, and m defaults to 1."""
+    F, G = np.array(F, dtype=np.int64, ndmin=2), np.array(G, dtype=np.int64, ndmin=2)
+    T = F + G
+    assert (T.sum(axis=1) == T[0].sum()).all()
+    m = np.ones(F.shape[1], dtype=np.int64) if m is None else m
+    return TransferProbe(F, G, m, np.nonzero(T != T[0]), log_multinomial_rows(F) + log_multinomial_rows(G))
+
+
+def _search_rows(rows, h) -> tuple:
+    """(F, G) of (f, g) rows with each row's last bath count raised so that
+    every row F + G has one total, kept where the target F + G - h is >= 0:
+    rows and a committed h in the shift search's domain."""
+    F, G = (np.array(side, dtype=np.int64) for side in zip(*rows))
+    G[:, -1] += (F + G).sum(axis=1).max() - (F + G).sum(axis=1)
+    keep = (F + G - np.asarray(h) >= 0).all(axis=1)
+    return F[keep], G[keep]
+
+
+def _assert_direct_state(probe, F, G) -> None:
+    """The probe's T, ln T!, S and cap bitwise against a direct evaluation at
+    its committed h, and lhs_h against ln|Freq(f)| + ln|Freq(g)| + h ln m."""
+    T = F + G - probe.h
+    log_fact = gammaln(T + 1.0)
+    assert np.array_equal(probe.T, T) and np.array_equal(probe.cap, T.min(axis=0))
+    assert np.array_equal(probe.log_fact, log_fact) and np.array_equal(probe.S, log_fact.sum(axis=1))
+    assert np.array_equal(probe.lhs_h, log_multinomial_rows(F) + log_multinomial_rows(G) + probe.h @ np.log(probe.m))
+
+
 class TestTransferProbe:
     @settings(max_examples=200)
     @given(_blocks(), st.data())
     def test_agrees_with_bigint_oracle(self, block, data):
-        """Probes from a committed h, over rows whose targets may already be
-        negative, and the injected ties probed as transfers from h = 0."""
+        """Probes from a committed h over rows of one total with every target
+        of h >= 0, at every 0 <= a <= cap[j], and the injected ties probed as
+        transfers from h = 0."""
         h, rows, ties = block
-        F = np.array([f for f, _ in rows])
-        G = np.array([g for _, g in rows])
         if len(h) < 2:
             return
-        probe = TransferProbe(F, G)
-        probe.commit(h)
-        i, j = data.draw(st.permutations(range(len(h))))[:2]
-        a = data.draw(st.integers(-6, 12))
-        moved = probe.moved(i, j, a)
-        assert probe.feasible(i, j, a).tolist() == [_oracle(f, g, moved) for f, g in zip(F, G)]
+        F, G = _search_rows(rows, h)
+        if len(F):
+            probe = _probe(F, G)
+            probe.commit(h)
+            i, j = data.draw(st.permutations(range(len(h))))[:2]
+            a = data.draw(st.integers(0, int(probe.cap[j])))
+            moved = probe.moved(i, j, a)
+            assert probe.feasible(i, j, a).tolist() == [_oracle(f, g, moved) for f, g in zip(F, G)]
         for f, g, hh in ties:  # hh moves hh[0] from letter 0 to letter 1
-            probe = TransferProbe([f], [g])
+            probe = _probe([f], [g])
             assert probe.moved(1, 0, hh[0]).tolist() == list(hh)
             assert probe.feasible(1, 0, hh[0])[0] == _oracle(f, g, hh)
 
     def test_exact_ties_are_feasible(self):
         """C(6,3) C(14,0) = 20 = C(20,1), and a zero transfer with g = 0: ties
         that the two-column rhs puts on the infeasible side in floats."""
-        assert TransferProbe([(3, 3)], [(14, 0)]).feasible(0, 1, 2).tolist() == [True]
-        assert TransferProbe([(11, 12, 0, 10)], [(0, 0, 0, 0)]).feasible(1, 0, 0).tolist() == [True]
+        assert _probe([(3, 3)], [(14, 0)]).feasible(0, 1, 2).tolist() == [True]
+        assert _probe([(11, 12, 0, 10)], [(0, 0, 0, 0)]).feasible(1, 0, 0).tolist() == [True]
 
     @pytest.mark.parametrize("F, G, m, i, j, a", [
         # row 0: C(10, 4) C(11, 0) = 210 = C(21, 2), an exact tie whose
         # difference rhs - lhs comes out below 0 in floats
-        ([(6, 4), (10, 0), (0, 5)], [(11, 0), (0, 10), (5, 5)], None, 0, 1, 2),
-        # row 0: |Freq((2, 1))| = 3 against m_0 / m_1 = 3 + 1e-17, infeasible by
-        # a relative 3e-18, which floats round to a difference >= 0
-        ([(2, 0), (5, 0), (4, 4)], [(1, 0), (5, 0), (8, 0)], (3 * 10 ** 17 + 1, 10 ** 17), 1, 0, 1),
+        ([(6, 4), (10, 0), (0, 5)], [(11, 0), (0, 11), (5, 11)], None, 0, 1, 2),
+        # row 0: |Freq((1, 1))| |Freq((2, 0))| m_0 / m_1 = 6 + 2e-17 against
+        # |Freq((2, 2))| = 6, infeasible by a relative 3e-18, which floats
+        # (where m_0 / m_1 is 3) do not see
+        ([(1, 1), (3, 0), (0, 1)], [(2, 0), (0, 1), (3, 0)], (3 * 10 ** 17 + 1, 10 ** 17), 1, 0, 1),
     ], ids=["tie", "infeasible-in-window"])
     def test_prefilter_hands_the_close_row_to_the_recheck(self, monkeypatch, F, G, m, i, j, a):
-        """Rows 1 and 2 clear the prefilter by a wide margin and row 0 lies
-        inside its window, so the row minimum is row 0's and does not clear
-        the bound: the probe, on its slack-base path (0 <= a <= cap[j]),
-        decides as the big-integer oracle and re-decides row 0, and only row
-        0, in big integers."""
+        """Rows of one total.  Rows 1 and 2 clear the prefilter by a wide
+        margin and row 0 lies inside its window, so the row minimum is row
+        0's and does not clear the bound: the probe decides as the big-integer
+        oracle and re-decides row 0, and only row 0, in big integers."""
         calls, exact = [], typeclass._exact_feasible
 
         def recorded(f, g, h, mm):
@@ -271,13 +303,12 @@ class TestTransferProbe:
             return exact(f, g, h, mm)
 
         monkeypatch.setattr(typeclass, "_exact_feasible", recorded)
-        probe = TransferProbe(F, G, m)
+        probe = _probe(F, G, m)
         assert 0 <= a <= probe.cap[j]
         h = probe.moved(i, j, a)
         want = [_grouped_oracle(f, g, h, probe.m) for f, g in zip(F, G)]
-        assert want[1:] == [True, True]
+        assert want == ([False, True, True] if m else [True] * 3)
         assert probe.feasible(i, j, a).tolist() == want and calls == [F[0]]
-        assert probe._pair[:2] == (i, j) and probe._pair[2] is not None  # the slack-base path
 
     def test_witness_inside_the_window_falls_through_to_the_full_probe(self, monkeypatch):
         """The rows of the tie case above.  Moving 3 off letter 1 fails at row 0
@@ -287,12 +318,12 @@ class TestTransferProbe:
         the window, so admits falls through to the full probe, which re-decides
         row 0 in big integers.  With the slack patched wide, row 0 of a = 4
         lies inside the window too, and takes the same way."""
-        F, G = [(6, 4), (10, 0), (0, 5)], [(11, 0), (0, 10), (5, 5)]
+        F, G = [(6, 4), (10, 0), (0, 5)], [(11, 0), (0, 11), (5, 11)]
         probes, calls, feasible, exact = [], [], TransferProbe.feasible, typeclass._exact_feasible
         monkeypatch.setattr(TransferProbe, "feasible", lambda p, i, j, a: probes.append(a) or feasible(p, i, j, a))
         monkeypatch.setattr(typeclass, "_exact_feasible",
                             lambda f, g, h, m: calls.append(tuple(f)) or exact(f, g, h, m))
-        probe = TransferProbe(F, G)
+        probe = _probe(F, G)
         want = {a: [_grouped_oracle(f, g, probe.moved(0, 1, a), probe.m) for f, g in zip(F, G)] for a in (2, 3, 4)}
         assert want == {2: [True] * 3, 3: [False, True, True], 4: [False, True, True]}
         assert not probe.admits(0, 1, 3) and probe.witness == 0 and probes == [3]
@@ -302,68 +333,58 @@ class TestTransferProbe:
         probes.clear(), calls.clear()
         assert not probe.admits(0, 1, 4) and probes == [4] and (6, 4) in calls and probe.witness == 0
 
-    @settings(max_examples=150)
-    @given(st.data())
-    def test_slack_base_path_matches_the_oracle_within_the_cap(self, data):
-        """The search's domain: after commits that keep every target >= 0, and
-        for 0 <= a <= cap[j], feasible takes the pair's slack base and decides
-        every row as the big-integer oracle does."""
-        d = data.draw(st.integers(2, 5))
-        counts = st.lists(st.integers(0, 15), min_size=d, max_size=d)
-        rows = data.draw(st.lists(st.tuples(counts, counts), min_size=1, max_size=8))
-        m = data.draw(st.one_of(st.none(), st.lists(st.sampled_from((1, 2, 3)), min_size=d, max_size=d)))
-        F, G = np.array([f for f, _ in rows]), np.array([g for _, g in rows])
-        probe = TransferProbe(F, G, m)
-        for _ in range(data.draw(st.integers(0, 4))):
-            i, j = data.draw(st.permutations(range(d)))[:2]
-            probe.commit(probe.moved(i, j, data.draw(st.integers(0, int(probe.cap[j])))))
-        i, j = data.draw(st.permutations(range(d)))[:2]
-        a = data.draw(st.integers(0, int(probe.cap[j])))
-        want = [_grouped_oracle(f, g, probe.moved(i, j, a), probe.m) for f, g in zip(F, G)]
-        assert probe.feasible(i, j, a).tolist() == want
-        assert probe._pair[:2] == (i, j) and probe._pair[2] is not None  # the slack-base path
-
     def test_commit_rebuilds_the_row_state(self):
         F, G = np.array([(6, 2, 0), (3, 3, 2)]), np.array([(10, 5, 5), (12, 4, 4)])
-        probe = TransferProbe(F, G)
+        probe = _probe(F, G)
         for i, j, a in [(0, 1, 3), (1, 2, 2), (0, 2, 1)]:
             probe.commit(probe.moved(i, j, a))
-        fresh = TransferProbe(F, G)
-        fresh.commit(probe.h)
         assert probe.h.tolist() == [-4, 1, 3]
-        assert np.array_equal(probe.S, fresh.S) and np.array_equal(probe.T, F + G - probe.h)
+        _assert_direct_state(probe, F, G)
         assert probe.feasible(0, 1, 2).tolist() == feasible_rows(F, G, probe.moved(0, 1, 2)).tolist()
 
     @settings(max_examples=150)
     @given(st.data())
-    def test_chain_of_commits_matches_feasible_rows_and_a_fresh_commit(self, data):
-        """Rows of unequal n and l and letter multiplicities: after a chain of
-        commits (targets may go negative), the probe's state is bitwise that of
-        a probe committed straight to h and of a from-scratch evaluation, and
-        its probes decide as feasible_rows does."""
+    def test_commit_chain_matches_feasible_rows_and_direct_state(self, data):
+        """Rows of one total, of unequal n and l, with or without letter
+        multiplicities: after each commit of a chain within the domain, the
+        probe's state is bitwise that of a direct evaluation at h, and a probe
+        at any 0 <= a <= cap[j] decides every row as the big-integer oracle and
+        feasible_rows do."""
         d = data.draw(st.integers(2, 5))
         counts = st.lists(st.integers(0, 15), min_size=d, max_size=d)
-        rows = data.draw(st.lists(st.tuples(counts, counts), min_size=1, max_size=8))
-        m = data.draw(st.lists(st.sampled_from((1, 2, 3)), min_size=d, max_size=d))
-        F, G = np.array([f for f, _ in rows]), np.array([g for _, g in rows])
-        probe = TransferProbe(F, G, m)
-        for _ in range(data.draw(st.integers(1, 5))):
+        F, G = _search_rows(data.draw(st.lists(st.tuples(counts, counts), min_size=1, max_size=8)), 0)
+        m = data.draw(st.one_of(st.none(), st.lists(st.sampled_from((1, 2, 3)), min_size=d, max_size=d)))
+        probe = _probe(F, G, m)
+        for _ in range(data.draw(st.integers(0, 5))):
             i, j = data.draw(st.permutations(range(d)))[:2]
-            probe.commit(probe.moved(i, j, data.draw(st.integers(-4, 8))))
-        fresh = TransferProbe(F, G, m)
-        fresh.commit(probe.h)
-        T = F + G - probe.h
-        assert np.array_equal(probe.T, T) and np.array_equal(fresh.T, T)
-        assert np.array_equal(probe.cap, T.min(axis=0)) and np.array_equal(fresh.cap, T.min(axis=0))
-        for p in (probe, fresh):
-            assert np.array_equal(p.log_fact, gammaln(np.maximum(T, 0) + 1.0))
-            assert np.array_equal(p.S, gammaln(np.maximum(T, 0) + 1.0).sum(axis=1))
-            assert np.array_equal(p.neg, (T < 0).sum(axis=1))
-            assert np.array_equal(p.lhs_h, log_multinomial_rows(F) + log_multinomial_rows(G) + probe.h @ np.log(m))
+            probe.commit(probe.moved(i, j, data.draw(st.integers(0, int(probe.cap[j])))))
+            _assert_direct_state(probe, F, G)
         i, j = data.draw(st.permutations(range(d)))[:2]
-        a = data.draw(st.integers(-6, 12))
-        want = feasible_rows(F, G, probe.moved(i, j, a), m).tolist()
-        assert probe.feasible(i, j, a).tolist() == fresh.feasible(i, j, a).tolist() == want
+        a = data.draw(st.integers(0, int(probe.cap[j])))
+        want = [_grouped_oracle(f, g, probe.moved(i, j, a), probe.m) for f, g in zip(F, G)]
+        assert probe.feasible(i, j, a).tolist() == want == feasible_rows(F, G, probe.moved(i, j, a), probe.m).tolist()
+
+    def test_outside_the_search_domain_raises(self):
+        """A commit that leaves a target negative raises ValueError and leaves
+        the state as it was; so does a probe at a < 0 or a > cap[j], from
+        feasible and from admits, with or without a witness."""
+        F, G = np.array([(6, 2, 0), (3, 3, 2)]), np.array([(10, 5, 5), (12, 4, 4)])
+        probe = _probe(F, G)
+        probe.commit(probe.moved(0, 1, 3))
+        names = ("h", "T", "log_fact", "S", "cap", "lhs_h", "room")
+        before = {name: np.copy(getattr(probe, name)) for name in names}
+        for h in (probe.moved(0, 2, int(probe.cap[2]) + 1), probe.moved(2, 1, 5), (-30, 15, 15)):
+            with pytest.raises(ValueError):
+                probe.commit(h)
+            assert all(np.array_equal(getattr(probe, name), before[name]) for name in names)
+        _assert_direct_state(probe, F, G)
+        assert not probe.admits(1, 0, int(probe.cap[0]))  # every row fails: row 0 is the witness
+        assert probe.witness == 0
+        for a in (-1, int(probe.cap[2]) + 1):
+            for method in (probe.feasible, probe.admits):
+                with pytest.raises(ValueError):
+                    method(0, 2, a)
+        assert probe.feasible(0, 2, int(probe.cap[2])).shape == (2,)
 
 
 def _grouped_oracle(f, g, h, m) -> bool:
@@ -426,7 +447,6 @@ class TestGroupedPredicate:
         for n, l in itertools.product(range(1, 5), repeat=2):
             F, G = compositions(n, d), compositions(l, d)
             pf, pg = np.repeat(F, len(G), axis=0), np.tile(G, (len(F), 1))
-            probe = TransferProbe(pf, pg, m)
             for h in shifts:
                 target = pf + pg - h
                 ok = (target >= 0).all(axis=1)
@@ -436,7 +456,7 @@ class TestGroupedPredicate:
                 i, j = int(np.flatnonzero(h == -1)[0]), int(np.flatnonzero(h == 1)[0])
                 assert np.array_equal(feasible_rows(pf, pg, h, m), want)
                 assert np.array_equal(grid, want)
-                assert np.array_equal(probe.feasible(i, j, 1), want)
+                assert np.array_equal(_probe(pf[ok], pg[ok], m).feasible(i, j, 1), want[ok])  # targets >= 0
 
     @settings(max_examples=200)
     @given(_grouped_blocks(), st.data())
@@ -455,15 +475,17 @@ class TestGroupedPredicate:
                 _grouped_oracle(f, g, hh, m))
         if len(h) < 2:
             return
-        probe = TransferProbe(F, G, m)
-        probe.commit(h)
-        i, j = data.draw(st.permutations(range(len(h))))[:2]
-        a = data.draw(st.integers(-6, 12))
-        moved = probe.moved(i, j, a)
-        assert probe.feasible(i, j, a).tolist() == [_grouped_oracle(f, g, moved, m) for f, g in zip(F, G)]
+        F, G = _search_rows(rows, h)
+        if len(F):
+            probe = _probe(F, G, m)
+            probe.commit(h)
+            i, j = data.draw(st.permutations(range(len(h))))[:2]
+            a = data.draw(st.integers(0, int(probe.cap[j])))
+            moved = probe.moved(i, j, a)
+            assert probe.feasible(i, j, a).tolist() == [_grouped_oracle(f, g, moved, m) for f, g in zip(F, G)]
         for f, g, hh in ties:  # each tie's hh is a transfer from h = 0
             i, j = (int(np.argmin(hh)), int(np.argmax(hh))) if any(hh) else (1, 0)
-            probe = TransferProbe([f], [g], m)
+            probe = _probe([f], [g], m)
             assert probe.moved(i, j, max(hh)).tolist() == list(hh)
             assert probe.feasible(i, j, max(hh))[0] == _grouped_oracle(f, g, hh, m)
 
@@ -472,7 +494,7 @@ class TestGroupedPredicate:
         off a letter of multiplicity 2 or 5.  With no bath, the same move off a
         letter of multiplicity 3 is a tie only for m = 1."""
         assert feasible_rows([(1, 0)], [(1, 0)], (1, -1), (2, 1)).tolist() == [True]
-        assert TransferProbe([(1, 0)], [(1, 0)], (2, 1)).feasible(1, 0, 1).tolist() == [True]
+        assert _probe([(1, 0)], [(1, 0)], (2, 1)).feasible(1, 0, 1).tolist() == [True]
         grid = next(feasible_grid(np.array([(1, 0)]), np.array([(4, 0)]), (1, -1), (5, 1)))[1]
         assert grid.tolist() == [[True]]
         assert feasible_rows([(1, 0)] * 2, [(0, 0)] * 2, (1, -1)).tolist() == [True, True]
@@ -490,7 +512,7 @@ class TestGroupedPredicate:
         F, G, h = np.array([(1, 0, 0)]), np.array([(49_999, 0, 50_000)]), (1, -1, 0)
         assert feasible_rows(F, G, h, m).tolist() == [want]
         assert next(feasible_grid(F, G, h, m))[1].tolist() == [[want]]
-        assert TransferProbe(F, G, m).feasible(1, 0, 1).tolist() == [want]
+        assert _probe(F, G, m).feasible(1, 0, 1).tolist() == [want]
 
 
 @st.composite
