@@ -253,9 +253,9 @@ class TransferProbe:
         h = np.asarray(h)
         if (self.cap + self.h - h).min() < 0:
             raise ValueError(f"shift {h.tolist()} leaves a checkpoint target negative")
-        c = np.flatnonzero(h != self.h)  # the columns h changes, all of whose targets move by one amount
-        self.T[:, c] += self.h[c] - h[c]
-        self.log_fact[:, c] = _log_fact(self.T[:, c])
+        cols = np.flatnonzero(h != self.h)  # the columns h changes, all of whose targets move by one amount
+        self.T[:, cols] += self.h[cols] - h[cols]
+        self.log_fact[:, cols] = _log_fact(self.T[:, cols])
         self.cap += self.h - h
         self.h, c = h, h @ self.log_m
         self.S, self.lhs_h = self.log_fact.sum(axis=1), self.lhs + c
