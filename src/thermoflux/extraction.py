@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from thermoflux.typeclass import (
     feasible_grid,
     feasible_rows,
     injection_feasible,  # noqa: F401  (kept importable here: perfbench traces every binding)
+    log_multinomial_rows,
     log_type_prob_rows,
     strings_of_type,
 )
@@ -305,32 +307,43 @@ def _mass_core(log_w) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _thermal_core(l: int, t: tuple) -> tuple:
-    """(G, P_t(G)): the mass core of the types of l letters under the letter
-    weights t, and their probabilities.  Built once per (l, t) and kept;
-    read-only."""
+    """(G, ln|Freq(G)|, P_t(G)): the mass core of the types of l letters under
+    the letter weights t, ln|Freq| of its rows and their probabilities.  Built
+    once per (l, t) and kept; read-only."""
     g_rows = compositions(l, len(t))
     log_pg = log_type_prob_rows(g_rows, np.array(t))
     kg = _mass_core(log_pg)
-    return _frozen(g_rows[kg]), _frozen(np.exp(log_pg[kg]))
+    g_rows = g_rows[kg]
+    return _frozen(g_rows), _frozen(log_multinomial_rows(g_rows)), _frozen(np.exp(log_pg[kg]))
+
+
+@lru_cache(maxsize=16)
+def _system_types(n: int, d: int, support: tuple) -> tuple:
+    """(F, ln|Freq(F)|): the types of n letters on the support, embedded into d
+    coordinates, in the lexicographic order of the support's counts.  Built
+    once per (n, d, support) and kept; read-only."""
+    f_rows = np.zeros((_grid_size(n, len(support)), d), dtype=np.int64)
+    f_rows[:, support] = compositions(n, len(support))
+    return _frozen(f_rows), _frozen(log_multinomial_rows(f_rows))
 
 
 def _xi_exact(p, alphabet, n, l, h, support) -> float:
     """1 - the P_p x P_t mass of the feasible (f, g) pairs.  Every pair that
     carries mass is decided exactly; the rows outside each side's mass core
     (summed mass <= XI_TAIL per side) count as failures, so the result is an
-    upper bound on the full-grid xi, above it by at most 2 XI_TAIL.  The bath
-    side depends on (l, alphabet.thermal) only and is kept (_thermal_core);
-    the grid is decided block by block, in a fixed order, by feasible_grid."""
-    # f rows restricted to the support of p, embedded into d coordinates
-    f_sub = compositions(n, len(support))
-    f_rows = np.zeros((len(f_sub), alphabet.d), dtype=np.int64)
-    f_rows[:, support] = f_sub
-    log_pf = log_type_prob_rows(f_rows, p)
+    upper bound on the full-grid xi, above it by at most 2 XI_TAIL.  Kept per
+    size: the system types and their ln|Freq| per (n, d, support)
+    (_system_types), the bath's mass core per (l, alphabet.thermal)
+    (_thermal_core).  A call adds F ln p to the kept ln|Freq(f)| and decides
+    the grid block by block, in a fixed order, by feasible_grid."""
+    f_rows, log_freq_f = _system_types(n, alphabet.d, tuple(support.tolist()))
+    log_pf = log_type_prob_rows(f_rows, p, log_freq_f)
     kf = _mass_core(log_pf)
     pf = np.exp(log_pf[kf])
-    g_rows, pg = _thermal_core(l, tuple(alphabet.thermal))
+    g_rows, log_freq_g, pg = _thermal_core(l, tuple(alphabet.thermal))
     success = 0.0
-    for lo, feas in feasible_grid(f_rows[kf], g_rows, h.shifts, alphabet.multiplicities):
+    for lo, feas in feasible_grid(f_rows[kf], g_rows, log_freq_f[kf], log_freq_g, h.shifts,
+                                  alphabet.multiplicities):
         success += pf[lo:lo + len(feas)] @ (feas @ pg)
     return float(min(max(1.0 - success, 0.0), 1.0))
 
@@ -429,20 +442,16 @@ def _incoherent_spectrum(sigma: np.ndarray, family):
     Returns (probs, energies, vectors): probabilities, the exact subspace energy
     of each eigenvector, and the eigenvectors as columns.
     """
-    probs, energies, vecs = [], [], []
-    dim = sigma.shape[0]
+    probs, energies = [], []
+    vecs = np.zeros((sigma.shape[0], sum(map(len, family.members))), dtype=complex)
     for (_, e), idx in zip(family.labels, family.members):
-        sub = sigma[np.ix_(idx, idx)]
-        vals, v = np.linalg.eigh(sub)
-        for r in range(len(idx)):
-            probs.append(max(float(vals[r]), 0.0))
-            energies.append(e)
-            full = np.zeros(dim, dtype=complex)
-            full[idx] = v[:, r]
-            vecs.append(full)
+        vals, v = np.linalg.eigh(sigma[np.ix_(idx, idx)])
+        vecs[idx, len(probs):len(probs) + len(idx)] = v  # the subspace's columns, in eigh's order
+        probs += [max(float(x), 0.0) for x in vals]
+        energies += [e] * len(idx)
     probs = np.array(probs)
     probs = probs / probs.sum()
-    return probs, tuple(energies), np.column_stack(vecs)
+    return probs, tuple(energies), vecs
 
 
 def state_aware_protocol(
@@ -631,7 +640,7 @@ class BlockPartition:
     @cached_property
     def grid(self) -> np.ndarray:
         """(N, d) count rows l of the grid points l/M, in lexicographic order."""
-        return compositions(self.M, self.d)
+        return _frozen(compositions(self.M, self.d))
 
     def nearest(self, p) -> tuple:
         """(point, boundary): the first grid point within 1e-12 of the nearest,
@@ -659,36 +668,47 @@ class BatterySpec:
         return float(sum(math.exp(-self.beta * w) for w in self.levels.values()))
 
 
+@lru_cache(maxsize=16)
+def _measure_and_prepare_description(M: int, ctx: ThermalContext, n: int) -> tuple:
+    """(partition, F, block, keys, ln|Freq(F)|, thermal block masses, battery
+    levels, Gibbs deviation): F the types of n letters in colexicographic
+    order (each block's mass is summed in it), keys[block[i]] the block of
+    F[i].  Kept per (M, ctx, n), read-only; callers return copies of the
+    mappings."""
+    partition = BlockPartition(M=M, d=ctx.dim)
+    F = compositions(n, ctx.dim)[:, ::-1]
+    F.flags.writeable = False
+    block = _frozen(partition.assign_types(F, n))
+    keys = tuple(tuple(int(c) for c in g) for g in partition.grid)
+    log_freq = _frozen(log_multinomial_rows(F))
+    mass_t = _block_masses(block, keys, log_type_prob_rows(F, ctx.gibbs_probabilities(), log_freq), slice(None))
+    levels = {blk: -math.log(mt) / ctx.beta for blk, mt in mass_t.items() if mt > 0}
+    gibbs_dev = abs(BatterySpec(levels=levels, beta=ctx.beta).gibbs_weight_sum() - 1.0)
+    return partition, F, block, keys, log_freq, MappingProxyType(mass_t), MappingProxyType(levels), gibbs_dev
+
+
+def _block_masses(block, keys, log_prob, hit) -> dict:
+    """{block key: summed probability of the type rows hit in it}, in the
+    order the blocks are first hit."""
+    sums = np.bincount(block[hit], weights=np.exp(log_prob[hit]), minlength=len(keys))
+    blocks, first = np.unique(block[hit], return_index=True)
+    return {keys[b]: float(sums[b]) for b in blocks[np.argsort(first)]}
+
+
 def measure_and_prepare_protocol(M: int, ctx: ThermalContext, n: int, p):
     """Type measurement coarse-grained into simplex blocks, then battery charge
-    W_l = (1/beta) ln(1 / Tr[P_B tau^n]).  Returns (summary, ProtocolOutcome)."""
-    p = np.asarray(p, dtype=float)
-    d = ctx.dim
-    t = ctx.gibbs_probabilities()
-    partition = BlockPartition(M=M, d=d)
+    W_l = (1/beta) ln(1 / Tr[P_B tau^n]).  Returns (summary, ProtocolOutcome).
+    The description (partition, types and their blocks, thermal block masses,
+    battery, Gibbs deviation) is kept per (M, ctx, n); a call computes p's
+    block masses, the nearest block and the Sanov exponent, in fresh dicts."""
+    p, t, beta = np.asarray(p, dtype=float), ctx.gibbs_probabilities(), ctx.beta
+    partition, F, block, keys, log_freq, mass_t, levels, gibbs_dev = _measure_and_prepare_description(M, ctx, n)
     dominant, boundary = partition.nearest(p)
-
-    # types in colexicographic order, the order each block's mass is summed in
-    F = compositions(n, d)[:, ::-1]
-    block = partition.assign_types(F, n)
-    keys = [tuple(int(c) for c in g) for g in partition.grid]
-    lp, lt = log_type_prob_rows(F, p), log_type_prob_rows(F, t)
-
-    def block_masses(log_prob, hit) -> dict:
-        sums = np.bincount(block[hit], weights=np.exp(log_prob[hit]), minlength=len(keys))
-        blocks, first = np.unique(block[hit], return_index=True)
-        return {keys[b]: float(sums[b]) for b in blocks[np.argsort(first)]}
-
-    mass_p, mass_t = block_masses(lp, lp > -np.inf), block_masses(lt, slice(None))
-
-    beta = ctx.beta
-    levels = {blk: -math.log(mt) / beta for blk, mt in mass_t.items() if mt > 0}
-    battery = BatterySpec(levels=levels, beta=beta)
-    gibbs_dev = abs(battery.gibbs_weight_sum() - 1.0)
-
+    lp = log_type_prob_rows(F, p, log_freq)
+    mass_p = _block_masses(block, keys, lp, lp > -np.inf)
     w_dom = levels.get(dominant, 0.0)
     mean_w = sum(mass_p.get(blk, 0.0) * w for blk, w in levels.items())
-    sanov = _sanov_exponent(partition, dominant, t) if d == 2 else None
+    sanov = _sanov_exponent(partition, dominant, t) if ctx.dim == 2 else None
 
     outcome = ProtocolOutcome(
         extracted_work=w_dom,
@@ -707,10 +727,10 @@ def measure_and_prepare_protocol(M: int, ctx: ThermalContext, n: int, p):
     )
     summary = {
         "partition": partition,
-        "battery": battery,
+        "battery": BatterySpec(levels=dict(levels), beta=beta),
         "gibbs_deviation": gibbs_dev,
         "block_mass_p": mass_p,
-        "block_mass_t": mass_t,
+        "block_mass_t": dict(mass_t),
         "boundary": boundary,
     }
     return summary, outcome

@@ -148,10 +148,11 @@ def feasible_rows(F, G, h, m=None) -> np.ndarray:
     return _decide(rhs - lhs, lambda i: (lhs[i], rhs[i]), scale, lambda i: _exact_feasible(F[i], G[i], h, m))
 
 
-def feasible_grid(F, G, h, m=None):
+def feasible_grid(F, G, log_freq_f, log_freq_g, h, m=None):
     """The predicate of feasible_rows over the whole grid F x G of (Nf, d) rows
-    of n letters and (Ng, d) rows of l letters.  Yields (lo, feas) for blocks of
-    about GRID_CHUNK pairs, feas[i, j] deciding (F[lo + i], G[j]).
+    of n letters and (Ng, d) rows of l letters, with their ln|Freq| per row
+    as the caller keeps them (log_freq_f, log_freq_g).  Yields (lo, feas) for
+    blocks of about GRID_CHUNK pairs, feas[i, j] deciding (F[lo + i], G[j]).
 
     ln|Freq(s)| for the target s = f + g - h is read from one table R, built
     once: R[s] = ln(n+l)! - ln s_0! - ln s_1! - ..., subtracted in column order
@@ -178,7 +179,7 @@ def feasible_grid(F, G, h, m=None):
     smin, smax = min(int(low.min()), 0), max(total, int((low + span).max()) - 1)
     s = np.arange(smin, smax + 1)
     log_fact = np.full(len(s), np.inf)  # ln (smin + i)! at i, +inf below 0
-    log_fact[s >= 0] = gammaln(s[s >= 0] + 1.0)
+    log_fact[-smin:] = _log_fact(s[-smin:])
     R, s_sum = np.full(span[:c], log_fact[total - smin]), 0
     for i in range(c):
         axis = (low[i] + np.arange(span[i])).reshape((-1,) + (1,) * (c - 1 - i))
@@ -190,7 +191,7 @@ def feasible_grid(F, G, h, m=None):
     strides = np.array([math.prod(span[i + 1:c]) for i in range(c)], dtype=np.int64)
     u, v = (F[:, :c] - low_f[:c]) @ strides, (G[:, :c] - low_g[:c]) @ strides
     rest = [(i, G[:, i] - h[i] - smin) for i in range(c, d)] if c < d - 1 else []
-    log_mf, log_mg = log_multinomial_rows(F), log_multinomial_rows(G) + h @ np.log(m)
+    log_mf, log_mg = log_freq_f, log_freq_g + h @ np.log(m)
     scale = 1.0 + (np.abs(log_mf).max() + np.abs(log_mg).max()) + max(R.max(), 0.0)
     for lo in range(0, len(F), step):
         f = F[lo:lo + step]
@@ -333,11 +334,12 @@ def log_multinomial_rows(counts: np.ndarray) -> np.ndarray:
     return gammaln(n + 1) - gammaln(counts + 1).sum(axis=-1)
 
 
-def log_type_prob_rows(counts, p) -> np.ndarray:
+def log_type_prob_rows(counts, p, log_freq=None) -> np.ndarray:
     """Row-wise ln P[type = counts] = ln[ |Freq(n,f)| prod_i p_i^{f(i)} ] under
-    i.i.d. p, for an (N, d) array of occupation rows; -inf outside the support."""
+    i.i.d. p, for an (N, d) array of occupation rows; -inf outside the support.
+    log_freq, when given, is the rows' kept ln|Freq(n,f)| (log_multinomial_rows)."""
     counts, p = np.atleast_2d(counts), np.asarray(p, dtype=float)
     pos = p > 0
-    out = log_multinomial_rows(counts) + counts[:, pos] @ np.log(p[pos])
+    out = (log_multinomial_rows(counts) if log_freq is None else log_freq) + counts[:, pos] @ np.log(p[pos])
     out[(counts[:, ~pos] > 0).any(axis=1)] = -np.inf
     return out

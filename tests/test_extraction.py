@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -487,6 +488,27 @@ class TestExactXiGrid:
         for arr in extraction._thermal_core(90, tuple(ALPHABET.thermal)):
             assert not arr.flags.writeable
 
+    def test_system_side_is_kept_per_n_letters_and_support(self):
+        """Plans at one (n, d, support) share one read-only set of system
+        types with their ln|Freq|, whatever the source on that support and
+        the bath size, and give the same xi when it is built anew."""
+        h = ShiftFunction((-1, 1))
+        extraction._system_types.cache_clear()
+        first = build_classical_plan(np.array([0.9, 0.1]), ALPHABET, 20, 90, h, mode="exact")
+        build_classical_plan(np.array([0.7, 0.3]), ALPHABET, 20, 91, h, mode="exact")
+        build_classical_plan(np.array([1.0, 0.0]), ALPHABET, 20, 90, h, mode="exact")
+        build_classical_plan(np.array([0.9, 0.1]), ALPHABET, 21, 90, h, mode="exact")
+        again = build_classical_plan(np.array([0.9, 0.1]), ALPHABET, 20, 90, h, mode="exact")
+        info = extraction._system_types.cache_info()
+        assert (info.hits, info.misses) == (2, 3)
+        F, log_freq = extraction._system_types(20, 2, (0, 1))
+        assert not F.flags.writeable and not log_freq.flags.writeable
+        assert np.array_equal(F, compositions(20, 2))
+        assert log_freq.tobytes() == log_multinomial_rows(compositions(20, 2)).tobytes()
+        extraction._system_types.cache_clear()
+        fresh = build_classical_plan(np.array([0.9, 0.1]), ALPHABET, 20, 90, h, mode="exact")
+        assert repr(first.xi) == repr(again.xi) == repr(fresh.xi)
+
     def test_nine_letter_plan_stays_small(self):
         """9 letters at n = 3, l = 6: 165 x 3003 (f, g) pairs.  A table of
         ln|Freq(s)| over all 8 free target coordinates would hold 10^8 entries
@@ -540,7 +562,7 @@ class TestMassCore:
             assert len(dropped) >= 1
             assert math.fsum(dropped) <= XI_TAIL
         success = []
-        for lo, feas in feasible_grid(F, G, h.shifts):
+        for lo, feas in feasible_grid(F, G, log_multinomial_rows(F), log_multinomial_rows(G), h.shifts):
             fi, gi = np.nonzero(feas)
             success.append(np.exp(log_pf[lo + fi] + log_pg[gi]))
         xi_full = min(max(1.0 - math.fsum(np.concatenate(success)), 0.0), 1.0)
@@ -831,6 +853,39 @@ class TestMeasureAndPrepare:
         assert not summary["boundary"]
 
 
+    def test_description_is_kept_per_size(self):
+        """Two sources at one (M, ctx, n) share one read-only description: the
+        battery levels and thermal block masses are equal, the block masses
+        of the sources are not."""
+        extraction._measure_and_prepare_description.cache_clear()
+        a, _ = measure_and_prepare_protocol(4, QUBIT, 30, np.array([0.9, 0.1]))
+        b, _ = measure_and_prepare_protocol(4, QUBIT, 30, np.array([0.3, 0.7]))
+        info = extraction._measure_and_prepare_description.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert a["battery"].levels == b["battery"].levels
+        assert a["block_mass_t"] == b["block_mass_t"]
+        assert a["block_mass_p"] != b["block_mass_p"]
+        partition, F, block, _, log_freq, mass_t, levels, _ = extraction._measure_and_prepare_description(4, QUBIT, 30)
+        for arr in (partition.grid, F, block, log_freq):
+            assert not arr.flags.writeable
+        for kept in (mass_t, levels):
+            with pytest.raises(TypeError):
+                kept[(4, 0)] = 0.0
+
+    def test_returned_dicts_are_fresh(self):
+        """Mutating one call's dicts leaves the next call's output, pickled,
+        as the first call's."""
+        p = np.array([0.9, 0.1])
+        summary, out = measure_and_prepare_protocol(4, QUBIT, 30, p)
+        want = pickle.dumps((summary, out))
+        summary["battery"].levels[(4, 0)] = 0.0
+        summary["battery"].levels[(9, 9)] = 1.0
+        summary["block_mass_t"].clear()
+        summary["block_mass_p"].clear()
+        out.details.clear()
+        assert pickle.dumps(measure_and_prepare_protocol(4, QUBIT, 30, p)) == want
+
+
 class TestSanovExponent:
     @settings(max_examples=100)
     @given(M=st.integers(1, 40), data=st.data(), beta=st.sampled_from((0.1, 0.5, 1.0, 2.0, 5.0)))
@@ -913,6 +968,17 @@ class TestTomographicProtocol:
         assert b.xi == a.xi
         assert b.fidelity == a.fidelity
         assert b.details["h"] == a.details["h"]
+
+    def test_pinned_noisy_outcome(self):
+        """A noisy estimate at k = 2, where the energy subspace of one
+        excitation is two-dimensional: the plan runs on the true state
+        dephased in the estimate's eigenvectors, so its exact xi reads their
+        bits.  Pinned to the last bit."""
+        rho = DensityMatrix(np.array([[0.2, 0.35], [0.35, 0.8]]))
+        out = tomographic_universal_protocol(rho, QUBIT, 20, k=2, eta=0.1, seed=1)
+        assert out.details["h"] == (-2, -1, 1, 2) and out.details["xi_mode"] == "exact"
+        assert (repr(out.xi), repr(out.fidelity), repr(out.details["budget_nats"])) == (
+            "0.00012017789035967397", "0.9998798221096403", "1.221870337690188")
 
     def test_diagonal_state_immune_to_dephasing(self):
         rho = DensityMatrix.from_diagonal([1.0, 0.0])

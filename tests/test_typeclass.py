@@ -71,6 +71,12 @@ class TestCounting:
             want = gammaln(rows.sum(axis=1) + 1) - gammaln(rows + 1).sum(axis=1)
             assert np.array_equal(log_multinomial_rows(rows), want)
         assert not typeclass.LOG_FACT.flags.writeable
+        # _log_fact on arrays inside the table, straddling its end and past it,
+        # and on scalars on both sides of it: gammaln's bits and x's shape
+        for x in (np.arange(limit - 3, limit + 3), np.array([[0, 3 * limit], [limit - 1, limit]]),
+                  np.arange(limit - 3, limit), np.int64(limit - 1), np.int64(limit), 0, limit - 1, limit, 3 * limit):
+            got, want = typeclass._log_fact(x), gammaln(np.asarray(x) + 1.0)
+            assert np.shape(got) == np.shape(x) and np.asarray(got).tobytes() == want.tobytes()
 
     def test_exact_count_binomial(self):
         assert exact_freq_count((3, 2)) == 10
@@ -231,6 +237,12 @@ def _probe(F, G, m=None) -> TransferProbe:
     assert (T.sum(axis=1) == T[0].sum()).all()
     m = np.ones(F.shape[1], dtype=np.int64) if m is None else m
     return TransferProbe(F, G, m, np.nonzero(T != T[0]), log_multinomial_rows(F) + log_multinomial_rows(G))
+
+
+def _grid(F, G, h, m=None):
+    """feasible_grid on rows F, G with each side's ln|Freq| per row from
+    log_multinomial_rows, as its caller keeps them."""
+    return feasible_grid(F, G, log_multinomial_rows(F), log_multinomial_rows(G), h, m)
 
 
 def _search_rows(rows, h) -> tuple:
@@ -452,7 +464,7 @@ class TestGroupedPredicate:
                 ok = (target >= 0).all(axis=1)
                 want = np.zeros(len(pf), dtype=bool)
                 want[ok] = size_of[n](pf[ok]) * size_of[l](pg[ok]) <= size_of[n + l](target[ok])
-                grid = np.vstack([feas for _, feas in feasible_grid(F, G, h, m)]).ravel()
+                grid = np.vstack([feas for _, feas in _grid(F, G, h, m)]).ravel()
                 i, j = int(np.flatnonzero(h == -1)[0]), int(np.flatnonzero(h == 1)[0])
                 assert np.array_equal(feasible_rows(pf, pg, h, m), want)
                 assert np.array_equal(grid, want)
@@ -467,11 +479,11 @@ class TestGroupedPredicate:
         want = [_grouped_oracle(f, g, h, m) for f, g in zip(F, G)]
         assert feasible_rows(F, G, h, m).tolist() == want
         Fn, Gl = F[F.sum(axis=1) == F[0].sum()], G[G.sum(axis=1) == G[0].sum()]  # one n, one l
-        grid = np.vstack([feas for _, feas in feasible_grid(Fn, Gl, h, m)])
+        grid = np.vstack([feas for _, feas in _grid(Fn, Gl, h, m)])
         assert grid.tolist() == [[_grouped_oracle(f, g, h, m) for g in Gl] for f in Fn]
         for f, g, hh in ties:
             assert feasible_rows([f], [g], hh, m)[0] == _grouped_oracle(f, g, hh, m)
-            assert next(feasible_grid(np.array([f]), np.array([g]), hh, m))[1][0, 0] == (
+            assert next(_grid(np.array([f]), np.array([g]), hh, m))[1][0, 0] == (
                 _grouped_oracle(f, g, hh, m))
         if len(h) < 2:
             return
@@ -495,7 +507,7 @@ class TestGroupedPredicate:
         letter of multiplicity 3 is a tie only for m = 1."""
         assert feasible_rows([(1, 0)], [(1, 0)], (1, -1), (2, 1)).tolist() == [True]
         assert _probe([(1, 0)], [(1, 0)], (2, 1)).feasible(1, 0, 1).tolist() == [True]
-        grid = next(feasible_grid(np.array([(1, 0)]), np.array([(4, 0)]), (1, -1), (5, 1)))[1]
+        grid = next(_grid(np.array([(1, 0)]), np.array([(4, 0)]), (1, -1), (5, 1)))[1]
         assert grid.tolist() == [[True]]
         assert feasible_rows([(1, 0)] * 2, [(0, 0)] * 2, (1, -1)).tolist() == [True, True]
         assert feasible_rows([(1, 0)], [(0, 0)], (1, -1), (3, 1)).tolist() == [False]
@@ -511,7 +523,7 @@ class TestGroupedPredicate:
         m_0 on the left and of m_1 on the right."""
         F, G, h = np.array([(1, 0, 0)]), np.array([(49_999, 0, 50_000)]), (1, -1, 0)
         assert feasible_rows(F, G, h, m).tolist() == [want]
-        assert next(feasible_grid(F, G, h, m))[1].tolist() == [[want]]
+        assert next(_grid(F, G, h, m))[1].tolist() == [[want]]
         assert _probe(F, G, m).feasible(1, 0, 1).tolist() == [want]
 
 
@@ -557,7 +569,7 @@ class TestFeasibleGrid:
         F, G, h, m, chunk = grid
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(typeclass, "GRID_CHUNK", chunk)
-            blocks = list(feasible_grid(F, G, h, m))
+            blocks = list(_grid(F, G, h, m))
         assert [lo for lo, _ in blocks] == list(range(0, len(F), max(1, chunk // len(G))))
         grid = np.vstack([feas for _, feas in blocks])
         assert grid.shape == (len(F), len(G))
@@ -602,7 +614,7 @@ class TestFeasibleGrid:
 
         monkeypatch.setattr(typeclass, "_exact_feasible", recorded)
         monkeypatch.setattr(typeclass, "GRID_CHUNK", chunk)
-        grid = np.vstack([feas for _, feas in feasible_grid(F, G, h, m)])
+        grid = np.vstack([feas for _, feas in _grid(F, G, h, m)])
         assert sorted(calls) == want
         calls.clear()
         rows = feasible_rows(np.repeat(F, len(G), axis=0), np.tile(G, (len(F), 1)), h, m)
