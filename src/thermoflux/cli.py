@@ -306,7 +306,7 @@ def haar_experiment(n_qubits: int, samples: int, seed: int = 0) -> dict:
 
 def _ctx_from_args(args) -> ThermalContext:
     levels = tuple(Fraction(x) for x in args.levels.split(","))
-    return ThermalContext(levels=levels, beta=args.beta)
+    return ThermalContext(levels=levels, beta=getattr(args, "beta", 0.0))  # schur reads no beta
 
 
 def _cmd_schur(args) -> int:
@@ -464,14 +464,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def levels_and_out(p):
         p.add_argument("--levels", default="0,1", help="comma-separated energies")
-        p.add_argument("--beta", type=float, default=1.0)
         p.add_argument("--out", default=None, help="write JSON here instead of stdout")
+
+    def common(p):
+        levels_and_out(p)
+        p.add_argument("--beta", type=float, default=1.0)
 
     p = sub.add_parser("schur", help="emit the Schur basis as JSON")
     p.add_argument("--n", type=int, required=True)
-    common(p)
+    levels_and_out(p)
     p.set_defaults(func=_cmd_schur)
 
     p = sub.add_parser("pinch", help="apply a pinching channel")
@@ -488,7 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=int, default=None, help="block size (aware and tomo modes)")
     p.add_argument("--exact", action="store_true",
-                   help="universal mode: skip the measurement stage")
+                   help="universal mode: the oracle reference, which chooses the shift "
+                        "on the true Weyl letters with no measurement stage")
     p.add_argument("--csv", default=None, help="append the result row here")
     common(p)
     p.set_defaults(func=_cmd_extract)

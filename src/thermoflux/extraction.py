@@ -560,14 +560,17 @@ def universal_protocol(
     mode: str = "sampled",
 ) -> ProtocolOutcome:
     """State-agnostic pipeline: Schur-pinch k-copy blocks, type-measure m of
-    them, estimate the pinched relative entropy, choose the shift with the
+    them, estimate the letters' relative entropy (the pinched one for qubits, at
+    most it for d >= 3; see schur_pinched_letters), choose the shift with the
     continuity-bound margin, and run the classical plan on the q - m remaining
-    blocks, all on the sum n_lambda Weyl letters with their multiplicities m_lambda
-    (the copies of a Weyl vector are equiprobable and of equal energy).
+    blocks, all on the sum n_lambda Weyl letters with their multiplicities
+    m_lambda (the copies of a Weyl vector are equiprobable and of equal energy).
 
-    source: DensityMatrix (its description is used only to produce measurement
-    statistics and to evaluate the realized performance — the protocol itself
-    is fixed by (ctx, params); see protocol_description_hash).
+    source: DensityMatrix.  With mode="sampled" its description is used only to
+    produce measurement statistics and to evaluate the realized performance —
+    the protocol itself is fixed by (ctx, params); see protocol_description_hash.
+    mode="exact" is the oracle reference, not a state-agnostic protocol: it
+    chooses the shift on the true letters p_k, with no measurement and no margin.
     """
     proto_hash = protocol_description_hash(ctx, params)
     k, m, q = params.k, params.m, params.q

@@ -244,10 +244,13 @@ def _copy0_masses(ctx: ThermalContext, k: int, rho, basis: SchurBasis):
 
 
 def schur_pinched_letters(ctx: ThermalContext, k: int, rho, basis: SchurBasis = None):
-    """The Schur-pinched k-copy block as sum n_lambda Weyl letters: (probs,
-    energies, multiplicities), letter w of block lambda carrying the mass
-    m_lambda q_w of its m_lambda equiprobable, equal-energy copies.  Letter
-    order: blocks in diagram order, Weyl index within."""
+    """The k-copy block as sum n_lambda Weyl letters: (probs, energies,
+    multiplicities), letter w of block lambda carrying the mass m_lambda q_w of
+    its m_lambda equiprobable, equal-energy copies.  Letter order: blocks in
+    diagram order, Weyl index within.  They are the spectrum of the Schur-pinched
+    block when each (lambda, E) block holds one Weyl vector, as it always does for
+    qubits; for d >= 3 they are a further dephasing of it, so D(p_k||t_k) can lie
+    below D(P(rho^{x k})||tau^{x k})."""
     basis, q, repeats = _copy0_masses(ctx, k, rho, basis)
     probs = q * repeats
     return probs / probs.sum(), _kept(basis, _letter_energies, ctx)[0], repeats

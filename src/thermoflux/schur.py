@@ -6,28 +6,31 @@ permutation-invariant operator is block diagonal as A_lambda (x) I_{m_lambda}.
 
 Construction, with no sum over the n! permutations.  The symmetric-group
 irreps are taken in Young's orthogonal form (YOR), indexed by standard
-tableaux.  For each diagram lambda:
+tableaux, each held as its row word (the row of entry 1, 2, ...).  For each
+diagram lambda:
 
 * Copy 0 of the Weyl space is the range of E_00, the projector onto the
   joint eigenspace of the Jucys-Murphy elements X_j = sum_{i<j} (i j) whose
-  eigenvalues are the contents of the first standard tableau
-  (Okounkov-Vershik).  Permutations keep the occupation type of a string, so
-  E_00 is applied type class by type class, as a product of Lagrange factors
-  (X_j - c')/(c_j - c') on the |S| x |S| block of the type's strings S; each
-  X_j is j - 1 index gathers.
+  eigenvalues are the contents of tableau 0 (Okounkov-Vershik).  Permutations
+  keep the occupation type of a string, so E_00 is applied type class by type
+  class, as a product of Lagrange factors (X_j - c')/(c_j - c') on the
+  |S| x |S| block of the type's strings S; each X_j is j - 1 index gathers.
 * Canonical rule: the Weyl vectors of a type are the Gram-Schmidt
   orthonormalisation, with one reorthogonalisation, of E_00 e_s over the
   type's strings s in increasing index order; residuals below GS_SKIP are
   skipped and the first nonzero amplitude of each vector is made positive.
   The basis is thus fixed even where a (lambda, type) subspace has dimension
   (Kostka number) above 1.
-* Copy t' >= 1 follows from an earlier copy t through YOR:
-  V_{a_j} e_t = g_tt e_t + g_t't e_t' for the adjacent transposition a_j, so
-  e_t' = (V_{a_j} e_t - g_tt e_t) / g_t't is one index gather.
+* Copy t' >= 1 follows from an earlier copy t through YOR, read off the
+  contents c of tableau t: for the adjacent transposition a_j with axial
+  distance a = c_{j+1} - c_j, |a| >= 2, V_{a_j} e_t = e_t / a +
+  sqrt(1 - 1/a^2) e_t', t' being t with entries j + 1 and j + 2 swapped, so
+  e_t' is one index gather and no YOR matrix is formed.
 
-Conventions: type classes in decreasing lexicographic count order; standard
-tableaux sorted by their row word.  build_schur_basis caches the basis by
-(n, d); its arrays are read-only.
+Conventions: type classes in decreasing lexicographic count order; Young
+diagrams in decreasing lexicographic order; standard tableaux as row words in
+increasing order.  build_schur_basis caches the basis by (n, d); its arrays
+are read-only.
 """
 
 from __future__ import annotations
@@ -68,23 +71,13 @@ class YoungDiagram:
 
 
 def enumerate_young_diagrams(n: int, d: int) -> list:
-    """All partitions of n with at most d parts, in decreasing lexicographic order."""
+    """All partitions of n with at most d parts, in decreasing lexicographic order:
+    the non-increasing rows of compositions(n, d) in reverse, zeros dropped."""
     if n < 1 or d < 1:
         raise ValueError("n >= 1 and d >= 1 required")
-    out = []
-
-    def rec(remaining, maxpart, prefix):
-        if remaining == 0:
-            out.append(YoungDiagram(tuple(prefix)))
-            return
-        if len(prefix) == d:
-            return
-        for part in range(min(maxpart, remaining), 0, -1):
-            rec(remaining - part, part, prefix + [part])
-
-    rec(n, n, [])
-    # recursion with descending first parts already yields decreasing lex order
-    return out
+    rows = compositions(n, d)[::-1]
+    rows = rows[np.all(rows[:, :-1] >= rows[:, 1:], axis=1)]
+    return [YoungDiagram(tuple(int(c) for c in f if c)) for f in rows]
 
 
 def weyl_dimension(diagram: YoungDiagram, d: int) -> int:
@@ -120,75 +113,19 @@ def irrep_dimensions(diagram: YoungDiagram, d: int) -> tuple:
 
 
 def standard_tableaux(diagram: YoungDiagram) -> list:
-    """Standard tableaux as tuples of row-tuples, sorted by row word.
-
-    The row word of a tableau is (row of entry 1, row of entry 2, ...).
-    """
+    """Standard tableaux as row words, in increasing order: word[i] is the
+    0-based row of entry i + 1."""
     rows = diagram.rows
-    n = diagram.total
-
-    results = []
-
-    def rec(filled_counts, placement):
-        k = len(placement) + 1
-        if k > n:
-            results.append(tuple(placement))
-            return
-        for r in range(len(rows)):
-            if filled_counts[r] < rows[r] and (r == 0 or filled_counts[r] < filled_counts[r - 1]):
-                filled_counts[r] += 1
-                placement.append(r)
-                rec(filled_counts, placement)
-                placement.pop()
-                filled_counts[r] -= 1
-
-    rec([0] * len(rows), [])
-    results.sort()
-
-    tableaux = []
-    for word in results:
-        t = [[] for _ in rows]
-        for entry, r in enumerate(word, start=1):
-            t[r].append(entry)
-        tableaux.append(tuple(tuple(r) for r in t))
-    return tableaux
+    words = [()]
+    for _ in range(diagram.total):  # extending sorted prefixes in row order keeps them sorted
+        words = [w + (r,) for w in words for r in range(len(rows))
+                 if w.count(r) < rows[r] and (r == 0 or w.count(r) < w.count(r - 1))]
+    return words
 
 
-def _tableau_positions(tableau):
-    """entry -> (row, col)."""
-    pos = {}
-    for i, row in enumerate(tableau):
-        for j, entry in enumerate(row):
-            pos[entry] = (i, j)
-    return pos
-
-
-@lru_cache(maxsize=None)
-def _yor_generators(rows: tuple):
-    """Young's orthogonal representation matrices for adjacent transpositions (k,k+1)."""
-    diagram = YoungDiagram(rows)
-    tableaux = standard_tableaux(diagram)
-    index = {t: i for i, t in enumerate(tableaux)}
-    m = len(tableaux)
-    n = diagram.total
-    gens = []
-    for k in range(1, n):
-        g = np.zeros((m, m))
-        for t, i in index.items():
-            pos = _tableau_positions(t)
-            (r1, c1), (r2, c2) = pos[k], pos[k + 1]
-            axial = (c2 - r2) - (c1 - r1)
-            inv = 1.0 / axial
-            g[i, i] = inv
-            # swap k and k+1 in the tableau; if still standard, couple the pair
-            swapped = tuple(
-                tuple(k + 1 if e == k else k if e == k + 1 else e for e in row) for row in t
-            )
-            if swapped in index:
-                j = index[swapped]
-                g[j, i] = math.sqrt(1.0 - inv * inv)
-        gens.append(g)
-    return gens
+def _contents(word: tuple) -> list:
+    """Content col - row of entries 1..n of the tableau with row word `word`."""
+    return [word[:i].count(r) - r for i, r in enumerate(word)]
 
 
 def _perm_index_map(perm: tuple, n: int, d: int) -> np.ndarray:
@@ -281,12 +218,6 @@ def _canonical_span(image: np.ndarray) -> np.ndarray:
     return q
 
 
-def _first_tableau_contents(rows: tuple) -> list:
-    """Content col - row of entries 1..n in the first standard tableau (rows
-    filled in reading order)."""
-    return [c - r for r, length in enumerate(rows) for c in range(length)]
-
-
 def _transposition_maps(strings: np.ndarray, n: int, d: int) -> dict:
     """(i, j) -> positions in `strings` of the strings with slots i and j swapped."""
     digits = (strings[:, None] // d ** np.arange(n - 1, -1, -1)) % d
@@ -316,18 +247,28 @@ def _jm_projector(swaps: dict, contents: list, n: int, d: int, size: int) -> np.
     return p
 
 
+@lru_cache(maxsize=None)
 def _copy_steps(rows: tuple) -> tuple:
-    """(new, old, j) in breadth-first order from tableau 0: copy `new` follows
-    from copy `old` through the adjacent transposition a_j."""
-    gens = _yor_generators(rows)
+    """(new, old, j, g_old, g_new) in breadth-first order from tableau 0: copy
+    `new`, old's word with letters j and j + 1 swapped, follows from copy `old`
+    through a_j, whose YOR sends e_old to g_old e_old + g_new e_new: g_old = 1/a
+    and g_new = sqrt(1 - 1/a^2) for the axial distance a = c[j+1] - c[j] of
+    old's contents, and the swapped word is standard exactly when |a| >= 2."""
+    words = standard_tableaux(YoungDiagram(rows))
+    index = {w: i for i, w in enumerate(words)}
     steps, seen, queue = [], {0}, [0]
     for old in queue:
-        for j, g in enumerate(gens):
-            for new in np.flatnonzero(g[:, old]):
-                if int(new) not in seen:
-                    seen.add(int(new))
-                    queue.append(int(new))
-                    steps.append((int(new), old, j))
+        word, c = words[old], _contents(words[old])
+        for j in range(len(word) - 1):
+            axial = c[j + 1] - c[j]
+            if abs(axial) < 2:
+                continue
+            new = index[word[:j] + (word[j + 1], word[j]) + word[j + 2:]]
+            if new not in seen:
+                seen.add(new)
+                queue.append(new)
+                g_old = 1.0 / axial
+                steps.append((new, old, j, g_old, math.sqrt(1.0 - g_old * g_old)))
     return tuple(steps)
 
 
@@ -352,7 +293,7 @@ def _schur_basis(n: int, d: int) -> SchurBasis:
     offset = 0
     for diagram in enumerate_young_diagrams(n, d):
         n_lam, m_lam = irrep_dimensions(diagram, d)
-        contents = _first_tableau_contents(diagram.rows)
+        contents = _contents(standard_tableaux(diagram)[0])
         rep = np.zeros((dim, 0))
         types = []
         for f, strings, swaps in classes:
@@ -367,10 +308,8 @@ def _schur_basis(n: int, d: int) -> SchurBasis:
             )
         copies = u[:, offset:offset + n_lam * m_lam].reshape(dim, n_lam, m_lam)
         copies[:, :, 0] = rep
-        gens = _yor_generators(diagram.rows)
-        for new, old, j in _copy_steps(diagram.rows):
-            g = gens[j]
-            copies[:, :, new] = (copies[adjacent[j], :, old] - g[old, old] * copies[:, :, old]) / g[new, old]
+        for new, old, j, g_old, g_new in _copy_steps(diagram.rows):
+            copies[:, :, new] = (copies[adjacent[j], :, old] - g_old * copies[:, :, old]) / g_new
         layout.append((diagram, n_lam, m_lam, tuple(types), offset))
         offset += n_lam * m_lam
 

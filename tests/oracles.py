@@ -1,17 +1,20 @@
 """Reference implementations that tests compare the library's fast paths
 against: a validating constructor for projector families, Young's orthogonal
-form of any permutation, and the dense action of a permutation on the tensor
-power."""
+form of any permutation (dense generator matrices built here from tableau
+positions, apart from the library's copy walk), and the dense action of a
+permutation on the tensor power."""
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from thermoflux.core import DimensionMismatchError, _check_cap
 from thermoflux.pinching import PROJ_TOL
-from thermoflux.schur import YoungDiagram, _perm_index_map, _yor_generators
+from thermoflux.schur import YoungDiagram, _perm_index_map
 
 
 @dataclass(frozen=True)
@@ -64,11 +67,49 @@ def _adjacent_decomposition(perm: tuple) -> list:
     return ops
 
 
+def row_words(diagram: YoungDiagram) -> list:
+    """Standard tableaux of the diagram as row words (word[e] = 0-based row of
+    entry e + 1), sorted: every word with the diagram's row counts whose
+    prefixes never fill a row past the one above it."""
+    rows = diagram.rows
+    words = []
+    for word in itertools.product(range(len(rows)), repeat=diagram.total):
+        counts = [0] * len(rows)
+        for r in word:
+            counts[r] += 1
+            if r and counts[r] > counts[r - 1]:
+                break
+        else:
+            if tuple(counts) == rows:
+                words.append(word)
+    return words
+
+
+def yor_generators(diagram: YoungDiagram) -> list:
+    """Dense Young's orthogonal form of a_e = (e + 1, e + 2), e = 0..n-2: with
+    r, c the row and column of each entry and axial distance
+    a = (c_{e+1} - r_{e+1}) - (c_e - r_e), tableau T goes to T / a plus
+    sqrt(1 - 1/a^2) times T with the two entries swapped, if they lie in
+    different rows and the swap is standard."""
+    words = row_words(diagram)
+    index = {w: i for i, w in enumerate(words)}
+    gens = [np.zeros((len(words), len(words))) for _ in range(diagram.total - 1)]
+    for i, w in enumerate(words):
+        pos = [(r, w[:e].count(r)) for e, r in enumerate(w)]
+        for e, g in enumerate(gens):
+            (r1, c1), (r2, c2) = pos[e], pos[e + 1]
+            axial = (c2 - r2) - (c1 - r1)
+            g[i, i] = 1.0 / axial
+            swapped = w[:e] + (w[e + 1], w[e]) + w[e + 2:]
+            if r1 != r2 and swapped in index:
+                g[index[swapped], i] = math.sqrt(1.0 - 1.0 / axial ** 2)
+    return gens
+
+
 def yor_matrix(diagram: YoungDiagram, perm: tuple) -> np.ndarray:
     """u_lambda(pi) in Young's orthogonal form; perm is 0-based one-line notation."""
-    gens = _yor_generators(diagram.rows)
-    m = gens[0].shape[0] if gens else 1
-    u = np.eye(m)
+    u = np.eye(len(row_words(diagram)))
+    gens = yor_generators(diagram)
     for k in _adjacent_decomposition(perm):
         u = u @ gens[k]
     return u

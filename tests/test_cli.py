@@ -1,5 +1,6 @@
 """Tests for configuration validation, sweeps, and the command-line interface."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -153,6 +154,17 @@ class TestCommandLine:
         out = json.loads(capsys.readouterr().out)
         assert [b["lambda"] for b in out["blocks"]] == [[2], [1, 1]]
         assert sum(b["n_lambda"] * b["m_lambda"] for b in out["blocks"]) == 4
+
+    def test_schur_takes_no_beta(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["schur", "--n", "2", "--beta", "2"])
+        assert exc.value.code == 2
+
+    def test_schur_output_bytes_are_pinned(self, tmp_path):
+        out = tmp_path / "schur.json"
+        assert main(["schur", "--n", "2", "--levels", "0,1", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "21215aca88d3b3566f2ce5765f5c0bc1dbf5dacb0595942ab01359462c93eb0f")
 
     def test_pinch_reports_loss_and_bound(self, capsys):
         rc = main(["pinch", "--state", "plus", "--kind", "schur", "--copies", "2"])

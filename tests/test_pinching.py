@@ -274,6 +274,44 @@ class TestWeylLetters:
         assert not mult.flags.writeable and mult.tolist() == [1] * 10 + [2] * 8 + [1]
 
 
+def _letter_and_pinched_entropies(ctx, k, rho):
+    """(D(p_k||t_k) of the Weyl letters, D(P(rho^{x k})||tau^{x k}) of the Schur pinching)."""
+    probs, energies, mult = schur_pinched_letters(ctx, k, rho)
+    letters = classical_relative_entropy(
+        probs, WorkAlphabet(energies=energies, beta=ctx.beta, multiplicities=mult).thermal)
+    pinched = relative_entropy(apply(schur_pinching(ctx, k), tensor_power(rho, k)), thermal_state(ctx, k))
+    return letters, pinched
+
+
+class TestLettersAgainstThePinchedState:
+    """The letters are the Schur-pinched spectrum when each (lambda, E) block
+    holds one Weyl vector (always, for qubits); for d >= 3 they dephase it further."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1), pure=st.booleans())
+    def test_qubit_letters_give_the_pinched_relative_entropy(self, k, seed, pure):
+        rng = np.random.default_rng(seed)
+        rho = DensityMatrix(_random_pure(rng, 2) if pure else _random_state(rng, 2))
+        letters, pinched = _letter_and_pinched_entropies(QUBIT, k, rho)
+        assert abs(letters - pinched) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(levels=st.sampled_from([(0, 1, 2), (0, 1, 3)]), k=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1), pure=st.booleans())
+    def test_qutrit_letters_never_exceed_the_pinched_relative_entropy(self, levels, k, seed, pure):
+        rng = np.random.default_rng(seed)
+        rho = DensityMatrix(_random_pure(rng, 3) if pure else _random_state(rng, 3))
+        letters, pinched = _letter_and_pinched_entropies(ThermalContext(levels, beta=1.0), k, rho)
+        assert letters <= pinched + 1e-12
+
+    def test_qutrit_plus_letters_lie_strictly_below(self):
+        """Levels (0, 1, 2), k = 2: the (2,) block holds two Weyl vectors of energy 2."""
+        letters, pinched = _letter_and_pinched_entropies(QUTRIT, 2, PLUS_QUTRIT)
+        kd = 2 * relative_entropy(PLUS_QUTRIT, thermal_state(QUTRIT))
+        assert letters / kd == pytest.approx(0.384, abs=1e-3)
+        assert pinched / kd == pytest.approx(0.459, abs=1e-3)
+
+
 class TestSchurCaches:
     def test_one_pinching_per_context_and_k(self):
         channel = schur_pinching(QUTRIT, 3)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from thermoflux.core import ThermalContext, thermal_state, tensor_power
 from thermoflux.schur import (
     YoungDiagram,
+    _copy_steps,
     _fix_phase,
     _perm_index_map,
     build_schur_basis,
@@ -23,7 +24,7 @@ from thermoflux.schur import (
 )
 from thermoflux.typeclass import compositions, strings_of_type
 
-from oracles import permutation_operator, yor_matrix
+from oracles import permutation_operator, row_words, yor_matrix
 
 QUBIT = ThermalContext(levels=(0, 1), beta=1.0)
 
@@ -67,6 +68,54 @@ class TestYoungDiagrams:
         for rows in [(2, 1), (2, 2), (3, 1), (3, 2), (2, 1, 1)]:
             dg = YoungDiagram(rows)
             assert len(standard_tableaux(dg)) == hook_length_dimension(dg)
+
+
+def _diagrams(max_n, max_rows):
+    return [dg for n in range(1, max_n + 1) for dg in enumerate_young_diagrams(n, max_rows)]
+
+
+def _partitions(n, max_parts):
+    """The partitions of n into at most max_parts parts, brute force: every
+    multiset of parts summing to n, its parts sorted in decreasing order."""
+    return {tuple(sorted(parts, reverse=True))
+            for r in range(1, max_parts + 1)
+            for parts in itertools.combinations_with_replacement(range(1, n + 1), r)
+            if sum(parts) == n}
+
+
+class TestTableauxAndCopySteps:
+    def test_enumeration_matches_sorted_partitions(self):
+        for n in range(1, 13):
+            partitions = _partitions(n, 6)
+            for d in range(1, 7):
+                want = sorted((p for p in partitions if len(p) <= d), reverse=True)
+                assert [dg.rows for dg in enumerate_young_diagrams(n, d)] == want
+
+    @pytest.mark.parametrize("diagram", _diagrams(8, 4), ids=lambda dg: str(dg.rows))
+    def test_words_are_increasing_standard_and_counted(self, diagram):
+        words = standard_tableaux(diagram)
+        assert len(words) == hook_length_dimension(diagram)
+        assert all(a < b for a, b in zip(words, words[1:]))
+        for word in words:
+            assert tuple(word.count(r) for r in range(diagram.depth)) == diagram.rows
+            for i, r in enumerate(word):  # each prefix fills no row past the one above
+                assert r == 0 or word[:i + 1].count(r) <= word[:i].count(r - 1)
+        if diagram.total <= 7:
+            assert words == row_words(diagram)
+
+    @pytest.mark.parametrize("diagram", _diagrams(8, 4), ids=lambda dg: str(dg.rows))
+    def test_copy_steps_reach_every_tableau_once(self, diagram):
+        words = standard_tableaux(diagram)
+        reached = [0]
+        for new, old, j, g_old, g_new in _copy_steps(diagram.rows):
+            assert old in reached and new not in reached
+            reached.append(new)
+            assert words[new] == words[old][:j] + (words[old][j + 1], words[old][j]) + words[old][j + 2:]
+            pos = [(r, words[old][:e].count(r)) for e, r in enumerate(words[old])]
+            axial = (pos[j + 1][1] - pos[j + 1][0]) - (pos[j][1] - pos[j][0])
+            assert abs(axial) >= 2 and g_old == 1.0 / axial
+            assert abs(g_old ** 2 + g_new ** 2 - 1.0) <= 1e-15 and g_new > 0
+        assert sorted(reached) == list(range(len(words)))
 
 
 class TestSymmetricGroupRepresentation:
@@ -119,18 +168,20 @@ class TestSchurBasisConstruction:
         assert dims == [((3,), 4, 1), ((2, 1), 2, 2)]
 
     def test_permutations_act_block_diagonally(self):
-        """Conjugated permutation operators decompose as I (x) u_lambda."""
-        basis = build_schur_basis(3, 2)
-        u = basis.change_of_basis
-        for perm in itertools.permutations(range(3)):
-            v = u.conj().T @ permutation_operator(perm, 3, 2) @ u
-            expected = []
-            for b in basis.blocks:
-                rep = yor_matrix(b.diagram, perm)
-                expected.append(np.kron(np.eye(b.weyl_dim), rep))
-            from scipy.linalg import block_diag
+        """Conjugated permutation operators decompose as I (x) u_lambda, for
+        every adjacent transposition and a few random permutations, u_lambda
+        from the oracle's own Young's orthogonal form."""
+        from scipy.linalg import block_diag
 
-            assert np.allclose(v, block_diag(*expected), atol=1e-9)
+        rng = np.random.default_rng(7)
+        for n, d in [(3, 2), (4, 2), (5, 2), (3, 3)]:
+            basis = build_schur_basis(n, d)
+            u = basis.change_of_basis
+            adjacent = [tuple(range(j)) + (j + 1, j) + tuple(range(j + 2, n)) for j in range(n - 1)]
+            for perm in adjacent + [tuple(int(x) for x in rng.permutation(n)) for _ in range(3)]:
+                v = u.conj().T @ permutation_operator(perm, n, d) @ u
+                expected = [np.kron(np.eye(b.weyl_dim), yor_matrix(b.diagram, perm)) for b in basis.blocks]
+                assert np.allclose(v, block_diag(*expected), atol=1e-9)
 
     def test_symmetric_block_vectors_are_type_sums(self):
         """The multiplicity-free symmetric block consists of the normalized
