@@ -1,7 +1,8 @@
-"""Schur layer timings for qubits k = 4..8 and qutrits k = 3..5: the uncached
-basis build; schur_pinching + apply on the cached basis; the Schur-pinched
-distribution on the cached basis; and D(apply(channel, rho^k) || tau^k) with
-its pinching and thermal state, on a validated rho^k.
+"""Schur layer timings for qubits k = 4..10 and qutrits k = 3..5: the cold
+basis build (no cached basis, and the tableau steps schur._copy_steps cleared
+inside the timed call); schur_pinching + apply on the cached basis; the
+Schur-pinched distribution on the cached basis; and D(apply(channel, rho^k) ||
+tau^k) with its pinching and thermal state, on a validated rho^k.
 
     python bench/schur_layer.py [--out BENCH_schur.json] [--max-k K] [--repeats R]
                                 [--baseline DIR]
@@ -35,7 +36,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from thermoflux import core, pinching, schur  # noqa: E402
 
-CELLS = tuple((2, k) for k in range(4, 9)) + tuple((3, k) for k in range(3, 6))
+CELLS = tuple((2, k) for k in range(4, 11)) + tuple((3, k) for k in range(3, 6))
 MIN_REPEATS = 5
 
 
@@ -84,8 +85,13 @@ def _cell(d: int, k: int) -> tuple:
     rho_k = core.tensor_power(rho, k)
     basis = schur.build_schur_basis(k, d)
     channel = pinching.schur_pinching(ctx, k, basis)
+
+    def cold_build():
+        schur._copy_steps.cache_clear()
+        return schur._schur_basis.__wrapped__(k, d)
+
     calls = {
-        "build_s": lambda: schur._schur_basis.__wrapped__(k, d),
+        "build_s": cold_build,
         "pinch_apply_s": lambda: pinching.apply(pinching.schur_pinching(ctx, k, basis), rho_k.entries),
         "pinched_dist_s": lambda: pinching.schur_pinched_distribution(ctx, k, rho, basis),
         "rel_entropy_s": lambda: core.relative_entropy(pinching.apply(channel, rho_k), core.thermal_state(ctx, k)),
@@ -110,7 +116,7 @@ def measure(max_k: int, repeats: int, baseline: Path = None) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default=str(ROOT / "BENCH_schur.json"))
-    parser.add_argument("--max-k", type=int, default=8, help="leave out cells with more copies")
+    parser.add_argument("--max-k", type=int, default=10, help="leave out cells with more copies")
     parser.add_argument("--repeats", type=int, default=MIN_REPEATS)
     parser.add_argument("--baseline", type=Path, help="checkout whose src/ every cell also runs on")
     args = parser.parse_args(argv)

@@ -25,6 +25,7 @@ from thermoflux.core import (
 from thermoflux.schur import SchurBasis, build_schur_basis
 
 PROJ_TOL = 1e-10
+PAD_BUDGET = 16 ** 3  # multiply-adds: about numpy's fixed cost of one batched product
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,16 +33,26 @@ class BasisFamily:
     """The projectors Pi_j = sum_{c : groups[c] = j} |u_c><u_c| onto groups of
     the columns u_c of a unitary U, with labels[j] naming Pi_j.
 
+    Its sectors are the connected components of the rows and columns of U, a
+    row and a column linked where U has a nonzero entry and two columns where
+    they share a projector; they are found once per family.  U is exactly
+    block diagonal on them, with blocks U_s = U[rows_s, cols_s], and each Pi_j
+    lies in one sector.  For the Schur change of basis they are the energy
+    classes of the strings (each column lives on one type class's strings and
+    each (lambda, E) group has one energy); for energy pinching (U = I) they
+    are the energy classes too; a dense U gives one sector.
+
     One bound is checked in place of the pairwise projector checks:
-    ||U^dag U - I||_F <= eps = PROJ_TOL/2.  It implies that every Pi_j is
+    ||U^dag U - I||_F <= eps = PROJ_TOL/2, summed over the sectors, as the
+    off-sector blocks of U^T U are exact zeros.  It implies that every Pi_j is
     Hermitian, idempotent, orthogonal to the others and that they sum to the
     identity, each within PROJ_TOL entrywise: with U_j the columns of group j
     and E = U^dag U - I, Pi_j^2 - Pi_j = U_j E_jj U_j^dag and
     Pi_i Pi_j = U_i E_ij U_j^dag have norm <= ||U_j||^2 eps <= (1 + eps) eps,
-    and sum_j Pi_j - I = U U^dag - I has the spectrum of E.  Pi_j is Hermitian
-    by construction.  U is real (the Schur basis, the identity), so apply maps
-    Re rho and Im rho apart in real products.  The dense projectors are built
-    on each read and not kept.
+    and sum_j Pi_j - I = U U^dag - I has the spectrum of E.  It also makes
+    every U_s square.  Pi_j is Hermitian by construction.  U is real (the
+    Schur basis, the identity), so apply maps Re rho and Im rho apart in real
+    products.  The dense projectors are built on each read and not kept.
     """
 
     unitary: np.ndarray
@@ -60,11 +71,14 @@ class BasisFamily:
             raise ValueError("groups must number the projectors 0..J-1, each non-empty")
         if self.labels is not None and len(self.labels) != count:
             raise ValueError(f"{len(self.labels)} labels for {count} projectors")
-        dev = float(np.linalg.norm(u.T @ u - np.eye(len(u))))
-        if dev > PROJ_TOL / 2:
-            raise ValueError(f"basis not unitary: ||U^dag U - I||_F = {dev:g}")
         object.__setattr__(self, "unitary", u)
         object.__setattr__(self, "groups", _frozen(groups))
+        dev = 0.0
+        for rows, cols in self.sectors:
+            block = u[np.ix_(rows, cols)]
+            dev += float(np.sum(np.square(block.T @ block - np.eye(len(cols)))))
+        if np.sqrt(dev) > PROJ_TOL / 2:
+            raise ValueError(f"basis not unitary: ||U^dag U - I||_F = {np.sqrt(dev):g}")
 
     @property
     def dim(self) -> int:
@@ -74,20 +88,66 @@ class BasisFamily:
         return int(self.groups.max()) + 1
 
     @cached_property
-    def mask(self) -> np.ndarray:
-        """mask[a, b]: columns a and b belong to the same projector."""
-        return _frozen(self.groups[:, None] == self.groups[None, :])
-
-    @cached_property
     def members(self) -> tuple:
         """The columns of each projector, in increasing order; read-only."""
         return tuple(_frozen(np.flatnonzero(self.groups == j)) for j in range(len(self)))
 
     @cached_property
-    def stacks(self) -> tuple:
-        """members stacked by rank: one (count, rank) array per rank, in increasing rank."""
-        ranks = sorted({len(cols) for cols in self.members})
-        return tuple(_frozen(np.stack([c for c in self.members if len(c) == s])) for s in ranks)
+    def sectors(self) -> tuple:
+        """(rows, cols) of each sector, both in increasing order, the sectors in
+        increasing order of their least column; read-only.  A row that no
+        column reaches (U is then not unitary) is in none."""
+        u, d = self.unitary, self.dim
+        r, c = np.nonzero(u)
+        a = np.concatenate([c, np.arange(d)])  # nodes: columns 0..d-1, rows d..2d-1
+        b = np.concatenate([r + d, np.unique(self.groups, return_index=True)[1][self.groups]])
+        label = np.arange(2 * d)
+        while True:  # each node takes its neighbours' least label, then its label's label
+            new = label.copy()
+            np.minimum.at(new, a, label[b])
+            np.minimum.at(new, b, label[a])
+            new = new[new]
+            if np.array_equal(new, label):
+                break
+            label = new
+        # each component is now labelled by its least node, a column if it has one
+        return tuple((_frozen(np.flatnonzero(label[d:] == key)), _frozen(np.flatnonzero(label[:d] == key)))
+                     for key in np.unique(label[:d]))
+
+    @cached_property
+    def _plan(self) -> tuple:
+        """apply's gathers, (buckets, blocks); read-only.  The largest sector
+        left opens a bucket of size n, and every sector whose padding to n
+        costs under PAD_BUDGET multiply-adds per product joins it.  A bucket
+        of S sectors is (take, u, mask): take (2, S, n, n) the positions of
+        Re and Im of rho[rows_s, rows_s] in the float view of a C-ordered
+        dim x dim complex array, padded slots one entry past its end; u[s] =
+        U_s, its padding zero, which zeroes the padding of M_s = U_s^T rho U_s;
+        mask[s] the in-projector pattern of M_s.  apply concatenates the Re and
+        Im parts of the M_s, bucket after bucket, in one array; blocks holds,
+        per projector rank r, the (count, 2, r, r) positions there of the
+        blocks U_j^T rho U_j, in increasing rank."""
+        d, rest = self.dim, sorted(self.sectors, key=lambda sector: -len(sector[1]))
+        buckets, blocks, offset = [], {}, 0
+        while rest:
+            n = len(rest[0][1])
+            cut = sum(n ** 3 - len(cols) ** 3 < PAD_BUDGET for _, cols in rest)
+            sel, rest = rest[:cut], rest[cut:]
+            rows, g, u = np.full((cut, n), d), np.full((cut, n), -1), np.zeros((cut, n, n))
+            for s, (r, c) in enumerate(sel):
+                rows[s, :len(r)], g[s, :len(c)] = r, self.groups[c]
+                u[s, :len(r), :len(c)] = self.unitary[np.ix_(r, c)]
+            pad = rows == d
+            at = np.where(pad[:, :, None] | pad[:, None, :], d * d, rows[:, :, None] * d + rows[:, None, :])
+            buckets.append((_frozen(np.stack([2 * at, 2 * at + 1])), _frozen(u),
+                            _frozen(g[:, :, None] == g[:, None, :])))
+            for s, gs in enumerate(g):
+                for j in np.unique(gs[gs >= 0]):
+                    loc = np.flatnonzero(gs == j)
+                    at = offset + (s * n + loc[:, None]) * n + loc
+                    blocks.setdefault(len(loc), []).append((at, at + g.size * n))
+            offset += 2 * g.size * n
+        return tuple(buckets), tuple(_frozen(np.array(blocks[r])) for r in sorted(blocks))
 
     @property
     def projectors(self) -> tuple:
@@ -109,24 +169,38 @@ class PinchingChannel:
 
 def apply(channel: PinchingChannel, rho):
     """sum_j Pi_j rho Pi_j = U (mask o M) U^T for M = U^T rho U; trace preserving.
-    The real U maps Re rho and Im rho apart, in real products.  A DensityMatrix
-    comes back with the spectrum of the blocks M_j = U_j^T rho U_j, one eigvalsh
-    per stack of equal-rank blocks, and no solve of the output; the state checks
-    still run.  The output is U B U^T, B = mask o M holding the blocks M_j up to
-    a permutation.  For eps = PROJ_TOL/2, U U^T has its spectrum in [1 - eps,
+
+    Formed sector by sector: an entry of M within a projector reads only the
+    block rho_s = rho[rows_s, rows_s] of its sector, M_s = U_s^T rho_s U_s, and
+    the output is U_s (mask_s o M_s) U_s^T on each rows_s x rows_s block and
+    exactly zero elsewhere, as U is zero off the sectors.  So the result is
+    that of the dense products up to rounding (for energy pinching, U = I,
+    byte for byte).  Each bucket of sectors (BasisFamily._plan) goes through
+    one batched product, padded with zero rows and columns of U_s, which keep
+    the padding out of the output; the real U maps Re rho and Im rho apart, in
+    real products.  A DensityMatrix comes back with the spectrum of the blocks
+    M_j = U_j^T rho U_j, read off the M_s, one eigvalsh per stack of equal-rank
+    blocks, and no solve of the output; the state checks still run.  The
+    output is still U B U^T, B = mask o M holding the blocks M_j up to a
+    permutation.  For eps = PROJ_TOL/2, U U^T has its spectrum in [1 - eps,
     1 + eps], so by Ostrowski's theorem the i-th eigenvalue of U B U^T is theta_i
     lambda_i(B) with theta_i in [1 - eps, 1 + eps]; as |lambda_i(B)| <= ||M|| <=
     1 + eps, the sorted spectra differ by at most eps (1 + eps), beyond rounding."""
-    r = _entries(rho)
-    if r.shape[0] != channel.dim:
-        raise DimensionMismatchError(f"state dim {r.shape[0]} vs channel dim {channel.dim}")
-    u, mask, stacks = channel.family.unitary, channel.family.mask, channel.family.stacks
-    m_re, m_im = u.T @ r.real @ u, u.T @ r.imag @ u
-    out = u @ (m_re * mask) @ u.T + 1j * (u @ (m_im * mask) @ u.T)
+    r, d = _entries(rho), channel.dim
+    if r.shape != (d, d):
+        raise DimensionMismatchError(f"state shape {r.shape} vs channel dim {d}")
+    buckets, blocks = channel.family._plan
+    flat = np.ascontiguousarray(r).view(float).ravel()
+    out, ms = np.zeros(2 * d * d + 2), []  # the entry past the end takes the padded slots
+    for take, u, mask in buckets:
+        # padded slots read rho's last entry (clipped), which U_s's zero padding drops
+        ms.append(u.swapaxes(1, 2) @ flat.take(take, mode="clip") @ u)
+        out[take] = u @ (ms[-1] * mask) @ u.swapaxes(1, 2)
+    out = out[:-2].view(complex).reshape(d, d)
     if not isinstance(rho, DensityMatrix):
         return out
-    blocks = ((cols[:, :, None], cols[:, None, :]) for cols in stacks)
-    return DensityMatrix(out, _block_spectrum(m_re[ix] + 1j * m_im[ix] for ix in blocks))
+    m = np.concatenate([m_s.ravel() for m_s in ms])
+    return DensityMatrix(out, _block_spectrum(m[at[:, 0]] + 1j * m[at[:, 1]] for at in blocks))
 
 
 def energy_pinching(ctx: ThermalContext, n: int) -> PinchingChannel:

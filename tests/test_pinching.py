@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from thermoflux import schur
 from thermoflux.core import (
     DensityMatrix,
+    _entries,
     DimensionMismatchError,
     HamiltonianOperator,
     ThermalContext,
@@ -88,7 +89,8 @@ class TestEnergyPinching:
             groups.setdefault(e, []).append(idx)
         assert [e for _, e in fam.labels] == sorted(groups)
         assert [m.tolist() for m in fam.members] == [groups[e] for e in sorted(groups)]
-        for arr in (fam.unitary, fam.groups, fam.mask, *fam.members):
+        assert [(r.tolist(), c.tolist()) for r, c in fam.sectors] == [(m.tolist(), m.tolist()) for m in fam.members]
+        for arr in (fam.unitary, fam.groups, *fam.members, *(a for sector in fam.sectors for a in sector)):
             assert not arr.flags.writeable
 
     def test_preserves_diagonal_states(self):
@@ -320,7 +322,7 @@ class TestSchurCaches:
         assert schur_pinching(ThermalContext(levels=(0, 1, 2), beta=2.5), 3) is channel
         assert schur_pinching(ThermalContext(levels=(0, 1, 3), beta=1.0), 3) is not channel
         fam = channel.family
-        for arr in (fam.unitary, fam.groups, fam.mask, *fam.projectors):
+        for arr in (fam.unitary, fam.groups, *fam.projectors, *(a for sector in fam.sectors for a in sector)):
             assert not arr.flags.writeable
         assert "projectors" not in vars(fam)  # the dense projectors are not kept
 
@@ -389,7 +391,8 @@ class TestBasisFamily:
         channel = schur_pinching(QUTRIT, 3)
         rho = _random_state(np.random.default_rng(12), 27)
         u = channel.family.unitary.astype(complex)
-        want = u @ ((u.conj().T @ rho @ u) * channel.family.mask) @ u.conj().T
+        mask = channel.family.groups[:, None] == channel.family.groups[None, :]
+        want = u @ ((u.conj().T @ rho @ u) * mask) @ u.conj().T
         assert np.max(np.abs(apply(channel, rho) - want)) <= 1e-13
         assert isinstance(apply(channel, DensityMatrix(rho)), DensityMatrix)
 
@@ -456,12 +459,135 @@ class TestBlockSpectrum:
         with pytest.raises(ValueError, match="PSD"):
             apply(energy_pinching(QUBIT, 2), rho)
 
-    def test_stacks_hold_every_column_once_by_rank(self):
+    def test_sectors_hold_every_row_and_column_once(self):
+        """The sectors partition the rows and the columns into square blocks
+        of U, each projector's columns in one sector, and U is zero off them."""
         fam = schur_pinching(QUTRIT, 3).family
-        ranks = [s.shape[1] for s in fam.stacks]
-        assert ranks == sorted(set(len(cols) for cols in fam.members))
-        assert sorted(np.concatenate([s.ravel() for s in fam.stacks]).tolist()) == list(range(fam.dim))
-        assert all(not s.flags.writeable for s in fam.stacks)
+        rows = np.concatenate([r for r, _ in fam.sectors])
+        cols = np.concatenate([c for _, c in fam.sectors])
+        assert sorted(rows.tolist()) == sorted(cols.tolist()) == list(range(fam.dim))
+        assert all(len(r) == len(c) for r, c in fam.sectors)
+        sector_of = np.empty(fam.dim, dtype=int)
+        for s, (r, c) in enumerate(fam.sectors):
+            sector_of[c] = s
+            assert np.count_nonzero(fam.unitary[np.ix_(r, c)]) == np.count_nonzero(fam.unitary[:, c])
+        assert all(len(set(sector_of[m])) == 1 for m in fam.members)
+
+
+def _dense_pinching(fam, r):
+    """The dense oracle U((U^T rho U) o mask)U^T, the mask built from the groups."""
+    u = fam.unitary
+    mask = fam.groups[:, None] == fam.groups[None, :]
+    return u @ ((u.T @ r @ u) * mask) @ u.T
+
+
+def _mask_product(fam, r):
+    """U((U^T rho U) o mask)U^T as real products on Re rho and Im rho, dense."""
+    u = fam.unitary
+    mask = fam.groups[:, None] == fam.groups[None, :]
+    return u @ ((u.T @ r.real @ u) * mask) @ u.T + 1j * (u @ ((u.T @ r.imag @ u) * mask) @ u.T)
+
+
+def _random_orthogonal(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def _dense_family():
+    """A dense orthogonal U: one sector."""
+    rng = np.random.default_rng(21)
+    return BasisFamily(unitary=_random_orthogonal(rng, 12), groups=rng.permutation(np.arange(12) % 5))
+
+
+def _permuted_block_family():
+    """Orthogonal blocks of sizes 3, 1, 4, 2 with rows and columns permuted, so
+    the sectors are not index ranges; the size-4 block holds two projectors."""
+    rng = np.random.default_rng(22)
+    u = np.zeros((10, 10))
+    for lo, hi in ((0, 3), (3, 4), (4, 8), (8, 10)):
+        u[lo:hi, lo:hi] = _random_orthogonal(rng, hi - lo)
+    rows, cols = rng.permutation(10), rng.permutation(10)
+    groups = np.array([0, 0, 0, 1, 2, 2, 3, 3, 4, 4])[cols]
+    return BasisFamily(unitary=u[np.ix_(rows, cols)], groups=groups), [
+        (np.sort(np.flatnonzero(np.isin(rows, range(lo, hi)))), np.sort(np.flatnonzero(np.isin(cols, range(lo, hi)))))
+        for lo, hi in ((0, 3), (3, 4), (4, 8), (8, 10))]
+
+
+SECTOR_CONTEXTS = ([(ThermalContext((0, 1), beta=1.0), k) for k in range(1, 7)]
+                   + [(ThermalContext(levels, beta=1.0), k) for levels in ((0, 1, 2), (0, 1, 3)) for k in range(1, 5)])
+SECTOR_FAMILIES = ([schur_pinching(ctx, k).family for ctx, k in SECTOR_CONTEXTS]
+                   + [energy_pinching(ctx, k).family for ctx, k in SECTOR_CONTEXTS]
+                   + [_dense_family(), _permuted_block_family()[0]])
+
+
+class TestSectorPath:
+    """apply forms the pinching sector by sector; it agrees with the dense products."""
+
+    @settings(max_examples=80)
+    @given(index=st.integers(0, len(SECTOR_FAMILIES) - 1), seed=st.integers(0, 2 ** 32 - 1),
+           state=st.booleans())
+    def test_matches_the_dense_oracle(self, index, seed, state):
+        fam = SECTOR_FAMILIES[index]
+        g = np.random.default_rng(seed).normal(size=(fam.dim, fam.dim, 2)) @ [1.0, 1j]
+        rho = g @ g.conj().T if state else g + g.conj().T
+        rho = rho / np.linalg.norm(rho)
+        if state:
+            rho = DensityMatrix(rho / rho.trace().real)
+        want = _dense_pinching(fam, _entries(rho))
+        out = apply(PinchingChannel(fam), rho)
+        assert np.max(np.abs(_entries(out) - want)) <= 1e-14
+        if state:
+            assert np.max(np.abs(out.spectrum - np.linalg.eigvalsh(want))) <= 1e-14
+        if np.array_equal(fam.unitary, np.eye(fam.dim)):  # energy pinching
+            assert _entries(out).tobytes() == _mask_product(fam, _entries(rho)).tobytes()
+
+    @pytest.mark.parametrize("d, k", [(2, 1), (2, 5), (3, 3), (3, 4)])
+    def test_energy_pinching_bytes_equal_the_mask_product(self, d, k):
+        """U = I: the output is the real and imaginary mask products, byte for
+        byte, on random and on real states (signed zeros included)."""
+        ctx = ThermalContext(tuple(range(d)), beta=1.0)
+        channel = energy_pinching(ctx, k)
+        rng = np.random.default_rng(d * 10 + k)
+        real = rng.normal(size=(d, d))
+        for rho in (_random_state(rng, d ** k), tensor_power(DensityMatrix(real @ real.T / np.trace(real @ real.T)), k).entries):
+            assert apply(channel, rho).tobytes() == _mask_product(channel.family, rho).tobytes()
+
+    @pytest.mark.parametrize("ctx, k", SECTOR_CONTEXTS[1:], ids=[f"{c.levels}-k{k}" for c, k in SECTOR_CONTEXTS[1:]])
+    def test_schur_sectors_are_the_energy_classes(self, ctx, k):
+        """Each sector's rows are all the strings of one total energy, its
+        columns all the Schur columns of that energy."""
+        fam = schur_pinching(ctx, k).family
+        energies = np.array(HamiltonianOperator(ctx, k).exact_levels(), dtype=object)
+        classes = {e: np.flatnonzero(energies == e).tolist() for e in set(energies)}
+        column_energy = [fam.labels[j][1] for j in fam.groups]
+        assert len(fam.sectors) == len(classes)
+        for rows, cols in fam.sectors:
+            (e,) = set(energies[rows])
+            assert rows.tolist() == classes[e]
+            assert {column_energy[c] for c in cols} == {e} and len(cols) == len(rows)
+
+    def test_permuted_blocks_are_found(self):
+        fam, want = _permuted_block_family()
+        assert sorted((r.tolist(), c.tolist()) for r, c in fam.sectors) == sorted((r.tolist(), c.tolist()) for r, c in want)
+        assert len(_dense_family().sectors) == 1
+
+    @pytest.mark.parametrize("d, k", [(2, 4), (2, 6), (3, 3)])
+    def test_padded_slots_never_reach_the_output(self, d, k):
+        """The smaller sectors ride in a bucket padded to its largest size; the
+        output off the sectors' row blocks stays exactly zero, and on them
+        matches the dense oracle, with the last entry of rho (where padded
+        slots read) set large."""
+        ctx = ThermalContext(tuple(range(d)), beta=1.0)
+        fam = schur_pinching(ctx, k).family
+        assert any(np.any(take == 2 * fam.dim ** 2) for take, _, _ in fam._plan[0])  # some bucket pads
+        rho = _random_state(np.random.default_rng(k), fam.dim)
+        rho[-1, -1] += 1e3
+        out = apply(PinchingChannel(fam), rho)
+        inside = np.zeros((fam.dim, fam.dim), dtype=bool)
+        for rows, _ in fam.sectors:
+            inside[np.ix_(rows, rows)] = True
+        assert np.all(out[~inside] == 0)
+        assert np.max(np.abs(out - _dense_pinching(fam, rho))) <= 1e-11
 
 
 class TestRandomStateBounds:
