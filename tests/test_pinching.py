@@ -475,14 +475,8 @@ class TestBlockSpectrum:
 
 
 def _dense_pinching(fam, r):
-    """The dense oracle U((U^T rho U) o mask)U^T, the mask built from the groups."""
-    u = fam.unitary
-    mask = fam.groups[:, None] == fam.groups[None, :]
-    return u @ ((u.T @ r @ u) * mask) @ u.T
-
-
-def _mask_product(fam, r):
-    """U((U^T rho U) o mask)U^T as real products on Re rho and Im rho, dense."""
+    """The dense oracle U((U^T rho U) o mask)U^T, the mask built from the groups,
+    in real products on Re rho and Im rho."""
     u = fam.unitary
     mask = fam.groups[:, None] == fam.groups[None, :]
     return u @ ((u.T @ r.real @ u) * mask) @ u.T + 1j * (u @ ((u.T @ r.imag @ u) * mask) @ u.T)
@@ -539,7 +533,7 @@ class TestSectorPath:
         if state:
             assert np.max(np.abs(out.spectrum - np.linalg.eigvalsh(want))) <= 1e-14
         if np.array_equal(fam.unitary, np.eye(fam.dim)):  # energy pinching
-            assert _entries(out).tobytes() == _mask_product(fam, _entries(rho)).tobytes()
+            assert _entries(out).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("d, k", [(2, 1), (2, 5), (3, 3), (3, 4)])
     def test_energy_pinching_bytes_equal_the_mask_product(self, d, k):
@@ -550,7 +544,7 @@ class TestSectorPath:
         rng = np.random.default_rng(d * 10 + k)
         real = rng.normal(size=(d, d))
         for rho in (_random_state(rng, d ** k), tensor_power(DensityMatrix(real @ real.T / np.trace(real @ real.T)), k).entries):
-            assert apply(channel, rho).tobytes() == _mask_product(channel.family, rho).tobytes()
+            assert apply(channel, rho).tobytes() == _dense_pinching(channel.family, rho).tobytes()
 
     @pytest.mark.parametrize("ctx, k", SECTOR_CONTEXTS[1:], ids=[f"{c.levels}-k{k}" for c, k in SECTOR_CONTEXTS[1:]])
     def test_schur_sectors_are_the_energy_classes(self, ctx, k):
