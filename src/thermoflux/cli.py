@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -90,19 +90,7 @@ class ExperimentConfig:
         )
 
     def canonical_json(self) -> str:
-        return json.dumps(
-            {
-                "mode": self.mode,
-                "state": self.state,
-                "levels": list(self.levels),
-                "beta": self.beta,
-                "n_grid": list(self.n_grid),
-                "seeds": list(self.seeds),
-                "params": self.params,
-                "output": self.output,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]

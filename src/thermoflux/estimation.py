@@ -45,6 +45,12 @@ def hoeffding_sample_size(d_alphabet: int, eta: float, delta: float) -> int:
     return math.ceil((d_alphabet * math.log(2) + math.log(1.0 / delta)) / (2 * eta * eta))
 
 
+def hoeffding_radius(d_alphabet: int, m: int, delta: float) -> float:
+    """The eta at which hoeffding_sample_size's bound, before rounding up, is m:
+    the L1 radius of m samples over a d-letter alphabet at confidence 1 - delta."""
+    return math.sqrt((d_alphabet * math.log(2) + math.log(1.0 / delta)) / (2 * m))
+
+
 def classical_relative_entropy(p, q) -> float:
     """D(p||q) in nats for distributions; +inf guarded by support check."""
     p = np.asarray(p, dtype=float)

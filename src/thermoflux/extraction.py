@@ -29,9 +29,9 @@ from thermoflux.core import (
     tensor_power,
     thermal_state,
 )
-from thermoflux.estimation import classical_relative_entropy, hoeffding_sample_size, sample_types
+from thermoflux.estimation import classical_relative_entropy, hoeffding_radius, hoeffding_sample_size, sample_types
 from thermoflux.pinching import apply as pinch_apply
-from thermoflux.pinching import energy_pinching, schur_pinched_letters
+from thermoflux.pinching import _letter_energies, _weyl_letters, energy_pinching, schur_pinched_letters
 from thermoflux.schur import build_schur_basis
 from thermoflux.typeclass import (
     GRID_CHUNK,
@@ -512,8 +512,8 @@ class UniversalParams:
         if m_hoeffding <= m_cap:
             m, r = m_hoeffding, r_sched
         else:
-            m = m_cap  # r: the radius at which the Hoeffding formula gives exactly m
-            r = math.sqrt((d ** k * math.log(2) + math.log(2.0 / eps)) / (2 * m))
+            m = m_cap
+            r = hoeffding_radius(d ** k, m, eps / 2.0)
         return cls(n=n, k=k, m=m, eps=eps, r=r, c=c, margin_factor=margin_factor)
 
 
@@ -547,9 +547,10 @@ def protocol_description_hash(ctx: ThermalContext, params: UniversalParams) -> s
 @lru_cache(maxsize=16)
 def _weyl_alphabet(ctx: ThermalContext, k: int) -> WorkAlphabet:
     """The sum n_lambda Weyl letters of k copies, with their exact energies and
-    multiplicities, as one alphabet per (ctx, k): neither depends on the state."""
-    _, energies, mult = schur_pinched_letters(ctx, k, thermal_state(ctx), build_schur_basis(k, ctx.dim))
-    return WorkAlphabet(energies=energies, beta=ctx.beta, multiplicities=mult)
+    multiplicities, as one alphabet per (ctx, k), read off the Schur basis alone."""
+    basis = build_schur_basis(k, ctx.dim)
+    return WorkAlphabet(energies=_letter_energies(ctx.levels, basis)[0], beta=ctx.beta,
+                        multiplicities=_weyl_letters(basis)[1])
 
 
 def universal_protocol(
@@ -703,7 +704,10 @@ def measure_and_prepare_protocol(M: int, ctx: ThermalContext, n: int, p):
     W_l = (1/beta) ln(1 / Tr[P_B tau^n]).  Returns (summary, ProtocolOutcome).
     The description (partition, types and their blocks, thermal block masses,
     battery, Gibbs deviation) is kept per (M, ctx, n); a call computes p's
-    block masses, the nearest block and the Sanov exponent, in fresh dicts."""
+    block masses, the nearest block and the Sanov exponent, in fresh dicts.
+    Raises ValueError unless beta > 0, as W_l divides by it."""
+    if not ctx.beta > 0:
+        raise ValueError(f"measure-and-prepare needs beta > 0, got beta = {ctx.beta}")
     p, t, beta = np.asarray(p, dtype=float), ctx.gibbs_probabilities(), ctx.beta
     partition, F, block, keys, log_freq, mass_t, levels, gibbs_dev = _measure_and_prepare_description(M, ctx, n)
     dominant, boundary = partition.nearest(p)

@@ -339,15 +339,10 @@ def semiuniversal_protocol(
         if budget > n / 10:
             raise ValueError("identification budget exceeds n/10")
         rng = np.random.default_rng(np.random.SeedSequence([seed, 733]))
-        letters = [_pinched_letter_distribution(st, d_tilde) for st in S.states]
-        width = max(len(p) for p in letters)
-
-        def pad(p):
-            return np.concatenate([p, np.zeros(width - len(p))])
-
-        counts = rng.multinomial(id_samples, pad(letters[true_index]))
+        letters = [_pinched_letter_distribution(st, d_tilde) for st in S.states]  # d~^d~ + 1 letters each
+        counts = rng.multinomial(id_samples, letters[true_index])
         p_hat = counts / id_samples
-        dists = [float(np.abs(p_hat - pad(p)).sum()) for p in letters]
+        dists = [float(np.abs(p_hat - p).sum()) for p in letters]
         identified = int(np.argmin(dists))
 
     n_run = n - budget
@@ -364,7 +359,7 @@ def semiuniversal_protocol(
     l = math.ceil(n_run ** 1.5)
     misid_bound = None
     if len(S.states) > 1:
-        width_exp = 2.0 ** min(width, 60)
+        width_exp = 2.0 ** min(len(letters[0]), 60)
         misid_bound = min(
             1.0,
             (len(S.states) - 1)

@@ -1,7 +1,9 @@
 """Pinching channels: energy pinching and joint Schur/energy pinching.
 
 Includes the mixture-of-energy-conserving-unitaries realization and the
-quantitative pinching inequality / relative-entropy loss checks.
+quantitative pinching inequality / relative-entropy loss checks.  The values
+derived from a Schur basis (its Weyl letters, their energies, the Schur
+pinchings) are kept per basis object, 16 of each, and keep that basis alive.
 """
 
 from __future__ import annotations
@@ -233,24 +235,36 @@ def _schur_basis(ctx: ThermalContext, k: int, basis: SchurBasis) -> SchurBasis:
     return basis
 
 
-def _kept(basis: SchurBasis, build, ctx: ThermalContext):
-    """build(ctx, basis), kept on the basis per ctx.levels (build reads no beta)."""
-    key = (build.__name__, ctx.levels)
-    if key not in basis.by_levels:
-        basis.by_levels[key] = build(ctx, basis)
-    return basis.by_levels[key]
+@lru_cache(maxsize=16)
+def _weyl_letters(basis: SchurBasis) -> tuple:
+    """Copy 0 of the blocks as one read-only (d^n, sum n_lambda) array; m_lambda per column."""
+    blocks = basis.blocks
+    return (
+        _frozen(np.hstack([b.weyl_basis for b in blocks])),
+        _frozen(np.repeat([b.sym_dim for b in blocks], [b.weyl_dim for b in blocks])),
+    )
 
 
-def _schur_pinching(ctx: ThermalContext, basis: SchurBasis) -> PinchingChannel:
+@lru_cache(maxsize=16)
+def _letter_energies(levels: tuple, basis: SchurBasis) -> tuple:
+    """Exact energies of the Weyl vectors and of the Schur basis columns (their Weyl vector's)."""
+    ctx = ThermalContext(levels, beta=0.0)  # energies read no beta
+    weyl = tuple(e for b in basis.blocks for e in b.energy_labels(ctx))
+    return weyl, tuple(e for e, m in zip(weyl, _weyl_letters(basis)[1]) for _ in range(m))
+
+
+@lru_cache(maxsize=16)
+def _schur_pinching(levels: tuple, basis: SchurBasis) -> PinchingChannel:
+    ctx = ThermalContext(levels, beta=0.0)  # energies read no beta
     groups = []
     labels = []
     for b in basis.blocks:
         energies = b.energy_labels(ctx)
-        levels = sorted(set(energies))
-        index = {e: len(labels) + j for j, e in enumerate(levels)}
-        labels += [(b.diagram.rows, e) for e in levels]
+        distinct = sorted(set(energies))
+        index = {e: len(labels) + j for j, e in enumerate(distinct)}
+        labels += [(b.diagram.rows, e) for e in distinct]
         groups += [index[e] for e in energies for _ in range(b.sym_dim)]
-    bound = (basis.n + 1) ** (2 * (ctx.dim - 1))
+    bound = (basis.n + 1) ** (2 * (basis.d - 1))
     if len(labels) > bound:
         raise RuntimeError(f"projector count {len(labels)} exceeds bound {bound}")
     return PinchingChannel(
@@ -262,8 +276,8 @@ def schur_pinching(ctx: ThermalContext, n: int, basis: SchurBasis = None) -> Pin
     """Pinching onto the energy eigenspaces of H_lambda (x) I within each Schur
     block: the Schur change of basis, each column labelled by its block and the
     energy of its Weyl vector.  Built once per basis and ctx.levels (on the
-    cached basis by default) and kept on the basis; its arrays are read-only."""
-    return _kept(_schur_basis(ctx, n, basis), _schur_pinching, ctx)
+    cached basis by default) and kept; its arrays are read-only."""
+    return _schur_pinching(ctx.levels, _schur_basis(ctx, n, basis))
 
 
 def mixture_realization(channel: PinchingChannel) -> list:
@@ -288,12 +302,6 @@ def relative_entropy_loss(channel: PinchingChannel, rho_tensor_k, k: int) -> flo
     return relative_entropy(r, apply(channel, r)) / k
 
 
-def _letter_energies(ctx: ThermalContext, basis: SchurBasis) -> tuple:
-    """Exact energies of the Weyl vectors and of the Schur basis columns (their Weyl vector's)."""
-    weyl = tuple(e for b in basis.blocks for e in b.energy_labels(ctx))
-    return weyl, tuple(e for e, m in zip(weyl, basis.weyl_letters[1]) for _ in range(m))
-
-
 def _copy0_masses(ctx: ThermalContext, k: int, rho, basis: SchurBasis):
     """(basis, q, m): q_w = <w|rho^{x k}|w> for the sum n_lambda Weyl vectors w of
     copy 0 (unnormalised, snapped to the floor) and m_lambda per w.
@@ -305,7 +313,7 @@ def _copy0_masses(ctx: ThermalContext, k: int, rho, basis: SchurBasis):
     always is, and a snapped letter's true mass is below twice the floor.
     """
     basis = _schur_basis(ctx, k, basis)
-    weyl, repeats = basis.weyl_letters
+    weyl, repeats = _weyl_letters(basis)
     r, d = _entries(rho), ctx.dim
     if r.shape != (d, d):
         raise DimensionMismatchError(f"state shape {r.shape} vs single-system dim {d}")
@@ -327,7 +335,7 @@ def schur_pinched_letters(ctx: ThermalContext, k: int, rho, basis: SchurBasis = 
     below D(P(rho^{x k})||tau^{x k})."""
     basis, q, repeats = _copy0_masses(ctx, k, rho, basis)
     probs = q * repeats
-    return probs / probs.sum(), _kept(basis, _letter_energies, ctx)[0], repeats
+    return probs / probs.sum(), _letter_energies(ctx.levels, basis)[0], repeats
 
 
 def schur_pinched_distribution(ctx: ThermalContext, k: int, rho, basis: SchurBasis = None):
@@ -336,4 +344,4 @@ def schur_pinched_distribution(ctx: ThermalContext, k: int, rho, basis: SchurBas
     blocks in diagram order, Weyl index major, multiplicity minor."""
     basis, q, repeats = _copy0_masses(ctx, k, rho, basis)
     probs = np.repeat(q, repeats)
-    return probs / probs.sum(), _kept(basis, _letter_energies, ctx)[1]
+    return probs / probs.sum(), _letter_energies(ctx.levels, basis)[1]

@@ -65,6 +65,15 @@ class TestExperimentConfig:
         b = ExperimentConfig.from_dict(base_config(beta=2.0))
         assert a.config_hash() != b.config_hash()
 
+    @pytest.mark.parametrize("overrides, digest", [
+        ({}, "5ff8c83bb4428a6f"),
+        ({"mode": "universal", "state": [0.7, 0.2, 0.1], "levels": [0, 1, 2], "beta": 0.5, "n_grid": [1000],
+          "seeds": [0, 1], "params": {"c": 1.0, "margin_factor": 2.0}, "output": "out/u"}, "58bca54bb9cb1d8a"),
+    ], ids=["preset-state", "diagonal-list-state"])
+    def test_hash_is_pinned(self, overrides, digest):
+        """Sweep CSV headers carry the hash: a preset and a diagonal-list state."""
+        assert ExperimentConfig.from_dict(base_config(**overrides)).config_hash() == digest
+
 
 class TestStateResolution:
     def test_presets(self):
@@ -111,6 +120,12 @@ class TestSweep:
         a = run_sweep(config).to_csv()
         b = run_sweep(config).to_csv()
         assert a == b
+
+    def test_mnp_at_zero_beta_is_a_recorded_failure(self):
+        config = ExperimentConfig.from_dict(base_config(mode="mnp", beta=0.0, params={"M": 4}))
+        result = run_sweep(config)
+        assert not result.rows and len(result.failures) == 2
+        assert all(f["reason"].startswith("ValueError(") and "beta > 0" in f["reason"] for f in result.failures)
 
     def test_csv_carries_config_hash(self):
         config = ExperimentConfig.from_dict(base_config())
@@ -194,6 +209,11 @@ class TestCommandLine:
         assert csv_text.count("\n") >= 4  # 2 header comments + column row + 2 rows
         summary = json.loads((tmp_path / "out.json").read_text())
         assert summary["rows"] == 2
+
+    def test_mnp_at_zero_beta_exits_2(self, capsys):
+        assert main(["extract", "--mode", "mnp", "--state", "plus", "--n", "40", "--beta", "0"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "beta > 0" in err[0]
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"

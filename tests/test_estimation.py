@@ -8,6 +8,7 @@ import pytest
 from thermoflux.estimation import (
     EmpiricalDistribution,
     classical_relative_entropy,
+    hoeffding_radius,
     hoeffding_sample_size,
     sample_types,
 )
@@ -40,6 +41,15 @@ class TestEmpiricalDistribution:
 class TestHoeffdingSampleSize:
     def test_reference_value(self):
         assert hoeffding_sample_size(2, 0.1, 0.05) == 220
+
+    @pytest.mark.parametrize("d, eta, delta", [(2, 0.1, 0.05), (16, 0.05, 1e-6), (81, 0.2, 1e-9)])
+    def test_radius_inverts_the_sample_size(self, d, eta, delta):
+        """At the sample size for eta, the radius is at most eta, one sample
+        fewer reaches beyond it, and 2 m r^2 is the bound up to rounding."""
+        m = hoeffding_sample_size(d, eta, delta)
+        r = hoeffding_radius(d, m, delta)
+        assert r <= eta < hoeffding_radius(d, m - 1, delta)
+        assert 2 * m * r * r == pytest.approx(d * math.log(2) + math.log(1 / delta), rel=1e-15)
 
     def test_monotone_in_eta(self):
         sizes = [hoeffding_sample_size(2, eta, 0.05) for eta in (0.2, 0.1, 0.05)]

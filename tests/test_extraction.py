@@ -650,6 +650,19 @@ class TestUniversalParams:
         rhs = 2 ** params.k * math.log(2) + math.log(2.0 / params.eps)
         assert lhs >= rhs - 1e-9
 
+    @pytest.mark.parametrize("d, n, r, digest", [
+        (2, 10_000, 0.11546055425094391, "f1b4f88c240b12451cbf6e84fe5cbb6e81368d40b9488def049449f4e62e21d1"),
+        (2, 30_000, 0.07559173422983728, "0dd82d57b5af3fb14f684cb4b5da7d2f35856eee5465bd74db4fe4244ff2f17a"),
+        (2, 100_000, 0.05885989521508086, "00dddd82517f827e3fe8c3c8b4dd54f2ca21336fe2d6d7d8e6acba0ad7f2a7e9"),
+        (3, 20_000, 0.08356759502066506, "22d341ece33427dbb844b322d7569b653436e4497cf266badf947661497be31a"),
+    ], ids=["qubit-1e4", "qubit-3e4", "qubit-1e5", "qutrit-2e4"])
+    def test_capped_radius_and_hash_are_pinned(self, d, n, r, digest):
+        """The capped schedules of the perfbench universal cells (levels 0..d-1, beta = 1)."""
+        ctx = ThermalContext(levels=tuple(range(d)), beta=1.0)
+        params = UniversalParams.from_schedule(n, ctx)
+        assert params.m == math.ceil(params.q / 2)
+        assert params.r == r and protocol_description_hash(ctx, params) == digest
+
     def test_k_grows_with_n(self):
         ks = [UniversalParams.from_schedule(n, QUBIT).k for n in (100, 1000, 10000)]
         assert ks == sorted(ks)
@@ -852,6 +865,12 @@ class TestMeasureAndPrepare:
         summary, _ = measure_and_prepare_protocol(4, QUBIT, 20, np.array([0.9, 0.1]))
         assert not summary["boundary"]
 
+    def test_zero_beta_rejected(self):
+        """W_l divides by beta: beta = 0 is refused before the description is built."""
+        extraction._measure_and_prepare_description.cache_clear()
+        with pytest.raises(ValueError, match="beta > 0"):
+            measure_and_prepare_protocol(4, ThermalContext(levels=(0, 1), beta=0.0), 40, np.array([0.5, 0.5]))
+        assert extraction._measure_and_prepare_description.cache_info().misses == 0
 
     def test_description_is_kept_per_size(self):
         """Two sources at one (M, ctx, n) share one read-only description: the

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermoflux import schur
+from thermoflux import pinching, schur
 from thermoflux.core import (
     DensityMatrix,
     _entries,
@@ -333,7 +333,20 @@ class TestSchurCaches:
         assert schur_pinched_distribution(QUTRIT, 3, PLUS_QUTRIT)[1] is energies
         hot = ThermalContext(levels=(0, 1, 2), beta=0.1)
         assert schur_pinched_distribution(hot, 3, rho)[1] is energies
-        assert build_schur_basis(3, 3).weyl_letters is build_schur_basis(3, 3).weyl_letters
+        assert pinching._weyl_letters(build_schur_basis(3, 3)) is pinching._weyl_letters(build_schur_basis(3, 3))
+
+    def test_tables_are_keyed_by_levels_not_beta(self):
+        basis = build_schur_basis(3, 3)
+        weyl, mult = pinching._weyl_letters(basis)
+        assert not weyl.flags.writeable and not mult.flags.writeable
+        tables = [(schur_pinching(ThermalContext(levels=(0, 1, 2), beta=beta), 3, basis),
+                   schur_pinched_letters(ThermalContext(levels=(0, 1, 2), beta=beta), 3, PLUS_QUTRIT)[1],
+                   schur_pinched_distribution(ThermalContext(levels=(0, 1, 2), beta=beta), 3, PLUS_QUTRIT)[1])
+                  for beta in (0.0, 0.1, 1.0, 7.0)]
+        assert all(a is b for row in tables[1:] for a, b in zip(row, tables[0]))
+        other = (schur_pinching(ThermalContext(levels=(0, 1, 3), beta=1.0), 3, basis),
+                 schur_pinched_letters(ThermalContext(levels=(0, 1, 3), beta=1.0), 3, PLUS_QUTRIT)[1])
+        assert other[0] is not tables[0][0] and other[1] != tables[0][1]
 
     def test_equal_but_distinct_basis_gives_the_same_values(self):
         fresh = schur._schur_basis.__wrapped__(4, 2)
@@ -352,14 +365,14 @@ class TestSchurCaches:
 
     def test_kept_values_stay_out_of_the_basis_pickle(self):
         """Outputs that carry a basis pickle the same before and after its
-        letters and pinchings are computed and kept on it."""
+        letters and pinchings are computed and kept."""
         basis = schur._schur_basis.__wrapped__(3, 2)
         before = pickle.dumps(basis)
         schur_pinched_distribution(QUBIT, 3, PLUS, basis)
         apply(schur_pinching(QUBIT, 3, basis), np.eye(8) / 8)
-        assert {"weyl_letters", "by_levels"} <= set(vars(basis))
+        assert set(vars(basis)) == {"n", "d", "blocks", "change_of_basis"}
         assert pickle.dumps(basis) == before
-        assert np.array_equal(pickle.loads(before).weyl_letters[0], basis.weyl_letters[0])
+        assert np.array_equal(pinching._weyl_letters(pickle.loads(before))[0], pinching._weyl_letters(basis)[0])
 
     def test_mismatched_basis_rejected(self):
         basis = build_schur_basis(3, 2)

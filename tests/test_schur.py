@@ -14,6 +14,7 @@ from thermoflux.schur import (
     _copy_steps,
     _fix_phase,
     _perm_index_map,
+    _schur_basis,
     build_schur_basis,
     decompose_permutation_invariant,
     enumerate_young_diagrams,
@@ -301,6 +302,11 @@ class TestAgainstPermutationSumOracle:
 class TestCachedBasis:
     def test_built_once_per_size(self):
         assert build_schur_basis(4, 2) is build_schur_basis(4, 2)
+
+    def test_bases_compare_and_hash_by_identity(self):
+        basis, fresh = build_schur_basis(3, 2), _schur_basis.__wrapped__(3, 2)
+        assert basis == basis and basis != fresh
+        assert len({basis, fresh, build_schur_basis(3, 2)}) == 2
 
     def test_arrays_are_read_only(self):
         basis = build_schur_basis(3, 2)

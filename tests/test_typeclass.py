@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from thermoflux import typeclass
+from thermoflux.pinching import _weyl_letters
 from thermoflux.schur import build_schur_basis
 from thermoflux.typeclass import (
     FEASIBILITY_SLACK,
@@ -445,7 +446,7 @@ class TestGroupedPredicate:
         letters): every grouped class of n <= 8 strings, and every (f, g) pair
         of n, l <= 4 letters under each one-count transfer h, against the
         union-level inequality |class f| |class g| <= |class f+g-h|."""
-        m = build_schur_basis(3, 2).weyl_letters[1]
+        m = _weyl_letters(build_schur_basis(3, 2))[1]
         d = len(m)
         sizes, size_of = {}, {}
         for n in range(1, 9):
