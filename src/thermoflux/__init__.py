@@ -3,7 +3,7 @@
 from thermoflux.core import (
     DensityMatrix,
     ThermalContext,
-    HamiltonianOperator,
+    string_energies,
     thermal_state,
     relative_entropy,
     tensor_power,
@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DensityMatrix",
     "ThermalContext",
-    "HamiltonianOperator",
+    "string_energies",
     "thermal_state",
     "relative_entropy",
     "tensor_power",

@@ -23,9 +23,9 @@ import numpy as np
 
 from thermoflux.core import (
     DensityMatrix,
-    HamiltonianOperator,
     ThermalContext,
     relative_entropy,
+    string_energies,
     thermal_state,
 )
 from thermoflux.estimation import classical_relative_entropy
@@ -261,10 +261,11 @@ def haar_experiment(n_qubits: int, samples: int, seed: int = 0) -> dict:
     """
     if not (1 <= n_qubits <= 6):
         raise ConfigError("n_qubits must be in 1..6")
+    if samples < 2:
+        raise ConfigError(f"samples must be >= 2 for a standard error, got {samples}")
     ctx = ThermalContext(levels=(0, 1), beta=1.0)
-    ham = HamiltonianOperator(ctx, n_qubits)
-    diag = np.array([float(e) for e in ham.exact_levels()])
-    dim = ham.dim
+    diag = np.array([float(e) for e in string_energies(ctx.levels, n_qubits)])
+    dim = len(diag)
     target = float(diag.sum()) / dim
     rng = np.random.default_rng(np.random.SeedSequence([seed, 577]))
     energies = np.empty(samples)
@@ -273,8 +274,8 @@ def haar_experiment(n_qubits: int, samples: int, seed: int = 0) -> dict:
         v /= np.linalg.norm(v)
         energies[i] = float(np.sum(np.abs(v) ** 2 * diag))
     mean = float(energies.mean())
-    stderr = float(energies.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    passed = samples == 1 or abs(mean - target) <= 3.0 * stderr
+    stderr = float(energies.std(ddof=1) / math.sqrt(samples))
+    passed = abs(mean - target) <= 3.0 * stderr
     return {
         "n_qubits": n_qubits,
         "samples": samples,
@@ -304,7 +305,7 @@ def _cmd_schur(args) -> int:
     basis = build_schur_basis(args.n, ctx.dim)
     blocks = []
     for b in basis.blocks:
-        energies = b.energy_labels(ctx)
+        energies = b.energy_labels(ctx.levels)
         vectors = []
         for i in range(b.weyl_dim):
             for t in range(b.sym_dim):

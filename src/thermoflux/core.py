@@ -7,7 +7,6 @@ grouping is never tolerance-based), and every entropic quantity is in nats.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -99,10 +98,6 @@ class DensityMatrix:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "spectrum", spectrum)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
     @classmethod
     def from_diagonal(cls, probs) -> "DensityMatrix":
         return cls(np.diag(np.asarray(probs, dtype=complex)))
@@ -175,32 +170,16 @@ class ThermalContext:
         return 1.0 + k * (self.beta * float(self.e_max) + math.log(self.partition_function)) / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class HamiltonianOperator:
-    """Non-interacting n-copy Hamiltonian H^{x n}."""
-
-    context: ThermalContext
-    copies: int = 1
-
-    def __post_init__(self):
-        if self.copies < 1:
-            raise ValueError("copies must be >= 1")
-        _check_cap(self.context.dim ** self.copies)
-
-    @property
-    def dim(self) -> int:
-        return self.context.dim ** self.copies
-
-    def exact_levels(self) -> list:
-        """Spectrum as exact rationals, ordered by the computational basis index."""
-        d, n = self.context.dim, self.copies
-        out = []
-        for digits in itertools.product(range(d), repeat=n):
-            out.append(sum((self.context.levels[i] for i in digits), Fraction(0)))
-        return out
-
-    def matrix(self) -> np.ndarray:
-        return np.diag(np.array([float(e) for e in self.exact_levels()]))
+def string_energies(levels, n: int) -> list:
+    """Exact energy of each of the d^n strings of H^{x n}, as Fractions, in
+    computational-basis order (the first copy's level most significant)."""
+    if n < 1:
+        raise ValueError("copies must be >= 1")
+    _check_cap(len(levels) ** n)
+    out = [Fraction(0)]
+    for _ in range(n):
+        out = [e + level for e in out for level in levels]
+    return out
 
 
 def _kron_power(a: np.ndarray, n: int) -> np.ndarray:

@@ -369,7 +369,9 @@ def _plan_outcome(
     enforce_converse: bool = True,
 ) -> ProtocolOutcome:
     """Outcome of a plan run on n input copies: rate = beta W / n, fidelity =
-    success (1 - xi), converse_slack = target - rate."""
+    success (1 - xi), converse_slack = target - rate.  ValueError unless n >= 1."""
+    if n < 1:
+        raise ValueError(f"need n >= 1 input copies, got n = {n}")
     w = float(plan.work)
     rate = plan.alphabet.beta * w / n
     if enforce_converse and rate > target + CONVERSE_TOL:
@@ -705,9 +707,11 @@ def measure_and_prepare_protocol(M: int, ctx: ThermalContext, n: int, p):
     The description (partition, types and their blocks, thermal block masses,
     battery, Gibbs deviation) is kept per (M, ctx, n); a call computes p's
     block masses, the nearest block and the Sanov exponent, in fresh dicts.
-    Raises ValueError unless beta > 0, as W_l divides by it."""
+    Raises ValueError unless beta > 0 (W_l divides by it), M >= 1 and n >= 1."""
     if not ctx.beta > 0:
         raise ValueError(f"measure-and-prepare needs beta > 0, got beta = {ctx.beta}")
+    if M < 1 or n < 1:
+        raise ValueError(f"measure-and-prepare needs M >= 1 and n >= 1, got M = {M}, n = {n}")
     p, t, beta = np.asarray(p, dtype=float), ctx.gibbs_probabilities(), ctx.beta
     partition, F, block, keys, log_freq, mass_t, levels, gibbs_dev = _measure_and_prepare_description(M, ctx, n)
     dominant, boundary = partition.nearest(p)
@@ -776,7 +780,9 @@ def tomographic_universal_protocol(
     chosen from a simulated per-energy-subspace tomography estimate with error
     magnitude eta, and the plan runs on the true pinched state dephased in the
     estimate's eigenbasis.  eta = 0 skips that step and is the state-aware
-    protocol exactly."""
+    protocol exactly.  Raises ValueError unless 1 <= k <= n."""
+    if k < 1:
+        raise ValueError(f"block size k must be >= 1, got k = {k}")
     q = n // k
     if q < 1:
         raise ValueError("need n >= k")

@@ -131,9 +131,6 @@ class InfiniteContext:
     beta: float
     delta_e: float = 1.0
 
-    def energy(self, i: int) -> float:
-        return (i - 1) * self.delta_e
-
     def energies(self, d: int) -> np.ndarray:
         return np.arange(d) * self.delta_e
 
@@ -156,8 +153,7 @@ class InfiniteContext:
     @functools.lru_cache(maxsize=64)
     def truncated_context(self, d: int) -> ThermalContext:
         """The first d ladder levels as exact rationals; cached by (self, d)."""
-        levels = tuple(Fraction(self.energy(i)).limit_denominator(10 ** 9)
-                       for i in range(1, d + 1))
+        levels = tuple(Fraction(e).limit_denominator(10 ** 9) for e in self.energies(d))
         return ThermalContext(levels=levels, beta=self.beta)
 
     @functools.lru_cache(maxsize=64)

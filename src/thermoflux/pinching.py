@@ -16,13 +16,13 @@ import numpy as np
 from thermoflux.core import (
     DensityMatrix,
     DimensionMismatchError,
-    HamiltonianOperator,
     ThermalContext,
     _block_spectrum,
     _check_cap,
     _entries,
     _frozen,
     relative_entropy,
+    string_energies,
 )
 from thermoflux.schur import SchurBasis, build_schur_basis
 
@@ -165,9 +165,6 @@ class PinchingChannel:
     def dim(self) -> int:
         return self.family.dim
 
-    def __call__(self, rho):
-        return apply(self, rho)
-
 
 def apply(channel: PinchingChannel, rho):
     """sum_j Pi_j rho Pi_j = U (mask o M) U^T for M = U^T rho U; trace preserving.
@@ -215,12 +212,12 @@ def energy_pinching(ctx: ThermalContext, n: int) -> PinchingChannel:
 
 @lru_cache(maxsize=8)
 def _energy_pinching(levels: tuple, n: int) -> PinchingChannel:
-    levels = HamiltonianOperator(ThermalContext(levels, beta=0.0), n).exact_levels()  # reads no beta
-    energies = sorted(set(levels))
+    strings = string_energies(levels, n)
+    energies = sorted(set(strings))
     index = {e: j for j, e in enumerate(energies)}
     return PinchingChannel(family=BasisFamily(
-        unitary=_frozen(np.eye(len(levels))),
-        groups=[index[e] for e in levels],
+        unitary=_frozen(np.eye(len(strings))),
+        groups=[index[e] for e in strings],
         labels=tuple((None, e) for e in energies),
     ))
 
@@ -248,18 +245,16 @@ def _weyl_letters(basis: SchurBasis) -> tuple:
 @lru_cache(maxsize=16)
 def _letter_energies(levels: tuple, basis: SchurBasis) -> tuple:
     """Exact energies of the Weyl vectors and of the Schur basis columns (their Weyl vector's)."""
-    ctx = ThermalContext(levels, beta=0.0)  # energies read no beta
-    weyl = tuple(e for b in basis.blocks for e in b.energy_labels(ctx))
+    weyl = tuple(e for b in basis.blocks for e in b.energy_labels(levels))
     return weyl, tuple(e for e, m in zip(weyl, _weyl_letters(basis)[1]) for _ in range(m))
 
 
 @lru_cache(maxsize=16)
 def _schur_pinching(levels: tuple, basis: SchurBasis) -> PinchingChannel:
-    ctx = ThermalContext(levels, beta=0.0)  # energies read no beta
     groups = []
     labels = []
     for b in basis.blocks:
-        energies = b.energy_labels(ctx)
+        energies = b.energy_labels(levels)
         distinct = sorted(set(energies))
         index = {e: len(labels) + j for j, e in enumerate(distinct)}
         labels += [(b.diagram.rows, e) for e in distinct]

@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from thermoflux.core import ThermalContext, _check_cap
+from thermoflux.core import _check_cap
 from thermoflux.typeclass import compositions, strings_of_type
 
 GS_SKIP = 1e-6  # Gram-Schmidt residual norm below which an image vector adds nothing
@@ -152,11 +152,9 @@ class SchurBlock:
     types: tuple  # occupation vector of each Weyl basis vector
     copies: np.ndarray  # (dim, n_lambda, m_lambda); copies[:, i, t] = e_{i,t}
 
-    def energy_labels(self, ctx: ThermalContext) -> tuple:
-        """Exact total energy of each Weyl basis vector under H^{x n}."""
-        return tuple(
-            sum((c * ctx.levels[s] for s, c in enumerate(f)), Fraction(0)) for f in self.types
-        )
+    def energy_labels(self, levels: tuple) -> tuple:
+        """Exact total energy of each Weyl basis vector under H^{x n} of the levels."""
+        return tuple(sum((c * levels[s] for s, c in enumerate(f)), Fraction(0)) for f in self.types)
 
 
 @dataclass(frozen=True, eq=False)

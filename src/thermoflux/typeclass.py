@@ -35,10 +35,6 @@ class ShiftFunction:
             raise ValueError(f"shift must be zero-sum: {shifts}")
         object.__setattr__(self, "shifts", shifts)
 
-    @property
-    def d(self) -> int:
-        return len(self.shifts)
-
     def work(self, levels) -> object:
         """Extracted work sum h(i) E_i (exact when levels are Fractions), over
         the nonzero shifts; for h = 0, over every letter (0 of the levels' type)."""

@@ -1,14 +1,16 @@
 """Reference implementations that tests compare the library's fast paths
 against: a validating constructor for projector families, Young's orthogonal
 form of any permutation (dense generator matrices built here from tableau
-positions, apart from the library's copy walk), and the dense action of a
-permutation on the tensor power."""
+positions, apart from the library's copy walk), the dense action of a
+permutation on the tensor power, and the energies of the strings of H^{x n}
+read off one digit string at a time."""
 
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -45,6 +47,13 @@ class ProjectorFamily:
 
     def __len__(self) -> int:
         return len(self.projectors)
+
+
+def product_energies(levels, n: int) -> list:
+    """Exact energy of each of the d^n strings, summed digit by digit over
+    itertools.product, in computational-basis order."""
+    return [sum((levels[i] for i in digits), Fraction(0))
+            for digits in itertools.product(range(len(levels)), repeat=n)]
 
 
 def _adjacent_decomposition(perm: tuple) -> list:

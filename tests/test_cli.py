@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,22 @@ class TestSweep:
         assert not result.rows and len(result.failures) == 2
         assert all(f["reason"].startswith("ValueError(") and "beta > 0" in f["reason"] for f in result.failures)
 
+    @pytest.mark.parametrize("overrides, word, bad_n", [
+        ({"mode": "mnp", "params": {"M": 0}}, "M >= 1", {20, 40}),
+        ({"mode": "mnp", "n_grid": [0, 20]}, "n >= 1", {0}),
+        ({"mode": "classical", "n_grid": [0, 20]}, "n >= 1", {0}),
+        ({"mode": "aware", "params": {"k": 0}}, "k must be >= 1", {20, 40}),
+        ({"mode": "tomo", "params": {"k": 0}}, "k must be >= 1", {20, 40}),
+    ], ids=["mnp-M0", "mnp-n0", "classical-n0", "aware-k0", "tomo-k0"])
+    def test_bad_size_is_a_recorded_failure(self, overrides, word, bad_n):
+        """Each bad (n, seed) records the ValueError that names the size; the
+        good ones still give rows."""
+        config = ExperimentConfig.from_dict(base_config(**overrides))
+        result = run_sweep(config)
+        assert {f["n"] for f in result.failures} == bad_n
+        assert all(f["reason"].startswith("ValueError(") and word in f["reason"] for f in result.failures)
+        assert [r["n"] for r in result.rows] == [n for n in config.n_grid if n not in bad_n]
+
     def test_csv_carries_config_hash(self):
         config = ExperimentConfig.from_dict(base_config())
         csv_text = run_sweep(config).to_csv()
@@ -153,9 +170,9 @@ class TestHaarExperiment:
         assert report["passed"]
         assert abs(report["mean"] - 1.5) <= 3 * report["stderr"]
 
-    def test_single_sample_in_range(self):
-        report = haar_experiment(3, 1, seed=9)
-        assert 0.0 <= report["mean"] <= 3.0
+    def test_two_samples_in_range(self):
+        report = haar_experiment(3, 2, seed=9)
+        assert 0.0 <= report["mean"] <= 3.0 and report["stderr"] > 0.0
 
     def test_too_many_qubits_rejected(self):
         with pytest.raises(ConfigError):
@@ -214,6 +231,24 @@ class TestCommandLine:
         assert main(["extract", "--mode", "mnp", "--state", "plus", "--n", "40", "--beta", "0"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "beta > 0" in err[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["extract", "--mode", "tomo", "--state", "plus", "--n", "10", "--k", "0"],
+        ["extract", "--mode", "aware", "--state", "plus", "--n", "10", "--k", "0"],
+        ["extract", "--mode", "mnp", "--state", "plus", "--n", "0"],
+        ["extract", "--mode", "classical", "--state", "ground", "--n", "0"],
+        ["infdim", "--epsilon", "2", "--n-grid", "0,5"],
+        ["haar", "--samples", "0"], ["haar", "--samples", "1"], ["haar", "--samples", "-1"],
+        ["pinch", "--state", "plus", "--kind", "energy", "--copies", "0"],
+    ], ids=["tomo-k0", "aware-k0", "mnp-n0", "classical-n0", "infdim-n0", "haar-0", "haar-1", "haar-neg",
+            "pinch-energy-0"])
+    def test_bad_size_exits_2(self, capsys, argv):
+        """One error line and exit 2, no traceback and no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"

@@ -11,16 +11,18 @@ from hypothesis import strategies as st
 from thermoflux.core import (
     DensityMatrix,
     DimensionCapError,
-    HamiltonianOperator,
     SupportViolationError,
     ThermalContext,
     _kron_power,
     dim_cap,
     relative_entropy,
+    string_energies,
     tensor_power,
     thermal_state,
     trace_distance,
 )
+
+from oracles import product_energies
 
 QUBIT = ThermalContext(levels=(0, 1), beta=1.0)
 
@@ -112,10 +114,9 @@ class TestThermalContext:
         assert a3 == pytest.approx(3 * a1)
 
 
-class TestHamiltonianOperator:
+class TestStringEnergies:
     def test_exact_levels_two_copies(self):
-        ham = HamiltonianOperator(QUBIT, 2)
-        assert tuple(ham.exact_levels()) == (
+        assert tuple(string_energies(QUBIT.levels, 2)) == (
             Fraction(0), Fraction(1), Fraction(1), Fraction(2)
         )
 
@@ -123,14 +124,29 @@ class TestHamiltonianOperator:
         """The basis indices grouped by their exact level: every index once,
         C(3, e) of them at total energy e."""
         groups: dict = {}
-        for idx, e in enumerate(HamiltonianOperator(QUBIT, 3).exact_levels()):
+        for idx, e in enumerate(string_energies(QUBIT.levels, 3)):
             groups.setdefault(e, []).append(idx)
         assert sorted(i for g in groups.values() for i in g) == list(range(8))
         assert {e: len(g) for e, g in groups.items()} == {Fraction(e): math.comb(3, e) for e in range(4)}
 
-    def test_matrix_is_diagonal(self):
-        m = HamiltonianOperator(QUBIT, 2).matrix()
-        assert np.allclose(m, np.diag(np.diag(m)))
+    @pytest.mark.parametrize("levels, n", [((0, 1), n) for n in range(1, 7)]
+                             + [(levels, n) for levels in ((0, 1, 3), (Fraction(1, 3), Fraction(1, 2), 2))
+                                for n in range(1, 5)])
+    def test_equals_the_product_oracle(self, levels, n):
+        """Value, order and type: every energy a Fraction equal to the
+        digit-by-digit sum over itertools.product."""
+        levels = ThermalContext(levels, beta=1.0).levels
+        got = string_energies(levels, n)
+        assert got == product_energies(levels, n)
+        assert all(type(e) is Fraction for e in got)
+
+    def test_zero_copies_and_oversize_rejected(self, monkeypatch):
+        with pytest.raises(ValueError, match="copies must be >= 1"):
+            string_energies(QUBIT.levels, 0)
+        monkeypatch.setenv("THERMOFLUX_DIM_CAP", "8")
+        assert len(string_energies(QUBIT.levels, 3)) == 8
+        with pytest.raises(DimensionCapError):
+            string_energies(QUBIT.levels, 4)
 
 
 class TestRelativeEntropy:
@@ -223,13 +239,13 @@ class TestDiagonalSigma:
 class TestTensorAlgebra:
     def test_tensor_power_dimensions(self):
         tau = thermal_state(QUBIT)
-        assert tensor_power(tau, 3).dim == 8
+        assert tensor_power(tau, 3).entries.shape == (8, 8)
 
     def test_tensor_power_of_thermal_is_thermal(self):
         tau3 = tensor_power(thermal_state(QUBIT), 3)
-        ham = HamiltonianOperator(QUBIT, 3)
-        z = sum(math.exp(-float(e)) for e in ham.exact_levels())
-        diag = np.array([math.exp(-float(e)) / z for e in ham.exact_levels()])
+        energies = product_energies(QUBIT.levels, 3)
+        z = sum(math.exp(-float(e)) for e in energies)
+        diag = np.array([math.exp(-float(e)) / z for e in energies])
         assert np.allclose(tau3.diagonal(), diag, atol=1e-12)
 
     @settings(max_examples=40, deadline=None)

@@ -41,6 +41,7 @@ from thermoflux.extraction import (
     measure_and_prepare_protocol,
     protocol_description_hash,
     run_classical_plan,
+    run_pipeline,
     simulate_plan_stringwise,
     state_aware_protocol,
     tomographic_universal_protocol,
@@ -843,6 +844,16 @@ def test_outcome_reports_converse_slack_and_bath(run):
     assert out.details["bath"] == out.copies_consumed["bath"]
 
 
+@pytest.mark.parametrize("run", [
+    lambda: run_pipeline(ALPHABET, GROUND, 0, 0, 0, 0.0, {}, {}),
+    lambda: run_classical_plan(build_classical_plan(GROUND, ALPHABET, 0, 0, ShiftFunction((0, 0)), mode="exact")),
+], ids=["pipeline", "plan"])
+def test_zero_input_copies_rejected(run):
+    """The rate is per input copy: n = 0 is refused, not divided by."""
+    with pytest.raises(ValueError, match="n >= 1"):
+        run()
+
+
 class TestMeasureAndPrepare:
     def test_block_assignment_example(self):
         summary, out = measure_and_prepare_protocol(4, QUBIT, 30, np.array([0.9, 0.1]))
@@ -871,6 +882,11 @@ class TestMeasureAndPrepare:
         with pytest.raises(ValueError, match="beta > 0"):
             measure_and_prepare_protocol(4, ThermalContext(levels=(0, 1), beta=0.0), 40, np.array([0.5, 0.5]))
         assert extraction._measure_and_prepare_description.cache_info().misses == 0
+
+    @pytest.mark.parametrize("M, n", [(0, 40), (4, 0), (-1, 40)])
+    def test_bad_sizes_rejected(self, M, n):
+        with pytest.raises(ValueError, match="M >= 1 and n >= 1"):
+            measure_and_prepare_protocol(M, QUBIT, n, np.array([0.5, 0.5]))
 
     def test_description_is_kept_per_size(self):
         """Two sources at one (M, ctx, n) share one read-only description: the
@@ -978,6 +994,15 @@ class TestBlockPartition:
 
 
 class TestTomographicProtocol:
+    @pytest.mark.parametrize("protocol", [tomographic_universal_protocol, state_aware_protocol])
+    def test_bad_block_size_rejected(self, protocol):
+        plus = DensityMatrix.pure(np.array([1.0, 1.0]) / math.sqrt(2))
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                protocol(plus, QUBIT, 10, k=k)
+        with pytest.raises(ValueError, match="need n >= k"):
+            protocol(plus, QUBIT, 10, k=11)
+
     def test_zero_error_matches_state_aware(self):
         plus = DensityMatrix.pure(np.array([1.0, 1.0]) / math.sqrt(2))
         a = state_aware_protocol(plus, QUBIT, 40, k=2)

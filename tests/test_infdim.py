@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -279,8 +280,18 @@ class TestInfiniteContext:
     @pytest.mark.parametrize("delta_e", [1.0, 0.5, 0.1, 1 / 3, 2.75])
     @pytest.mark.parametrize("d", [1, 2, 17, 1000, 10_000])
     def test_vectorised_ladder_equals_per_level_energies(self, delta_e, d):
+        """E_i = (i - 1) delta_e, bit for bit, for i = 1..d."""
         ctx = InfiniteContext(beta=1.0, delta_e=delta_e)
-        assert np.array_equal(ctx.energies(d), np.array([ctx.energy(i) for i in range(1, d + 1)]))
+        assert np.array_equal(ctx.energies(d), np.array([(i - 1) * delta_e for i in range(1, d + 1)]))
+
+    @pytest.mark.parametrize("delta_e, d, levels", [
+        (1 / 3, 6, ("0", "1/3", "2/3", "1", "4/3", "5/3")),
+        (0.1, 5, ("0", "1/10", "1/5", "3/10", "2/5")),
+    ])
+    def test_truncated_levels_are_pinned(self, delta_e, d, levels):
+        """The ladder's float energies rounded to denominators <= 1e9."""
+        ctx = InfiniteContext(beta=1.0, delta_e=delta_e).truncated_context(d)
+        assert ctx.levels == tuple(Fraction(x) for x in levels)
 
 
 class TestCachedLayers:

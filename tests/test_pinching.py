@@ -13,7 +13,6 @@ from thermoflux.core import (
     DensityMatrix,
     _entries,
     DimensionMismatchError,
-    HamiltonianOperator,
     ThermalContext,
     relative_entropy,
     tensor_power,
@@ -36,7 +35,7 @@ from thermoflux.estimation import classical_relative_entropy
 from thermoflux.extraction import WorkAlphabet
 from thermoflux.schur import build_schur_basis
 
-from oracles import ProjectorFamily
+from oracles import ProjectorFamily, product_energies
 
 QUBIT = ThermalContext(levels=(0, 1), beta=1.0)
 PLUS = DensityMatrix.pure(np.array([1.0, 1.0]) / math.sqrt(2))
@@ -85,7 +84,7 @@ class TestEnergyPinching:
         assert energy_pinching(ThermalContext(levels=(0, 2), beta=1.0), 3) is not channel
         fam = channel.family
         groups: dict = {}
-        for idx, e in enumerate(HamiltonianOperator(QUBIT, 3).exact_levels()):
+        for idx, e in enumerate(product_energies(QUBIT.levels, 3)):
             groups.setdefault(e, []).append(idx)
         assert [e for _, e in fam.labels] == sorted(groups)
         assert [m.tolist() for m in fam.members] == [groups[e] for e in sorted(groups)]
@@ -564,7 +563,7 @@ class TestSectorPath:
         """Each sector's rows are all the strings of one total energy, its
         columns all the Schur columns of that energy."""
         fam = schur_pinching(ctx, k).family
-        energies = np.array(HamiltonianOperator(ctx, k).exact_levels(), dtype=object)
+        energies = np.array(product_energies(ctx.levels, k), dtype=object)
         classes = {e: np.flatnonzero(energies == e).tolist() for e in set(energies)}
         column_energy = [fam.labels[j][1] for j in fam.groups]
         assert len(fam.sectors) == len(classes)

@@ -199,7 +199,7 @@ class TestSchurBasisConstruction:
 
     def test_energy_labels_exact(self):
         basis = build_schur_basis(3, 2)
-        labels = basis.blocks[0].energy_labels(QUBIT)
+        labels = basis.blocks[0].energy_labels(QUBIT.levels)
         assert sorted(float(e) for e in labels) == [0.0, 1.0, 2.0, 3.0]
 
 

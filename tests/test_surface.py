@@ -77,7 +77,7 @@ def test_reference_implementations_live_in_tests():
         node.name for node in ast.parse(ORACLES.read_text()).body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
-    assert {"ProjectorFamily", "yor_matrix", "permutation_operator"} <= oracles
+    assert {"ProjectorFamily", "yor_matrix", "permutation_operator", "product_energies"} <= oracles
     assert not oracles & {node.name for _, node in DEFINITIONS}
 
 
