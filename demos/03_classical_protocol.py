@@ -10,6 +10,7 @@ import numpy as np
 
 from thermoflux.extraction import (
     WorkAlphabet,
+    bath_size,
     build_classical_plan,
     choose_shift,
     run_classical_plan,
@@ -24,7 +25,7 @@ limit = math.log(1.0 + math.exp(-1.0))
 print(f"Target rate D(p||t) = ln(1+e^-1) = {limit:.6f} nats per copy\n")
 print("   n      shift        W      rate     xi")
 for n in (50, 100, 200, 400):
-    l = math.ceil(n ** 1.5)
+    l = bath_size(n)
     h = choose_shift(p, alphabet, n, margin_nats=0.0, l=l)
     plan = build_classical_plan(p, alphabet, n, l, h, mode="exact")
     out = run_classical_plan(plan)

@@ -28,10 +28,10 @@ from thermoflux.estimation import hoeffding_sample_size
 from thermoflux.extraction import (
     UniversalParams,
     WorkAlphabet,
+    bath_size,
     build_classical_plan,
     choose_shift,
     measure_and_prepare_protocol,
-    protocol_description_hash,
     run_classical_plan,
     simulate_plan_stringwise,
     universal_protocol,
@@ -187,7 +187,7 @@ def criterion_classical_convergence():
     p = np.array([1.0, 0.0])
     rates, xis = [], []
     for n in (50, 100, 200, 400):
-        l = math.ceil(n ** 1.5)
+        l = bath_size(n)
         h = choose_shift(p, alph, n, margin_nats=0.0, l=l)
         plan = build_classical_plan(p, alph, n, l, h, mode="exact")
         out = run_classical_plan(plan)

@@ -24,7 +24,6 @@ import numpy as np
 from thermoflux.core import (
     DensityMatrix,
     ThermalContext,
-    relative_entropy,
     string_energies,
     thermal_state,
 )
@@ -157,7 +156,7 @@ def _run_row(config: ExperimentConfig, ctx: ThermalContext, rho, n: int, seed: i
         p = np.clip(rho.diagonal(), 0.0, None)
         p = p / p.sum()
         alph = ex.WorkAlphabet.from_context(ctx)
-        l = int(params.get("l", math.ceil(params.get("c", 1.0) * n ** 1.5)))
+        l = int(params.get("l", ex.bath_size(n, params.get("c", 1.0))))
         target = classical_relative_entropy(p, alph.thermal)
         out = ex.run_pipeline(alph, p, n, l, n, target, {"system": n, "bath": l}, {}, seed=seed)
         k, m = 1, 0
@@ -403,10 +402,10 @@ def _cmd_infdim(args) -> int:
     schedule = infdim.CutoffSchedule(epsilon=args.epsilon)
     ctx = infdim.InfiniteContext(beta=args.beta)
     target = infdim.renormalized_free_energy_limit(rho, ctx)
-    n_grid = [int(x) for x in args.n_grid.split(",")]
+    curve = infdim.schedule_success_curve(rho, schedule, [int(x) for x in args.n_grid.split(",")])
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["n", "d_n", "success", "rate", "target"])
-    for n, d_n, success in infdim.schedule_success_curve(rho, schedule, n_grid):
+    for n, d_n, success in curve:
         rate = ""
         if n <= args.protocol_n_cap:
             out = infdim.semiuniversal_protocol(

@@ -55,6 +55,11 @@ DEFAULT_SAMPLES = 400
 XI_TAIL = 2.0 ** -60  # mass per side of the (f, g) grid that exact xi may count as failure
 
 
+def bath_size(n: int, c: float = 1.0) -> int:
+    """Bath letters l = ceil(c n^{3/2}) for n system letters."""
+    return math.ceil(c * n ** 1.5)
+
+
 class ConverseViolationError(AssertionError):
     """A simulated outcome exceeded the free-energy converse bound."""
 
@@ -498,8 +503,11 @@ class UniversalParams:
         split.  When the Hoeffding m exceeds q/2 the protocol cannot afford it;
         m is capped at ceil(q/2) and the confidence radius r is recomputed from
         the actual m (honest degradation: larger error bar, smaller budget).
-        Raises ValueError from n ~ 3.57e8 on, where 2/eps overflows a float.
+        Raises ValueError unless n >= 1, and from n ~ 3.57e8 on, where 2/eps
+        overflows a float.
         """
+        if n < 1:
+            raise ValueError(f"universal schedule needs n >= 1, got n = {n}")
         d = ctx.dim
         k = max(1, int(math.log(n) / (3 * math.log(d))))
         q = n // k
@@ -598,7 +606,7 @@ def universal_protocol(
         raise ValueError(f"unknown mode {mode!r}")
 
     d_hat = classical_relative_entropy(p_hat, alphabet.thermal)
-    l = math.ceil(params.c * n_eff ** 1.5)
+    l = bath_size(n_eff, params.c)
     return run_pipeline(
         alphabet, p_k, n_eff, l, params.n,
         relative_entropy(source, thermal_state(ctx)),
@@ -812,7 +820,7 @@ def tomographic_universal_protocol(
     else:
         probs, energies, _ = _incoherent_spectrum(sigma, channel.family)
     alphabet = WorkAlphabet(energies=energies, beta=ctx.beta)
-    l = math.ceil(q ** 1.5)
+    l = bath_size(q)
     budget = classical_relative_entropy(probs if est_probs is None else est_probs, alphabet.thermal)
     return run_pipeline(
         alphabet, probs, q, l, n,

@@ -2,8 +2,9 @@
 
 Tail-decay diagonal states with certified series tails, cutoff schedules,
 truncation success probabilities, renormalized free-energy convergence, and the
-semiuniversal protocol over a finite candidate set.  All infinite sums are
-partial sums plus monotone integral-test tail bounds — never silent truncation.
+semiuniversal protocol over a finite candidate set.  Tail masses are exact
+(Hurwitz zeta) or integral-test bounds; the free-energy limit is a partial sum
+taken to convergence under doubling, without a remainder bound.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import zeta
 
-from thermoflux.core import ThermalContext, _block_spectrum as _spectrum
+from thermoflux.core import ThermalContext, _block_spectrum as _spectrum, _kron_power
 from thermoflux.estimation import classical_relative_entropy
-from thermoflux.extraction import ProtocolOutcome, WorkAlphabet, run_pipeline
+from thermoflux.extraction import ProtocolOutcome, WorkAlphabet, bath_size, run_pipeline
 from thermoflux.typeclass import compositions, strings_of_type
 
 TAIL_SLACK = 1e-9
@@ -115,11 +116,13 @@ class TailState:
 @dataclass(frozen=True)
 class CutoffSchedule:
     """Rule n -> d_n = ceil(n^{1/(1+eps/2)}), which makes Tr[rho_{d_n}]^n -> 1
-    for any tail exponent 2+eps."""
+    for any tail exponent 2+eps.  ValueError unless n >= 1."""
 
     epsilon: float
 
     def __call__(self, n: int) -> int:
+        if n < 1:
+            raise ValueError(f"cutoff schedule needs n >= 1, got n = {n}")
         return max(1, math.ceil(n ** (1.0 / (1.0 + self.epsilon / 2.0))))
 
 
@@ -199,9 +202,11 @@ def renormalized_free_energy(rho: TailState, ctx_inf: InfiniteContext, d: int) -
 def renormalized_free_energy_limit(
     rho: TailState, ctx_inf: InfiniteContext, tol: float = 1e-10, d_max: int = 200_000
 ) -> float:
-    """Certified limit D(rho||tau): partial sum of p_i ln(p_i/t_i) with a
-    monotone remainder bound once both tails are in their asymptotic regime.
-    Cached by its arguments (all frozen)."""
+    """D(rho||tau) as the partial sum of p_i ln(p_i/t_i) over the first d
+    levels, d = 1000, 2000, ..., returned once doubling d moves it by <= tol;
+    past d_max, the last partial sum.  For a finite coefficient list that is
+    the finite sum, to within tol.  For a power law it is an estimate from
+    doubling d, with no remainder bound.  Cached by its arguments (all frozen)."""
     d = 1000
     prev = None
     while d <= d_max:
@@ -209,10 +214,6 @@ def renormalized_free_energy_limit(
         log_t = ctx_inf.log_gibbs_head(d)
         mask = p > 0
         head = float(np.sum(p[mask] * (np.log(p[mask]) - log_t[mask])))
-        # crude certified remainder: tail terms are dominated by
-        # p_i (ln p_i - ln t_i) <= p_i * beta E_i + |p_i ln p_i|; for the ladder
-        # E_i grows linearly while p_i decays polynomially or faster, so we
-        # bound the remainder by successive-doubling stabilization instead.
         if prev is not None and abs(head - prev) <= tol:
             return head
         prev = head
@@ -233,34 +234,26 @@ class CandidateSet:
 
 
 @functools.lru_cache(maxsize=16)
-def _type_digits(d: int, n: int) -> tuple:
-    """Digits (most significant first) of the strings of every n-letter type
-    over d letters: one read-only (types, strings, n) array per string count."""
+def _type_strings(d: int, n: int) -> tuple:
+    """The strings of every n-letter type over d letters: one read-only
+    (types, strings) array per string count."""
     groups = {}
     for f in compositions(n, d):
         strings = strings_of_type(f)
         groups.setdefault(len(strings), []).append(strings)
-    powers = d ** np.arange(n - 1, -1, -1)
-    out = tuple(np.array(g)[..., None] // powers % d for g in groups.values())
-    for digits in out:
-        digits.flags.writeable = False
+    out = tuple(np.array(g) for g in groups.values())
+    for strings in out:
+        strings.flags.writeable = False
     return out
 
 
 def _type_blocks(rho: TailState, d: int, n: int) -> list:
     """The n-copy truncation rho_d^{otimes n} pinched onto the type subspaces
     (permutation coherences inside each type kept, everything across types
-    killed), as one stack of diagonal blocks per block size.  Entries are
-    multiplied left to right, in np.kron's order."""
-    m = rho.matrix(d)
-    out = []
-    for digits in _type_digits(d, n):
-        rows, cols = digits[:, :, None, :], digits[:, None, :, :]
-        block = m[rows[..., 0], cols[..., 0]]
-        for pos in range(1, n):
-            block = block * m[rows[..., pos], cols[..., pos]]
-        out.append(block)
-    return out
+    killed), as one stack of diagonal blocks per block size, gathered from
+    the Kronecker power (at most D_CAP^D_CAP square)."""
+    power = _kron_power(rho.matrix(d), n)
+    return [power[s[:, :, None], s[:, None, :]] for s in _type_strings(d, n)]
 
 
 def _l1_distance(a, b) -> float:
@@ -325,8 +318,7 @@ def semiuniversal_protocol(
     """
     rho_true = S.states[true_index]
     if len(S.states) == 1:
-        d_tilde, budget = 0, 0
-        identified = 0
+        d_tilde, budget, identified, misid_bound = 0, 0, 0, None
     else:
         d_tilde = distinguishing_dimension(S)
         if d_tilde is None:
@@ -340,6 +332,8 @@ def semiuniversal_protocol(
         p_hat = counts / id_samples
         dists = [float(np.abs(p_hat - p).sum()) for p in letters]
         identified = int(np.argmin(dists))
+        misid_bound = min(1.0, (len(S.states) - 1) * 2.0 ** min(len(letters[0]), 60)
+                          * math.exp(-id_samples * (XI_MIN / 2.0) ** 2 / 2.0))
 
     n_run = n - budget
     rho_id = S.states[identified]
@@ -352,16 +346,7 @@ def semiuniversal_protocol(
     p_id = rho_id.diagonal(d_n)
     p_id = p_id / p_id.sum()
     alphabet = ctx_inf.work_alphabet(d_n)
-    l = math.ceil(n_run ** 1.5)
-    misid_bound = None
-    if len(S.states) > 1:
-        width_exp = 2.0 ** min(len(letters[0]), 60)
-        misid_bound = min(
-            1.0,
-            (len(S.states) - 1)
-            * width_exp
-            * math.exp(-id_samples * (XI_MIN / 2.0) ** 2 / 2.0),
-        )
+    l = bath_size(n_run)
     return run_pipeline(
         alphabet, head_true / success_mass, n_run, l, n,
         renormalized_free_energy_limit(rho_true, ctx_inf),

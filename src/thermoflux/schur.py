@@ -128,21 +128,6 @@ def _contents(word: tuple) -> list:
     return [word[:i].count(r) - r for i, r in enumerate(word)]
 
 
-def _perm_index_map(perm: tuple, n: int, d: int) -> np.ndarray:
-    """V_pi as an index permutation: V_pi |i_1..i_n> = |i_{pi^{-1}(1)}..i_{pi^{-1}(n)}>.
-
-    Equivalently V_pi moves the content of tensor slot j to slot perm[j].
-    Returns array `src` with (V_pi psi)[a] = psi[src[a]].
-    """
-    dims = (d,) * n
-    idx = np.arange(d ** n).reshape(dims)
-    # output axis perm[j] takes input axis j  ->  transpose with axes[out] = in
-    axes = [0] * n
-    for j in range(n):
-        axes[perm[j]] = j
-    return np.transpose(idx, axes=axes).ravel()
-
-
 @dataclass(frozen=True)
 class SchurBlock:
     diagram: YoungDiagram
@@ -258,8 +243,7 @@ def build_schur_basis(n: int, d: int) -> SchurBasis:
 @lru_cache(maxsize=16)
 def _schur_basis(n: int, d: int) -> SchurBasis:
     dim = d ** n
-    adjacent = [_perm_index_map(tuple(range(j)) + (j + 1, j) + tuple(range(j + 2, n)), n, d)
-                for j in range(n - 1)]
+    slot_swaps = _transposition_maps(np.arange(dim), n, d)
     classes = []
     for f in compositions(n, d)[::-1]:  # decreasing lex order
         strings = strings_of_type(f)
@@ -286,7 +270,7 @@ def _schur_basis(n: int, d: int) -> SchurBasis:
         copies = u[:, offset:offset + n_lam * m_lam].reshape(dim, n_lam, m_lam)
         copies[:, :, 0] = rep
         for new, old, j, g_old, g_new in _copy_steps(diagram.rows):
-            copies[:, :, new] = (copies[adjacent[j], :, old] - g_old * copies[:, :, old]) / g_new
+            copies[:, :, new] = (copies[slot_swaps[j, j + 1], :, old] - g_old * copies[:, :, old]) / g_new
         layout.append((diagram, n_lam, m_lam, tuple(types), offset))
         offset += n_lam * m_lam
 
@@ -305,19 +289,16 @@ def _schur_basis(n: int, d: int) -> SchurBasis:
 def decompose_permutation_invariant(a: np.ndarray, basis: SchurBasis) -> list:
     """Block-decompose a permutation-invariant operator: returns [(diagram, A_lambda)].
 
-    Requires invariance under generating permutations within 1e-9; verifies that
-    reassembling (+) A_lambda (x) I_m reproduces the input within 1e-9.
+    Requires invariance within 1e-9 under the n - 1 adjacent transpositions,
+    which generate S_n; verifies that reassembling (+) A_lambda (x) I_m
+    reproduces the input within 1e-9.
     """
     a = np.asarray(a, dtype=complex)
     n, d = basis.n, basis.d
-    generators = []
-    if n >= 2:
-        generators.append(tuple([1, 0] + list(range(2, n))))
-        generators.append(tuple(list(range(1, n)) + [0]))
-    for p in generators:
-        src = _perm_index_map(p, n, d)
-        conj = a[np.ix_(src, src)]
-        if np.max(np.abs(conj - a)) > 1e-9:
+    swaps = _transposition_maps(np.arange(d ** n), n, d)
+    for j in range(n - 1):
+        src = swaps[j, j + 1]
+        if np.max(np.abs(a[np.ix_(src, src)] - a)) > 1e-9:
             raise ValueError("operator is not permutation invariant")
 
     u = basis.change_of_basis

@@ -1,9 +1,10 @@
 """Reference implementations that tests compare the library's fast paths
 against: a validating constructor for projector families, Young's orthogonal
 form of any permutation (dense generator matrices built here from tableau
-positions, apart from the library's copy walk), the dense action of a
-permutation on the tensor power, and the energies of the strings of H^{x n}
-read off one digit string at a time."""
+positions, apart from the library's copy walk), the action of any
+permutation on string indices and as a dense operator on the tensor power,
+and the energies of the strings of H^{x n} read off one digit string at a
+time."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from thermoflux.core import DimensionMismatchError, _check_cap
 from thermoflux.pinching import PROJ_TOL
-from thermoflux.schur import YoungDiagram, _perm_index_map
+from thermoflux.schur import YoungDiagram
 
 
 @dataclass(frozen=True)
@@ -124,6 +125,21 @@ def yor_matrix(diagram: YoungDiagram, perm: tuple) -> np.ndarray:
     return u
 
 
+def perm_index_map(perm: tuple, n: int, d: int) -> np.ndarray:
+    """V_pi as an index permutation: V_pi |i_1..i_n> = |i_{pi^{-1}(1)}..i_{pi^{-1}(n)}>.
+
+    Equivalently V_pi moves the content of tensor slot j to slot perm[j].
+    Returns array `src` with (V_pi psi)[a] = psi[src[a]].
+    """
+    dims = (d,) * n
+    idx = np.arange(d ** n).reshape(dims)
+    # output axis perm[j] takes input axis j  ->  transpose with axes[out] = in
+    axes = [0] * n
+    for j in range(n):
+        axes[perm[j]] = j
+    return np.transpose(idx, axes=axes).ravel()
+
+
 def permutation_operator(perm, n: int, d: int) -> np.ndarray:
     """Unitary matrix of the permutation action on (C^d)^{x n}.
 
@@ -133,7 +149,7 @@ def permutation_operator(perm, n: int, d: int) -> np.ndarray:
     if sorted(perm) != list(range(n)):
         raise ValueError(f"not a permutation of 0..{n-1}: {perm}")
     _check_cap(d ** n)
-    src = _perm_index_map(perm, n, d)
+    src = perm_index_map(perm, n, d)
     op = np.zeros((d ** n, d ** n))
     op[np.arange(d ** n), src] = 1.0
     return op

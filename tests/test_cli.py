@@ -134,7 +134,8 @@ class TestSweep:
         ({"mode": "classical", "n_grid": [0, 20]}, "n >= 1", {0}),
         ({"mode": "aware", "params": {"k": 0}}, "k must be >= 1", {20, 40}),
         ({"mode": "tomo", "params": {"k": 0}}, "k must be >= 1", {20, 40}),
-    ], ids=["mnp-M0", "mnp-n0", "classical-n0", "aware-k0", "tomo-k0"])
+        ({"mode": "universal", "n_grid": [0, 20]}, "n >= 1", {0}),
+    ], ids=["mnp-M0", "mnp-n0", "classical-n0", "aware-k0", "tomo-k0", "universal-n0"])
     def test_bad_size_is_a_recorded_failure(self, overrides, word, bad_n):
         """Each bad (n, seed) records the ValueError that names the size; the
         good ones still give rows."""
@@ -237,17 +238,21 @@ class TestCommandLine:
         ["extract", "--mode", "aware", "--state", "plus", "--n", "10", "--k", "0"],
         ["extract", "--mode", "mnp", "--state", "plus", "--n", "0"],
         ["extract", "--mode", "classical", "--state", "ground", "--n", "0"],
+        ["extract", "--mode", "universal", "--state", "ground", "--n", "0"],
         ["infdim", "--epsilon", "2", "--n-grid", "0,5"],
+        ["infdim", "--n-grid", "-3"], ["infdim", "--n-grid", "10,-3"],
         ["haar", "--samples", "0"], ["haar", "--samples", "1"], ["haar", "--samples", "-1"],
         ["pinch", "--state", "plus", "--kind", "energy", "--copies", "0"],
-    ], ids=["tomo-k0", "aware-k0", "mnp-n0", "classical-n0", "infdim-n0", "haar-0", "haar-1", "haar-neg",
-            "pinch-energy-0"])
+    ], ids=["tomo-k0", "aware-k0", "mnp-n0", "classical-n0", "universal-n0", "infdim-n0", "infdim-neg",
+            "infdim-good-then-neg", "haar-0", "haar-1", "haar-neg", "pinch-energy-0"])
     def test_bad_size_exits_2(self, capsys, argv):
-        """One error line and exit 2, no traceback and no warning."""
+        """One error line, exit 2 and nothing on stdout: no traceback, no warning, no partial output."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(argv) == 2
-        err = capsys.readouterr().err.splitlines()
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
     def test_validation_error_exit_code(self, tmp_path, capsys):

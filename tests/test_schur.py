@@ -13,7 +13,6 @@ from thermoflux.schur import (
     YoungDiagram,
     _copy_steps,
     _fix_phase,
-    _perm_index_map,
     _schur_basis,
     build_schur_basis,
     decompose_permutation_invariant,
@@ -25,7 +24,7 @@ from thermoflux.schur import (
 )
 from thermoflux.typeclass import compositions, strings_of_type
 
-from oracles import permutation_operator, row_words, yor_matrix
+from oracles import perm_index_map, permutation_operator, row_words, yor_matrix
 
 QUBIT = ThermalContext(levels=(0, 1), beta=1.0)
 
@@ -221,6 +220,15 @@ class TestInvariantDecomposition:
         with pytest.raises(ValueError):
             decompose_permutation_invariant(a, basis)
 
+    def test_invariant_under_one_swap_only_rejected(self):
+        """Weight on the strings whose slot 2 is 1: invariant under (0 1), not under (1 2)."""
+        basis = build_schur_basis(3, 2)
+        a = np.diag(np.arange(8.0) % 2)
+        src = perm_index_map((1, 0, 2), 3, 2)
+        assert np.array_equal(a[np.ix_(src, src)], a)
+        with pytest.raises(ValueError, match="not permutation invariant"):
+            decompose_permutation_invariant(a, basis)
+
 
 def _oracle(n, d):
     """The construction by sums over all n! permutations: matrix units
@@ -230,7 +238,7 @@ def _oracle(n, d):
     strings in increasing index order})."""
     dim = d ** n
     perms = list(itertools.permutations(range(n)))
-    maps = {p: _perm_index_map(p, n, d) for p in perms}
+    maps = {p: perm_index_map(p, n, d) for p in perms}
     types = [tuple(int(c) for c in f) for f in compositions(n, d)[::-1]]
     out = []
     for diagram in enumerate_young_diagrams(n, d):

@@ -17,6 +17,8 @@ CALLER_DIRS = ("src", "demos", "bench", "perfbench")
 
 # Reference implementations that tests compare the fast paths against.
 ORACLES = ROOT / "tests" / "oracles.py"
+# Imports kept on purpose: perfbench patches extraction's injection_feasible binding.
+KEPT_IMPORTS = {"extraction.injection_feasible"}
 
 
 def _caller_sources() -> dict:
@@ -72,12 +74,31 @@ def test_public_member_has_a_caller(path, cls, node):
     )
 
 
+def _unused_imports(path: Path) -> set:
+    """module.name of each module-level import binding the module never reads."""
+    tree = ast.parse(path.read_text())
+    bound = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return {f"{path.stem}.{name}" for name in bound - read}
+
+
+def test_every_module_import_is_used():
+    """__init__ only re-exports, so it is not scanned."""
+    unused = set().union(*(_unused_imports(p) for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
+    assert unused <= KEPT_IMPORTS, sorted(unused - KEPT_IMPORTS)
+
+
 def test_reference_implementations_live_in_tests():
     oracles = {
         node.name for node in ast.parse(ORACLES.read_text()).body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
-    assert {"ProjectorFamily", "yor_matrix", "permutation_operator", "product_energies"} <= oracles
+    assert {"ProjectorFamily", "yor_matrix", "perm_index_map", "permutation_operator", "product_energies"} <= oracles
     assert not oracles & {node.name for _, node in DEFINITIONS}
 
 
